@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from . import __version__, combine, corpus, lm, metrics, retrieve, select, webfilter
@@ -392,9 +393,10 @@ def _cmd_retrieve(args, parser):
     params = None
     if args.delta is not None:
         params = retrieve.LengthFilterParams(args.delta, args.multiplier)
+    stats = Counter()
     results = {
         q.id: retrieve.retrieve(q, index, args.lambda_percent, args.n_best,
-                                params=params, stopwords=stopwords)
+                                params=params, stopwords=stopwords, stats=stats)
         for q in queries
     }
     header = run.header(args.output or "stdout")
@@ -415,7 +417,9 @@ def _cmd_retrieve(args, parser):
             for rank, (doc_id, score) in enumerate(results[src], 1):
                 lines.append("%s\t%d\t%s\t%s" % (src, rank, doc_id, repr(score)))
         sys.stdout.write("\n".join(lines) + "\n")
-    _log("retrieve: %d queries against %d documents" % (len(queries), index.n_docs))
+    _log("retrieve: %d queries against %d documents; %d postings visited of %d "
+         "(query terms x candidates)" % (len(queries), index.n_docs, stats["postings"],
+                                         stats["postings_base"]))
     return 0
 
 

@@ -5,9 +5,10 @@ coord/tf/idf/norm retrieval scoring, a relative length filter around the
 source length, and micro-averaged P/R/F1 evaluation.
 """
 
+import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import FormatError, ToolkitError
@@ -27,7 +28,8 @@ class Document:
 
 
 class DocumentIndex:
-    """Term/document frequencies and lengths for a fixed collection."""
+    """Postings (term -> [(doc_id, count)]), document frequencies, lengths
+    and length norms for a fixed collection."""
 
     def __init__(self, documents):
         docs = list(documents)
@@ -38,14 +40,13 @@ class DocumentIndex:
             raise FormatError("duplicate document ids in collection")
         self.documents = {d.id: d for d in docs}
         self.n_docs = len(docs)
-        self.tf = {d.id: Counter(d.tokens) for d in docs}
         self.lengths = {d.id: len(d.tokens) for d in docs}
-        self.df = Counter()
+        self.norms = {d.id: 1.0 / math.sqrt(len(d.tokens)) for d in docs}
+        self.postings = {}
         for d in docs:
-            self.df.update(set(d.tokens))
-
-    def doc_ids(self):
-        return sorted(self.documents)
+            for term, f in Counter(d.tokens).items():
+                self.postings.setdefault(term, []).append((d.id, f))
+        self.df = Counter({term: len(p) for term, p in self.postings.items()})
 
 
 @dataclass
@@ -95,25 +96,31 @@ def generate_query(doc, lambda_percent, index, stopwords=frozenset()):
     return Query(weighted[:size], size)
 
 
+def _accumulate_scores(query, candidates, index):
+    """({doc_id: score} for the candidates sharing a query term, postings
+    visited).  Each sum adds sqrt(f) * idf * norm in query-term order from
+    0.0 and is then scaled by coord, so scores are bit-identical however
+    many candidates are scored at once."""
+    totals = {}
+    matched = {}
+    for term, _ in query.terms:
+        postings = index.postings.get(term, ())
+        idf = 1.0 + math.log(index.n_docs / (len(postings) + 1.0))
+        for d, f in postings:
+            if d in candidates:
+                totals[d] = totals.get(d, 0.0) + math.sqrt(f) * idf * index.norms[d]
+                matched[d] = matched.get(d, 0) + 1
+    n_terms = len(query.terms)
+    scores = {d: (matched[d] / n_terms) * total for d, total in totals.items()}
+    return scores, sum(matched.values())
+
+
 def score_document(query, doc_id, index):
     """coord(q,d) * sum over matched query terms of tf * idf * bst * norm.
 
     Concretization: tf = sqrt(raw count), idf = 1 + ln(|D| / (df + 1)),
     bst = 1, norm = 1 / sqrt(|d|)."""
-    if not query.terms:
-        return 0.0
-    tf = index.tf[doc_id]
-    norm = 1.0 / math.sqrt(index.lengths[doc_id])
-    matched = 0
-    total = 0.0
-    for term, _ in query.terms:
-        f = tf.get(term, 0)
-        if f > 0:
-            matched += 1
-            idf = 1.0 + math.log(index.n_docs / (index.df.get(term, 0) + 1.0))
-            total += math.sqrt(f) * idf * norm
-    coord = matched / len(query.terms)
-    return coord * total
+    return _accumulate_scores(query, {doc_id}, index)[0].get(doc_id, 0.0)
 
 
 def length_filter_candidates(source_len, index, params):
@@ -127,19 +134,30 @@ def length_filter_candidates(source_len, index, params):
 
 
 def retrieve(source_doc, index, lambda_percent, n_best, params=None,
-             stopwords=frozenset()):
+             stopwords=frozenset(), stats=None):
     """Rank candidate documents for one source document.
 
     Pipeline: optional length filter, query generation, scoring over the
-    surviving candidates, top n_best by score (ties by document id)."""
+    surviving candidates, top n_best by score (ties by document id).  A
+    ``stats`` Counter gets the postings visited added to "postings" and
+    |query terms| x |candidates| added to "postings_base"."""
+    if n_best < 1:
+        raise ToolkitError("n_best must be >= 1")
     if params is not None:
         candidates = length_filter_candidates(len(source_doc), index, params)
     else:
-        candidates = set(index.documents)
+        candidates = index.documents
     query = generate_query(source_doc, lambda_percent, index, stopwords)
-    scored = [(score_document(query, d, index), d) for d in candidates]
-    scored.sort(key=lambda sd: (-sd[0], sd[1]))
-    return [(d, s) for s, d in scored[:n_best]]
+    scores, visited = _accumulate_scores(query, candidates, index)
+    if stats is not None:
+        stats["postings"] += visited
+        stats["postings_base"] += len(query.terms) * len(candidates)
+    top = heapq.nsmallest(n_best, ((-s, d) for d, s in scores.items()))
+    hits = [(d, -neg) for neg, d in top]
+    if len(hits) < n_best:
+        zeros = (d for d in candidates if d not in scores)
+        hits += [(d, 0.0) for d in heapq.nsmallest(n_best - len(hits), zeros)]
+    return hits
 
 
 def evaluate_retrieval(results, gold):
@@ -175,12 +193,17 @@ def load_collection(path):
                 tokens = tuple(child.read_text(encoding="utf-8").split())
                 docs.append(Document(child.name, tokens))
     else:
+        first_line = {}
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
             if not line.strip():
                 continue
             fields = line.split("\t", 1)
             if len(fields) != 2:
                 raise FormatError("%s line %d: expected doc_id<TAB>text" % (path, lineno))
+            if fields[0] in first_line:
+                raise FormatError("%s line %d: duplicate document id %r (first on line %d)"
+                                  % (path, lineno, fields[0], first_line[fields[0]]))
+            first_line[fields[0]] = lineno
             docs.append(Document(fields[0], tuple(fields[1].split())))
     return docs
 

@@ -11,7 +11,8 @@ import math
 import random
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -266,11 +267,17 @@ def _ranked_indices(scores, direction):
     return sorted(range(len(scores)), key=lambda i: (sign * scores[i], i))
 
 
+def topk_count(k, n):
+    """floor(k/100 * n) in exact rational arithmetic, with k read as the
+    decimal it prints as: K=29 of 100 items keeps 29, not 28."""
+    return Fraction(str(k)) * n // 100
+
+
 def select_top(scores, k, direction, criterion="", note=""):
     """Keep the best floor(k/100 * |corpus|) sentences; ties break by index."""
     if not 0 < k <= 100:
         raise ToolkitError("K must be in (0, 100]")
-    n = int(k / 100.0 * len(scores))
+    n = topk_count(k, len(scores))
     if n == 0:
         raise ToolkitError("K=%g keeps zero sentences of %d" % (k, len(scores)))
     ranked = _ranked_indices(scores, direction)

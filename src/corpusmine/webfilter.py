@@ -6,11 +6,12 @@ filtering, and the combined document-then-sentence K/N filter.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import lm
 from .errors import FormatError, ToolkitError
+from .select import topk_count
 
 LOCATIONS = ("title", "headings", "metadata", "body")
 
@@ -107,7 +108,7 @@ def filter_documents_topk(scored_docs, k):
     if not 0 < k <= 100:
         raise ToolkitError("K must be in (0, 100]")
     ranked = sorted(scored_docs, key=lambda ds: (-ds[1], ds[0]))
-    n = int(k / 100.0 * len(ranked))
+    n = topk_count(k, len(ranked))
     return [doc_id for doc_id, _ in ranked[:n]]
 
 
@@ -152,7 +153,7 @@ def combined_filter(docs, topic, k, n, in_lm, loc_weights=None):
         range(len(sentences)),
         key=lambda i: (ppl1(in_lm, sentences[i][1]), i),
     )
-    keep = int(n / 100.0 * len(sentences))
+    keep = topk_count(n, len(sentences))
     return [sentences[i] for i in ranked[:keep]]
 
 

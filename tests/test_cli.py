@@ -156,7 +156,29 @@ def test_retrieve_cli_with_gold(work, capsys):
     text = out.read_text(encoding="utf-8")
     assert "# precision: 1.0" in text
     assert "q1\t1\td1\t" in text
-    capsys.readouterr()
+    assert "postings visited of" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_best", ["0", "-1"])
+def test_retrieve_cli_rejects_n_best_below_one(work, capsys, n_best):
+    coll = work / "coll.tsv"
+    coll.write_text("d1\tthe market fell\nd2\tdogs bark\nd3\train fell\n", encoding="utf-8")
+    out = work / "res.tsv"
+    assert run_cli("retrieve", "--collection", str(coll), "--queries", str(coll),
+                   "--lambda", "0.5", "--n-best", n_best, "--output", str(out)) == 1
+    assert "error: n_best must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_retrieve_cli_rejects_duplicate_query_ids(work, capsys):
+    coll = work / "coll.tsv"
+    coll.write_text("d1\tthe market fell\nd2\tdogs bark\n", encoding="utf-8")
+    queries = work / "q.tsv"
+    queries.write_text("q1\tthe market\nq2\tdogs\n\nq1\tbark\n", encoding="utf-8")
+    assert run_cli("retrieve", "--collection", str(coll), "--queries", str(queries),
+                   "--lambda", "0.5", "--n-best", "1", "--output", str(work / "res.tsv")) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "q.tsv line 4: duplicate document id 'q1' (first on line 1)" in err
 
 
 def test_bleu_cli(work, capsys):

@@ -5,6 +5,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusmine import corpus, retrieve
 from corpusmine.errors import ToolkitError
@@ -134,3 +136,72 @@ def test_random_retrieval_self_consistency():
         src = retrieve.Document("src", tuple(texts[i].split()))
         best = retrieve.retrieve(src, idx, 0.5, 1)[0][0]
         assert best == "d%d" % i  # an exact copy must win
+
+
+def _reference_score(query, tokens, index):
+    """The per-document formula, written out in the order retrieve must keep."""
+    if not query.terms:
+        return 0.0
+    tf = Counter(tokens)
+    norm = 1.0 / math.sqrt(len(tokens))
+    matched = 0
+    total = 0.0
+    for term, _ in query.terms:
+        if tf[term] > 0:
+            matched += 1
+            idf = 1.0 + math.log(index.n_docs / (index.df[term] + 1.0))
+            total += math.sqrt(tf[term]) * idf * norm
+    return (matched / len(query.terms)) * total
+
+
+def _check_against_brute_force(texts, source, stopwords, lambda_percent, n_best, delta):
+    idx = retrieve.DocumentIndex(_docs(texts))
+    src = retrieve.Document("src", tuple(source.split()))
+    params = None if delta is None else retrieve.LengthFilterParams(delta)
+    candidates = (set(idx.documents) if params is None
+                  else retrieve.length_filter_candidates(len(src), idx, params))
+    query = retrieve.generate_query(src, lambda_percent, idx, stopwords)
+    for d in candidates:
+        assert retrieve.score_document(query, d, idx) == _reference_score(
+            query, idx.documents[d].tokens, idx)
+    brute = sorted((-retrieve.score_document(query, d, idx), d) for d in candidates)[:n_best]
+    stats = Counter()
+    got = retrieve.retrieve(src, idx, lambda_percent, n_best, params, stopwords, stats)
+    assert [d for d, _ in got] == [d for _, d in brute]
+    assert [s for _, s in got] == [-neg for neg, _ in brute]
+    assert all(math.copysign(1.0, s) == 1.0 for _, s in got)  # no -0.0 in the output
+    assert stats["postings_base"] == len(query.terms) * len(candidates)
+    assert stats["postings"] == sum(
+        1 for t, _ in query.terms for d in candidates if t in idx.documents[d].tokens)
+    return query, got
+
+
+_WORDS = st.sampled_from("a b c d e f g h".split())
+_TEXT = st.lists(_WORDS, min_size=1, max_size=10).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    texts=st.lists(_TEXT, min_size=1, max_size=8),
+    source=st.lists(st.sampled_from("a b c d e f g h x y".split()), min_size=1,
+                    max_size=10).map(" ".join),
+    stopwords=st.frozensets(st.sampled_from("a b c x".split())),
+    lambda_percent=st.sampled_from([0.1, 0.3, 0.5, 1.0]),
+    n_best=st.integers(1, 10),
+    delta=st.one_of(st.none(), st.sampled_from([0.0, 0.05, 0.1, 0.25])),
+)
+def test_retrieve_equals_brute_force(texts, source, stopwords, lambda_percent, n_best, delta):
+    _check_against_brute_force(texts, source, stopwords, lambda_percent, n_best, delta)
+
+
+def test_retrieve_brute_force_edge_cases():
+    texts = ["a b c", "b c d d", "e f", "a a a g h", "c"]
+    # every source term is a stopword: empty query, zero scores in id order
+    query, got = _check_against_brute_force(texts, "a b a", frozenset("ab"), 1.0, 3, None)
+    assert query.terms == [] and got == [("d0", 0.0), ("d1", 0.0), ("d2", 0.0)]
+    # terms absent from the collection, n_best above the number of matches
+    query, got = _check_against_brute_force(texts, "x y e", frozenset(), 1.0, 4, None)
+    assert [d for d, _ in got] == ["d2", "d0", "d1", "d3"] and got[1][1] == 0.0
+    # length filter with stopwords, n_best above the number of candidates
+    query, got = _check_against_brute_force(texts, "a b c", frozenset("a"), 1.0, 5, 0.1)
+    assert len(got) == 3

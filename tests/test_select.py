@@ -138,6 +138,14 @@ def test_select_top_floor_and_ties():
         select.select_top(scores, 101, select.HIGHER)
 
 
+def test_topk_count_is_exact():
+    # float arithmetic gives int(29 / 100.0 * 100) = 28 and int(0.3 / 100.0 * 1000) = 2
+    assert select.topk_count(29, 100) == 29
+    assert select.topk_count(0.3, 1000) == 3
+    assert select.topk_count(29.0, 100) == 29
+    assert len(select.select_top(list(range(100)), 29, select.HIGHER).indices) == 29
+
+
 def test_select_top_prefix_nesting():
     rng = random.Random(31)
     scores = [rng.random() for _ in range(97)]

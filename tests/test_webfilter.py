@@ -93,6 +93,8 @@ def test_filter_documents_topk():
     assert webfilter.filter_documents_topk(scored, 50) == ["a", "c"]  # floor(2), tie by id
     assert webfilter.filter_documents_topk(scored, 100) == ["a", "c", "d", "b"]
     assert webfilter.filter_documents_topk(scored, 10) == []  # floor(0.4) -> none kept
+    hundred = [("d%03d" % i, float(i)) for i in range(100)]
+    assert len(webfilter.filter_documents_topk(hundred, 29)) == 29  # not int(28.999...)
     with pytest.raises(ToolkitError):
         webfilter.filter_documents_topk(scored, 0)
     with pytest.raises(ToolkitError):
@@ -140,6 +142,8 @@ def test_combined_filter_k100_equals_pure_ppl_selection():
     ranked = sorted(range(len(sentences)), key=lambda i: (webfilter.ppl1(model, sentences[i]), i))
     want = [sentences[i] for i in ranked[: len(sentences) // 2]]
     assert [s for _, s in kept] == want
+    many = [_doc("m", body=["x y"] * 100)]
+    assert len(webfilter.combined_filter(many, empty_topic, k=100, n=29, in_lm=model)) == 29
 
 
 def test_topic_file_and_document_parsing(tmp_path):
