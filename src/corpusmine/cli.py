@@ -408,15 +408,7 @@ def _cmd_retrieve(args, parser):
         header.append("# precision: %s" % repr(p))
         header.append("# recall: %s" % repr(r))
         header.append("# f1: %s" % repr(f))
-    if args.output:
-        retrieve.write_results(results, args.output, header)
-        run.write(args.output)
-    else:
-        lines = list(header)
-        for src in sorted(results):
-            for rank, (doc_id, score) in enumerate(results[src], 1):
-                lines.append("%s\t%d\t%s\t%s" % (src, rank, doc_id, repr(score)))
-        sys.stdout.write("\n".join(lines) + "\n")
+    _emit(args.output, "\n".join(header + retrieve.result_rows(results)) + "\n", run)
     _log("retrieve: %d queries against %d documents; %d postings visited of %d "
          "(query terms x candidates)" % (len(queries), index.n_docs, stats["postings"],
                                          stats["postings_base"]))

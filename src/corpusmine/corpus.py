@@ -131,6 +131,15 @@ class ParallelCorpus:
         return Corpus(tuple(p.target for p in self.pairs), id=self.id + ".tgt")
 
 
+def words_of(item):
+    """The words of a Sentence, a whitespace-tokenized string or a token list."""
+    if hasattr(item, "words"):
+        return item.words
+    if isinstance(item, str):
+        return item.split()
+    return list(item)
+
+
 @dataclass(frozen=True)
 class Lexicon:
     """Source word -> single target phrase; the first listed translation wins."""

@@ -12,3 +12,11 @@ class FormatError(ToolkitError):
 
 class MissingFactorError(ToolkitError):
     """A factored view was requested on a corpus lacking the required factor."""
+
+
+def parse_field(convert, text, what, path, lineno):
+    """convert(text), or a FormatError naming the file, the line and the field."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise FormatError("%s line %d: bad %s %r" % (path, lineno, what, text)) from None

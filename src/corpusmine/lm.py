@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ToolkitError
+from .corpus import words_of
+from .errors import FormatError, ToolkitError, parse_field
 
 logger = logging.getLogger("corpusmine.lm")
 
@@ -69,7 +70,7 @@ class Vocabulary:
     @classmethod
     def from_corpus(cls, corpus):
         vocab = cls()
-        for words in _iter_sentences(corpus):
+        for words in map(words_of, corpus):
             for w in words:
                 if w in _RESERVED:
                     raise FormatError("corpus contains reserved symbol %r" % w)
@@ -77,25 +78,10 @@ class Vocabulary:
         return vocab
 
 
-def _iter_sentences(corpus):
-    """Yield each sentence as a list of word strings.
-
-    Accepts a Corpus, an iterable of strings, or an iterable of token lists.
-    """
-    sentences = getattr(corpus, "sentences", corpus)
-    for s in sentences:
-        if hasattr(s, "words"):
-            yield s.words
-        elif isinstance(s, str):
-            yield s.split()
-        else:
-            yield list(s)
-
-
 def _ngram_counts(corpus, order, vocab):
     counts = [None] + [defaultdict(int) for _ in range(order)]
     n_sentences = 0
-    for words in _iter_sentences(corpus):
+    for words in map(words_of, corpus):
         n_sentences += 1
         seq = [_BOS_ID] * (order - 1) + [vocab.id(w) for w in words] + [_EOS_ID]
         for i in range(order - 1, len(seq)):
@@ -134,6 +120,15 @@ class NGramModel:
         wid = self.vocab.id(word)
         ctx = [self.vocab.id(h) for h in history]
         return self.prob_ids(wid, ctx)
+
+    def event_probs(self, words):
+        """prob(w, h) of each event of a sentence (its words, then EOS).
+
+        The sentence is encoded once and an (order-1)-id window slides over
+        it, so the values equal prob() over sentence_events()."""
+        m = self.order - 1
+        seq = [_BOS_ID] * m + [self.vocab.id(w) for w in words] + [_EOS_ID]
+        return [self.conditional_ids(seq[i], seq[i - m : i]) for i in range(m, len(seq))]
 
     def prob_ids(self, word_id, ctx_ids):
         if self.order > 1:
@@ -300,14 +295,8 @@ def train(corpus, order=4, smoothing="modified-kneser-ney", vocab=None):
 
 def sentence_events(sentence):
     """Yield (word, history) for each scored event of a sentence."""
-    if hasattr(sentence, "words"):
-        words = sentence.words
-    elif isinstance(sentence, str):
-        words = sentence.split()
-    else:
-        words = list(sentence)
     hist = []
-    for w in words:
+    for w in words_of(sentence):
         yield w, tuple(hist)
         hist.append(w)
     yield EOS, tuple(hist)
@@ -315,16 +304,16 @@ def sentence_events(sentence):
 
 def log_prob(model, sentence):
     """Base-2 log probability of a sentence (word events plus EOS)."""
-    return sum(math.log2(model.prob(w, h)) for w, h in sentence_events(sentence))
+    return sum(math.log2(p) for p in model.event_probs(words_of(sentence)))
 
 
 def cross_entropy(model, corpus):
     """Bits per event over word+EOS events of the corpus."""
     total = 0.0
     n = 0
-    for words in _iter_sentences(corpus):
-        for w, h in sentence_events(words):
-            total += math.log2(model.prob(w, h))
+    for words in map(words_of, corpus):
+        for p in model.event_probs(words):
+            total += math.log2(p)
             n += 1
     if n == 0:
         raise ToolkitError("cannot compute cross-entropy of an empty corpus")
@@ -362,6 +351,11 @@ class MixtureModel:
             w * c.prob(word, history) for w, c in zip(self.weights, self.components)
         )
 
+    def event_probs(self, words):
+        """The mixture's prob(w, h) of each event of a sentence."""
+        columns = zip(*(c.event_probs(words) for c in self.components))
+        return [sum(w * p for w, p in zip(self.weights, probs)) for probs in columns]
+
 
 def interpolate(models, dev_corpus, tol=1e-6, max_iter=100):
     """Fit mixture weights by EM to maximize dev-corpus likelihood.
@@ -371,12 +365,11 @@ def interpolate(models, dev_corpus, tol=1e-6, max_iter=100):
     """
     if not models:
         raise ToolkitError("need at least one model to interpolate")
-    events = [
-        (w, h) for words in _iter_sentences(dev_corpus) for w, h in sentence_events(words)
-    ]
-    if not events:
+    sentences = [words_of(s) for s in dev_corpus]
+    if not sentences:
         raise ToolkitError("dev corpus is empty")
-    p = np.array([[m.prob(w, h) for m in models] for w, h in events], dtype=float)
+    columns = [[p for words in sentences for p in m.event_probs(words)] for m in models]
+    p = np.array(list(zip(*columns)), dtype=float)
     k = len(models)
     weights = np.full(k, 1.0 / k)
     history = []
@@ -456,8 +449,9 @@ def read_model(path):
         raise FormatError("%s: missing \\data\\ header" % path)
     i += 1
     while i < len(lines) and lines[i].startswith("ngram "):
-        n, size = lines[i][len("ngram ") :].split("=")
-        sizes[int(n)] = int(size)
+        n, _, size = lines[i][len("ngram ") :].partition("=")
+        n = parse_field(int, n, "n-gram order", path, i + 1)
+        sizes[n] = parse_field(int, size, "n-gram count", path, i + 1)
         i += 1
     order = max(sizes) if sizes else 0
     if order < 1:
@@ -465,20 +459,21 @@ def read_model(path):
     vocab = Vocabulary()
     raw = []  # (ids not yet resolvable) collect as symbol tuples first
     current_n = None
-    for line in lines[i:]:
+    for lineno, line in enumerate(lines[i:], i + 1):
         if not line or line == "\\end\\":
             continue
         if line.endswith("-grams:") and line.startswith("\\"):
-            current_n = int(line[1:].split("-")[0])
+            current_n = parse_field(int, line[1:].split("-")[0], "section order", path, lineno)
             continue
         fields = line.split("\t")
         if current_n is None or len(fields) < 2:
-            raise FormatError("%s: unexpected line %r" % (path, line))
+            raise FormatError("%s line %d: unexpected line %r" % (path, lineno, line))
         symbols = tuple(fields[1].split(" "))
         if len(symbols) != current_n:
-            raise FormatError("%s: arity mismatch on line %r" % (path, line))
-        lp = None if fields[0] == _BOW_ONLY else float(fields[0])
-        b = float(fields[2]) if len(fields) > 2 else None
+            raise FormatError("%s line %d: arity mismatch in %r" % (path, lineno, line))
+        lp = None if fields[0] == _BOW_ONLY else parse_field(
+            float, fields[0], "probability", path, lineno)
+        b = parse_field(float, fields[2], "backoff", path, lineno) if len(fields) > 2 else None
         raw.append((symbols, lp, b))
         if current_n == 1 and symbols[0] not in _RESERVED:
             vocab.add(symbols[0])

@@ -4,6 +4,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+from .corpus import words_of
 from .errors import ToolkitError
 
 
@@ -18,20 +19,12 @@ def _ngrams(words, n):
     return Counter(tuple(words[i : i + n]) for i in range(len(words) - n + 1))
 
 
-def _words_of(item):
-    if hasattr(item, "words"):
-        return item.words
-    if isinstance(item, str):
-        return item.split()
-    return list(item)
-
-
 def bleu(hypotheses, references, max_n=4, smooth=False):
     """Corpus-level BLEU with clipped n-gram precisions and the exponential
     brevity penalty.  Any zero precision makes the unsmoothed score 0; with
     smooth=True add-one smoothing is applied to every precision."""
-    hyps = [_words_of(h) for h in hypotheses]
-    refs = [_words_of(r) for r in references]
+    hyps = [words_of(h) for h in hypotheses]
+    refs = [words_of(r) for r in references]
     if len(hyps) != len(refs):
         raise ToolkitError(
             "hypothesis/reference count mismatch: %d vs %d" % (len(hyps), len(refs))
@@ -69,7 +62,7 @@ def vocab_stats(corpus):
     tokens = 0
     types = set()
     for s in corpus:
-        words = _words_of(s)
+        words = words_of(s)
         tokens += len(words)
         types.update(words)
     if tokens == 0:
@@ -82,18 +75,18 @@ def oov_ratio(train_corpus, test_corpus, by_type=False):
     training vocabulary."""
     train_vocab = set()
     for s in train_corpus:
-        train_vocab.update(_words_of(s))
+        train_vocab.update(words_of(s))
     if by_type:
         test_types = set()
         for s in test_corpus:
-            test_types.update(_words_of(s))
+            test_types.update(words_of(s))
         if not test_types:
             raise ToolkitError("test corpus is empty")
         return sum(1 for t in test_types if t not in train_vocab) / len(test_types)
     total = 0
     oov = 0
     for s in test_corpus:
-        for w in _words_of(s):
+        for w in words_of(s):
             total += 1
             if w not in train_vocab:
                 oov += 1

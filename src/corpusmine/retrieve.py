@@ -204,6 +204,8 @@ def load_collection(path):
                 raise FormatError("%s line %d: duplicate document id %r (first on line %d)"
                                   % (path, lineno, fields[0], first_line[fields[0]]))
             first_line[fields[0]] = lineno
+            if not fields[1].split():
+                raise FormatError("%s line %d: document %r is empty" % (path, lineno, fields[0]))
             docs.append(Document(fields[0], tuple(fields[1].split())))
     return docs
 
@@ -228,9 +230,15 @@ def load_gold(path):
     return gold
 
 
+def result_rows(results):
+    """`source<TAB>rank<TAB>doc_id<TAB>score` per hit, sources in sorted order."""
+    return [
+        "%s\t%d\t%s\t%s" % (src, rank, doc_id, repr(score))
+        for src in sorted(results)
+        for rank, (doc_id, score) in enumerate(results[src], 1)
+    ]
+
+
 def write_results(results, path, header_lines=()):
-    lines = list(header_lines)
-    for src in sorted(results):
-        for rank, (doc_id, score) in enumerate(results[src], 1):
-            lines.append("%s\t%d\t%s\t%s" % (src, rank, doc_id, repr(score)))
+    lines = list(header_lines) + result_rows(results)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

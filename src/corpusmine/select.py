@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lm
-from .corpus import Corpus, factor_view
+from .corpus import Corpus, factor_view, words_of
 from .errors import FormatError, ToolkitError
 
 HIGHER = "higher-is-better"
@@ -48,14 +48,6 @@ class SelectionResult:
     note: str = ""
 
 
-def _words_of(item):
-    if hasattr(item, "words"):
-        return item.words
-    if isinstance(item, str):
-        return item.split()
-    return list(item)
-
-
 def _map_sharded(fn, items, threads=1):
     """Apply fn to each item, optionally across thread shards.
 
@@ -81,7 +73,7 @@ def score_cosine(general, in_domain, threads=1):
     tf is the raw in-sentence count; idf = log(|D|/df) with |D| the number of
     general sentences and df clamped to >= 1.
     """
-    gen_sents = [_words_of(s) for s in general]
+    gen_sents = [words_of(s) for s in general]
     if not gen_sents or len(in_domain.sentences if hasattr(in_domain, "sentences") else in_domain) == 0:
         raise ToolkitError("both corpora must be non-empty")
     n_docs = len(gen_sents)
@@ -94,7 +86,7 @@ def score_cosine(general, in_domain, threads=1):
 
     query_tf = Counter()
     for s in in_domain:
-        query_tf.update(_words_of(s))
+        query_tf.update(words_of(s))
     query = {t: c * idf(t) for t, c in query_tf.items()}
     query_norm = math.sqrt(sum(v * v for v in query.values()))
 
@@ -119,9 +111,9 @@ def score_cosine(general, in_domain, threads=1):
 
 def sentence_cross_entropy(model, sentence):
     """Per-event cross-entropy (bits) of one sentence: word events plus EOS."""
-    events = list(lm.sentence_events(_words_of(sentence)))
-    total = sum(math.log2(model.prob(w, h)) for w, h in events)
-    return -total / len(events)
+    probs = model.event_probs(words_of(sentence))
+    total = sum(math.log2(p) for p in probs)
+    return -total / len(probs)
 
 
 def score_cross_entropy(general, in_lm, threads=1):
@@ -180,8 +172,8 @@ def train_selection_models(general, in_domain, order=4, seed=0,
 
 def edit_distance(a, b):
     """Word-level Levenshtein distance between two token sequences."""
-    a = _words_of(a)
-    b = _words_of(b)
+    a = words_of(a)
+    b = words_of(b)
     if len(a) < len(b):
         a, b = b, a
     prev = list(range(len(b) + 1))
@@ -195,8 +187,8 @@ def edit_distance(a, b):
 
 def fms(a, b):
     """Fuzzy matching score: 1 - edit_distance / max length, clamped to [0,1]."""
-    a = _words_of(a)
-    b = _words_of(b)
+    a = words_of(a)
+    b = words_of(b)
     score = 1.0 - edit_distance(a, b) / max(len(a), len(b))
     return min(max(score, 0.0), 1.0)
 
@@ -230,8 +222,8 @@ def score_fms(general, reference, cutoff=None, threads=1):
     1 - |len difference| / max length falls below it contribute 0 to the
     average (approximate fast mode)."""
     table = {}
-    gen = _encode([_words_of(s) for s in general], table)
-    refs = _encode([_words_of(s) for s in reference], table)
+    gen = _encode([words_of(s) for s in general], table)
+    refs = _encode([words_of(s) for s in reference], table)
     if not refs:
         raise ToolkitError("reference corpus must be non-empty")
     n_refs = len(refs)

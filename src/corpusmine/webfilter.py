@@ -6,11 +6,12 @@ filtering, and the combined document-then-sentence K/N filter.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import lm
-from .errors import FormatError, ToolkitError
+from .corpus import words_of
+from .errors import FormatError, ToolkitError, parse_field
 from .select import topk_count
 
 LOCATIONS = ("title", "headings", "metadata", "body")
@@ -88,18 +89,24 @@ def count_occurrences(term_tokens, tokens):
 
 
 def topic_relevance(doc, topic, loc_weights=None):
-    """Weighted occurrence sum over all topic terms and location classes."""
+    """Weighted occurrence sum over all topic terms and location classes.  Each
+    location's token k-grams, for the term lengths k in use, are counted once at
+    every start position, so overlapping matches count as in count_occurrences."""
     if loc_weights is None:
         loc_weights = LocationWeights()
+    lengths = {len(entry.tokens) for entry in topic.entries}
     score = 0.0
     for loc in LOCATIONS:
         wl = loc_weights.get(loc)
         if wl == 0:
             continue
-        line_tokens = [line.split() for line in doc.lines(loc)]
+        grams = Counter()
+        for line in doc.lines(loc):
+            toks = line.split()
+            for k in lengths:
+                grams.update(zip(*(toks[j:] for j in range(k))))
         for entry in topic.entries:
-            n = sum(count_occurrences(entry.tokens, toks) for toks in line_tokens)
-            score += n * entry.weight * wl
+            score += grams[tuple(entry.tokens)] * entry.weight * wl
     return score
 
 
@@ -117,17 +124,10 @@ def ppl1(model, sentence):
 
     10 ** (-log10 P / W) with P over word events plus EOS and W the number
     of words only."""
-    if hasattr(sentence, "words"):
-        words = sentence.words
-    elif isinstance(sentence, str):
-        words = sentence.split()
-    else:
-        words = list(sentence)
+    words = words_of(sentence)
     if not words:
         raise ToolkitError("ppl1 of an empty sentence is undefined")
-    log10p = sum(
-        math.log10(model.prob(w, h)) for w, h in lm.sentence_events(words)
-    )
+    log10p = sum(math.log10(p) for p in model.event_probs(words))
     return 10.0 ** (-log10p / len(words))
 
 
@@ -141,7 +141,6 @@ def combined_filter(docs, topic, k, n, in_lm, loc_weights=None):
         raise ToolkitError("N must be in (0, 100]")
     scored = [(d.id, topic_relevance(d, topic, loc_weights)) for d in docs]
     kept_ids = set(filter_documents_topk(scored, k))
-    by_id = {d.id: d for d in docs}
     sentences = [
         (d.id, line)
         for d in docs
@@ -174,7 +173,8 @@ def load_topic_file(path):
         tokens = tuple(fields[0].split())
         if not tokens:
             raise FormatError("%s line %d: empty term" % (path, lineno))
-        weight = float(fields[1]) if fields[1].strip() else default_term_weight(tokens)
+        weight = (parse_field(float, fields[1], "weight", path, lineno) if fields[1].strip()
+                  else default_term_weight(tokens))
         entries.append(TopicTerm(tokens, weight, fields[2]))
     return TopicDefinition(entries)
 

@@ -181,6 +181,37 @@ def test_retrieve_cli_rejects_duplicate_query_ids(work, capsys):
     assert "error:" in err and "q.tsv line 4: duplicate document id 'q1' (first on line 1)" in err
 
 
+def test_retrieve_cli_reports_blank_document_line(work, capsys):
+    coll = work / "coll.tsv"
+    coll.write_text("d1\tthe market fell\nd2\tdogs bark\n", encoding="utf-8")
+    queries = work / "q.tsv"
+    queries.write_text("q1\tthe market\nq2\t  \n", encoding="utf-8")
+    assert run_cli("retrieve", "--collection", str(coll), "--queries", str(queries),
+                   "--lambda", "0.5", "--n-best", "1", "--output", str(work / "res.tsv")) == 1
+    assert "error: %s line 2: document 'q2' is empty" % queries in capsys.readouterr().err
+
+
+def test_retrieve_cli_stdout_rows_equal_output_rows(work, capsys):
+    coll = work / "coll.tsv"
+    coll.write_text("d1\tthe market fell sharply today\nd2\tdogs bark at night\n"
+                    "d3\train fell on the plain\n", encoding="utf-8")
+    queries = work / "q.tsv"
+    queries.write_text("q2\train fell\nq1\tthe market fell\n", encoding="utf-8")
+    argv = ["retrieve", "--collection", str(coll), "--queries", str(queries),
+            "--lambda", "1", "--n-best", "2"]
+    capsys.readouterr()
+    assert run_cli(*argv) == 0
+    stdout_rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    out = work / "res.tsv"
+    assert run_cli(*argv, "--output", str(out)) == 0
+    file_rows = [l for l in out.read_text(encoding="utf-8").splitlines()
+                 if not l.startswith("#")]
+    assert stdout_rows == file_rows
+    assert [r.split("\t")[:2] for r in file_rows] == [["q1", "1"], ["q1", "2"],
+                                                       ["q2", "1"], ["q2", "2"]]
+    capsys.readouterr()
+
+
 def test_bleu_cli(work, capsys):
     hyp = work / "hyp.txt"
     ref = work / "ref.txt"
@@ -254,3 +285,41 @@ def test_topic_and_ppl_filter_cli(work, capsys):
     assert run_cli("ppl-filter", "--collection", str(coll), "--k", "100", "--n", "100",
                    "--lm", str(model_path), "--output", str(out2)) == 0
     capsys.readouterr()
+
+
+def test_ppl_filter_rejects_non_numeric_topic_weight(work, capsys):
+    coll = work / "web.tsv"
+    coll.write_text("d1\tthe market fell\n", encoding="utf-8")
+    topic = work / "topic.tsv"
+    topic.write_text("market\t3\tFIN\nfoo bar\tabc\tX\n", encoding="utf-8")
+    model_path = work / "in.lm"
+    assert run_cli("train-lm", "--input", str(work / "indomain.txt"),
+                   "--output", str(model_path), "--order", "2") == 0
+    capsys.readouterr()
+    assert run_cli("ppl-filter", "--collection", str(coll), "--topic", str(topic),
+                   "--k", "50", "--n", "100", "--lm", str(model_path),
+                   "--output", str(work / "out.tsv")) == 1
+    err = capsys.readouterr().err
+    assert "error: %s line 2: bad weight 'abc'" % topic in err
+    assert "Traceback" not in err
+
+
+_MODEL_TEXT = ("\\smoothing: witten-bell\n\n\\data\\\nngram 1=3\n\n\\1-grams:\n"
+               "-0.5\t</s>\n-0.5\ta\n-0.5\t<unk>\n\n\\end\\\n")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("-0.5\t</s>", "-x.5\t</s>", "line 7: bad probability '-x.5'"),
+    ("-0.5\ta", "-0.5\ta\tzz", "line 8: bad backoff 'zz'"),
+    ("ngram 1=3", "ngram x=3", "line 4: bad n-gram order 'x'"),
+])
+def test_perplexity_reports_malformed_model_fields(work, capsys, old, new, message):
+    model_path = work / "m.lm"
+    model_path.write_text(_MODEL_TEXT, encoding="utf-8")
+    argv = ["perplexity", "--lm", str(model_path), "--input", str(work / "indomain.txt"),
+            "--output", str(work / "ppl.txt")]
+    assert run_cli(*argv) == 0
+    model_path.write_text(_MODEL_TEXT.replace(old, new, 1), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    assert "error: %s %s" % (model_path, message) in capsys.readouterr().err

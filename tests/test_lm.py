@@ -5,6 +5,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusmine import corpus, lm
 from corpusmine.errors import ToolkitError
@@ -155,6 +157,33 @@ def test_mixture_em_interior_optimum():
     # mixture must not lose to either component on dev
     ppl = [lm.perplexity(m, dev) for m in (a, b)]
     assert lm.perplexity(mix, dev) <= min(ppl) + 1e-6
+
+
+_TRAIN_LINES = st.lists(
+    st.lists(st.sampled_from("a b c d".split()), min_size=1, max_size=6).map(" ".join),
+    min_size=1, max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    order=st.integers(1, 4),
+    smoothing=st.sampled_from(lm.SMOOTHING_MODES),
+    lines=_TRAIN_LINES,
+    other_lines=_TRAIN_LINES,
+    mixture=st.booleans(),
+    # "x" and "y" are never trained on, so they score as OOV
+    words=st.lists(st.sampled_from("a b c d x y".split()), max_size=9),
+)
+def test_event_probs_equal_prob_over_sentence_events(order, smoothing, lines, other_lines,
+                                                     mixture, words):
+    model = lm.train(corpus.Corpus.from_lines(lines), order=order, smoothing=smoothing)
+    if mixture:
+        other = lm.train(corpus.Corpus.from_lines(other_lines), order=max(1, order - 1),
+                         smoothing=smoothing, vocab=model.vocab)
+        model = lm.MixtureModel([model, other], [1 / 3, 2 / 3])
+    want = [model.prob(w, h) for w, h in lm.sentence_events(words)]
+    assert model.event_probs(words) == want
 
 
 def test_mixture_validation():

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusmine import corpus, lm, webfilter
 from corpusmine.errors import ToolkitError
@@ -86,6 +88,68 @@ def test_topic_relevance_brute_force_oracle():
                         * weights.get(loc)
                     )
         assert webfilter.topic_relevance(doc, topic) == pytest.approx(want, abs=1e-12)
+
+
+def _per_location_formula(doc, topic, weights):
+    """topic_relevance as sum(count_occurrences over lines) * weight * wl,
+    added per location, then per entry in file order."""
+    score = 0.0
+    for loc in webfilter.LOCATIONS:
+        wl = weights.get(loc)
+        if wl == 0:
+            continue
+        line_tokens = [line.split() for line in doc.lines(loc)]
+        for entry in topic.entries:
+            n = sum(webfilter.count_occurrences(entry.tokens, toks) for toks in line_tokens)
+            score += n * entry.weight * wl
+    return score
+
+
+_TOKENS = st.sampled_from("a b c".split())
+_LINE = st.lists(_TOKENS, min_size=1, max_size=7).map(" ".join)
+_SECTION = st.lists(_LINE, max_size=3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    sections=st.fixed_dictionaries({loc: _SECTION for loc in webfilter.LOCATIONS}),
+    terms=st.lists(
+        st.tuples(st.lists(_TOKENS, min_size=1, max_size=9).map(tuple),
+                  st.sampled_from([0.1, 1 / 3, 1.0, 2.5]) | st.floats(0.01, 100.0)),
+        max_size=6,
+    ),
+    loc_weights=st.lists(st.sampled_from([0.0, 0.1, 1 / 3, 4.0, 10.0]),
+                         min_size=4, max_size=4),
+)
+def test_topic_relevance_equals_per_location_formula(sections, terms, loc_weights):
+    # terms draw from 3 types so they overlap; lengths up to 9 exceed every line
+    sections = {loc: lines for loc, lines in sections.items() if lines}
+    if not sections:
+        sections = {"body": ["a"]}
+    doc = webfilter.LocatedDocument("d", sections)
+    topic = webfilter.TopicDefinition(
+        [webfilter.TopicTerm(tokens, weight, "X") for tokens, weight in terms]
+    )
+    weights = webfilter.LocationWeights(*loc_weights)
+    assert webfilter.topic_relevance(doc, topic, weights) == _per_location_formula(
+        doc, topic, weights
+    )
+
+
+def test_topic_relevance_edge_cases_equal_formula():
+    doc = _doc("d", title="a a a", headings=["a b a a"], metadata=["b"],
+               body=["a a", "b a a a b"])
+    topic = webfilter.TopicDefinition([
+        webfilter.TopicTerm(("a", "a"), 0.1, "X"),       # overlapping matches
+        webfilter.TopicTerm(("a", "a"), 1 / 3, "X"),     # duplicate entry
+        webfilter.TopicTerm(("a",) * 6, 0.1, "X"),       # longer than every line
+        webfilter.TopicTerm(("b", "a"), 1 / 3, "X"),
+    ])
+    weights = webfilter.LocationWeights(title=1 / 3, headings=0.0, metadata=0.1, body=0.1)
+    got = webfilter.topic_relevance(doc, topic, weights)
+    assert got == _per_location_formula(doc, topic, weights)
+    # title: 2 x (0.1 + 1/3) x 1/3; body: 3 x (0.1 + 1/3) x 0.1 + 1 x 1/3 x 0.1
+    assert got == pytest.approx(2 * (0.1 + 1 / 3) / 3 + 3 * (0.1 + 1 / 3) * 0.1 + 0.1 / 3)
 
 
 def test_filter_documents_topk():
