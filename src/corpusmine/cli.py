@@ -185,10 +185,8 @@ def _cmd_perplexity(args, parser):
 
 def _cmd_score(args, parser):
     run = Run("score")
-    # thread count is not recorded: sharded scoring is order-preserving, so
-    # it never changes the output
-    for key in ("criterion", "view", "order", "smoothing", "seed",
-                "reference_mode", "fms_cutoff"):
+    # --threads is accepted and has no effect, so it is not recorded
+    for key in ("criterion", "view", "order", "smoothing", "seed", "fms_cutoff"):
         run.param(key, getattr(args, key))
     crit = args.criterion
     direction = select.CRITERION_DIRECTIONS[crit]
@@ -276,17 +274,10 @@ def _cmd_score(args, parser):
         "direction": direction,
         "normalization": "per-word cross-entropy, bits",
         "seed": args.seed,
-        "reference-mode": args.reference_mode,
     }
     if args.view:
         meta["view"] = args.view
-    if args.output:
-        select.write_scores(args.output, scores, meta)
-        run.write(args.output)
-    else:
-        lines = ["# %s: %s" % (k, v) for k, v in meta.items()]
-        lines += ["%d\t%s" % (i, repr(float(s))) for i, s in enumerate(scores)]
-        sys.stdout.write("\n".join(lines) + "\n")
+    _emit(args.output, select.format_scores(scores, meta), run)
     _log("score: %s over %d sentences" % (crit, len(scores)))
     return 0
 
@@ -310,7 +301,7 @@ def _cmd_select(args, parser):
         result = select.threshold_filter(scores, args.theta, direction, criterion)
         extra = {"theta": args.theta}
     extra["manifest"] = run.manifest_name(args.output)
-    for key in ("seed", "reference-mode", "view"):
+    for key in ("seed", "view"):
         if key in meta:
             extra[key] = meta[key]
     select.write_selection(args.output, result, extra)
@@ -598,10 +589,10 @@ def build_parser():
     p.add_argument("--in-tgt-lm")
     p.add_argument("--out-tgt-lm")
     p.add_argument("--view", choices=list(corpus.FACTOR_VIEWS))
-    p.add_argument("--reference-mode", default="online", choices=["online", "offline"])
     p.add_argument("--fms-cutoff", type=float)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; scoring runs on one thread")
     p.add_argument("--output")
     _add_lm_opts(p)
     p.set_defaults(func=_cmd_score)

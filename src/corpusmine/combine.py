@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import lm
-from .errors import FormatError, ToolkitError
+from .errors import FormatError, ToolkitError, parse_field
 
 
 @dataclass
@@ -137,7 +137,7 @@ def read_table(path):
         if len(fields) != 3:
             raise FormatError("%s line %d: expected 'src ||| tgt ||| scores'"
                               % (path, lineno))
-        scores = tuple(float(s) for s in fields[2].split())
+        scores = tuple(parse_field(float, s, "score", path, lineno) for s in fields[2].split())
         if arity is None:
             arity = len(scores)
         elif len(scores) != arity:

@@ -6,9 +6,9 @@ token (``surface|lemma|pos|ne``); trailing factors may be omitted.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import FormatError, MissingFactorError, ToolkitError
 
@@ -22,73 +22,68 @@ _HYPHEN_SPLIT = re.compile(r"(?<=[^-])-(?=[^-])")
 
 
 @dataclass(frozen=True)
-class Token:
-    """One token with optional lemma/POS/NE factors."""
+class Sentence:
+    """One sentence as parallel factor streams.
 
-    surface: str
-    lemma: Optional[str] = None
-    pos: Optional[str] = None
-    ne: Optional[str] = None
+    ``surface`` is a tuple of words.  ``lemma``, ``pos`` and ``ne`` hold one
+    entry per token, None where that token lacks the factor, and are None
+    themselves when no token carries the factor, so a factor-less factored
+    line equals (and hashes like) the plain line.
+    """
+
+    surface: tuple
+    lemma: Optional[tuple] = None
+    pos: Optional[tuple] = None
+    ne: Optional[tuple] = None
 
     def __post_init__(self):
         if not self.surface:
-            raise FormatError("token surface must be non-empty")
-        if any(c.isspace() for c in self.surface) or FACTOR_SEP in self.surface:
-            raise FormatError(
-                "token surface may not contain whitespace or %r: %r"
-                % (FACTOR_SEP, self.surface)
-            )
-
-
-@dataclass(frozen=True)
-class Sentence:
-    tokens: tuple
-
-    def __post_init__(self):
-        if len(self.tokens) < 1:
             raise FormatError("sentences must contain at least one token")
 
     def __len__(self):
-        return len(self.tokens)
+        return len(self.surface)
 
     @property
     def words(self):
-        return [t.surface for t in self.tokens]
+        return list(self.surface)
 
     @property
     def text(self):
-        return " ".join(t.surface for t in self.tokens)
+        return " ".join(self.surface)
 
     @classmethod
     def from_plain(cls, line):
-        return cls(tuple(Token(w) for w in line.split()))
+        words = tuple(line.split())
+        if FACTOR_SEP in line:
+            bad = next(w for w in words if FACTOR_SEP in w)
+            raise FormatError(
+                "token surface may not contain whitespace or %r: %r" % (FACTOR_SEP, bad)
+            )
+        return cls(words)
 
     @classmethod
     def from_factored(cls, line):
-        tokens = []
+        columns = []
         for chunk in line.split():
             parts = chunk.split(FACTOR_SEP)
             if len(parts) > 4:
                 raise FormatError("too many factors in token %r" % chunk)
+            if not parts[0]:
+                raise FormatError("token surface must be non-empty")
             parts += [""] * (4 - len(parts))
-            tokens.append(
-                Token(
-                    parts[0],
-                    lemma=parts[1] or None,
-                    pos=parts[2] or None,
-                    ne=parts[3] or None,
-                )
-            )
-        return cls(tuple(tokens))
+            columns.append([p or None for p in parts])
+        surface, *factors = zip(*columns) if columns else ((),)
+        return cls(surface, *(f if any(f) else None for f in factors))
 
     def factored_text(self):
-        chunks = []
-        for t in self.tokens:
-            parts = [t.surface, t.lemma or "", t.pos or "", t.ne or ""]
-            while len(parts) > 1 and parts[-1] == "":
-                parts.pop()
-            chunks.append(FACTOR_SEP.join(parts))
-        return " ".join(chunks)
+        # surfaces are non-empty and no factor holds a separator, so stripping
+        # trailing separators drops exactly the omitted trailing factors
+        n = len(self.surface)
+        streams = [f or (None,) * n for f in (self.lemma, self.pos, self.ne)]
+        return " ".join(
+            FACTOR_SEP.join((w, l or "", p or "", e or "")).rstrip(FACTOR_SEP)
+            for w, l, p, e in zip(self.surface, *streams)
+        )
 
 
 @dataclass(frozen=True)
@@ -192,7 +187,7 @@ def load_corpus(path, format="plain", id=None):
         id = Path(path).name
     lines = _read_lines(path)
     if format == "plain":
-        return Corpus(tuple(Sentence.from_plain(l) for l in lines), id=id)
+        return Corpus.from_lines(lines, id=id)
     if format == "factored":
         return Corpus(tuple(Sentence.from_factored(l) for l in lines), id=id)
     if format == "tsv-parallel":
@@ -267,25 +262,13 @@ def length_filter(corpus, max_len=80):
 
 def normalize_numbers(sentence):
     """Replace every maximal ASCII digit run with the @num@ placeholder."""
-    tokens = tuple(
-        Token(
-            _DIGIT_RUN.sub(NUMBER_PLACEHOLDER, t.surface),
-            lemma=t.lemma,
-            pos=t.pos,
-            ne=t.ne,
-        )
-        for t in sentence.tokens
-    )
-    return Sentence(tokens)
+    return replace(sentence, surface=tuple(
+        _DIGIT_RUN.sub(NUMBER_PLACEHOLDER, w) for w in sentence.surface))
 
 
 def normalize_apostrophes(sentence):
     """Replace U+2019 with the plain ASCII apostrophe U+0027."""
-    tokens = tuple(
-        Token(t.surface.replace("’", "'"), lemma=t.lemma, pos=t.pos, ne=t.ne)
-        for t in sentence.tokens
-    )
-    return Sentence(tokens)
+    return replace(sentence, surface=tuple(w.replace("’", "'") for w in sentence.surface))
 
 
 def hyphen_alt_markup(sentence, lexicon):
@@ -297,30 +280,31 @@ def hyphen_alt_markup(sentence, lexicon):
     Returns the annotated sentence as text.
     """
     out = []
-    for t in sentence.tokens:
-        parts = _HYPHEN_SPLIT.split(t.surface)
+    for w in sentence.surface:
+        parts = _HYPHEN_SPLIT.split(w)
         if len(parts) > 1:
             translations = [lexicon.lookup(p) for p in parts]
             if all(tr is not None for tr in translations):
-                out.append('<alt trans="%s">%s</alt>' % (" ".join(translations), t.surface))
+                out.append('<alt trans="%s">%s</alt>' % (" ".join(translations), w))
                 continue
-        out.append(t.surface)
+        out.append(w)
     return " ".join(out)
 
 
-def _project_token(token, view):
-    if view in ("fn", "ln", "tn") and token.ne is not None:
-        return token.ne
-    base = view[0]
-    if base == "f":
-        return token.surface
-    if base == "l":
-        if token.lemma is None:
-            raise MissingFactorError("token %r has no lemma factor" % token.surface)
-        return token.lemma
-    if token.pos is None:
-        raise MissingFactorError("token %r has no POS factor" % token.surface)
-    return token.pos
+# view letter -> (stream attribute, factor name in error messages)
+_VIEW_STREAMS = {"f": ("surface", "surface"), "l": ("lemma", "lemma"), "t": ("pos", "POS")}
+
+
+def _project(sentence, view):
+    attr, name = _VIEW_STREAMS[view[0]]
+    stream = getattr(sentence, attr) or (None,) * len(sentence)
+    if view.endswith("n") and sentence.ne is not None:
+        stream = tuple(e or w for e, w in zip(sentence.ne, stream))
+    if None in stream:
+        raise MissingFactorError(
+            "token %r has no %s factor" % (sentence.surface[stream.index(None)], name)
+        )
+    return Sentence(stream)
 
 
 def factor_view(corpus, view):
@@ -331,15 +315,10 @@ def factor_view(corpus, view):
     """
     if view not in FACTOR_VIEWS:
         raise MissingFactorError("unknown factor view %r" % view)
-    if view.endswith("n") and not any(
-        t.ne is not None for s in corpus.sentences for t in s.tokens
-    ):
+    if view.endswith("n") and not any(s.ne for s in corpus.sentences):
         raise MissingFactorError(
             "view %r requires NE factors but no token in %r carries one"
             % (view, corpus.id)
         )
-    projected = tuple(
-        Sentence(tuple(Token(_project_token(t, view)) for t in s.tokens))
-        for s in corpus.sentences
-    )
+    projected = tuple(_project(s, view) for s in corpus.sentences)
     return Corpus(projected, id="%s.%s" % (corpus.id, view))

@@ -18,5 +18,5 @@ def parse_field(convert, text, what, path, lineno):
     """convert(text), or a FormatError naming the file, the line and the field."""
     try:
         return convert(text)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise FormatError("%s line %d: bad %s %r" % (path, lineno, what, text)) from None

@@ -436,6 +436,14 @@ def write_model(model, path):
     Path(path).write_text("\n".join(lines), encoding="utf-8", newline="\n")
 
 
+def _log10_prob(text):
+    """An ARPA log10 probability field whose power of ten is a float."""
+    lp = float(text)
+    if lp > 0.0:
+        10.0 ** lp  # raises OverflowError past the float range
+    return lp
+
+
 def read_model(path):
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     smoothing = "unknown"
@@ -472,7 +480,7 @@ def read_model(path):
         if len(symbols) != current_n:
             raise FormatError("%s line %d: arity mismatch in %r" % (path, lineno, line))
         lp = None if fields[0] == _BOW_ONLY else parse_field(
-            float, fields[0], "probability", path, lineno)
+            _log10_prob, fields[0], "probability", path, lineno)
         b = parse_field(float, fields[2], "backoff", path, lineno) if len(fields) > 2 else None
         raw.append((symbols, lp, b))
         if current_n == 1 and symbols[0] not in _RESERVED:

@@ -5,12 +5,15 @@ under an in-domain LM, cross-entropy difference between in-domain and
 general-domain LMs (monolingual and bilingual), and averaged fuzzy matching
 score (word edit distance).  All LM-based scores are length-normalized
 (bits per event).
+
+Every scorer accepts ``threads=`` and ignores it: scoring maps over the
+sentences in order on one thread, because the scorers run in Python under
+the interpreter lock and a thread pool measured slower than one thread.
 """
 
 import math
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import lm
 from .corpus import Corpus, factor_view, words_of
-from .errors import FormatError, ToolkitError
+from .errors import FormatError, ToolkitError, parse_field
 
 HIGHER = "higher-is-better"
 LOWER = "lower-is-better"
@@ -46,21 +49,6 @@ class SelectionResult:
     criterion: str
     direction: str
     note: str = ""
-
-
-def _map_sharded(fn, items, threads=1):
-    """Apply fn to each item, optionally across thread shards.
-
-    Output order always equals input order, so results are identical for any
-    thread count."""
-    items = list(items)
-    if threads <= 1 or len(items) < 2 * threads:
-        return [fn(x) for x in items]
-    bounds = [len(items) * i // threads for i in range(threads + 1)]
-    shards = [items[bounds[i] : bounds[i + 1]] for i in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda shard: [fn(x) for x in shard], shards))
-    return [r for part in parts for r in part]
 
 
 # --- cosine tf-idf ------------------------------------------------------------
@@ -103,7 +91,7 @@ def score_cosine(general, in_domain, threads=1):
         denom = math.sqrt(norm) * query_norm
         return dot / denom if denom > 0 and dot != 0.0 else 0.0
 
-    return _map_sharded(one, gen_sents, threads)
+    return [one(words) for words in gen_sents]
 
 
 # --- perplexity-based criteria ------------------------------------------------
@@ -117,16 +105,13 @@ def sentence_cross_entropy(model, sentence):
 
 
 def score_cross_entropy(general, in_lm, threads=1):
-    return _map_sharded(lambda s: sentence_cross_entropy(in_lm, s), general, threads)
+    return [sentence_cross_entropy(in_lm, s) for s in general]
 
 
 def score_moore_lewis(general, in_lm, out_lm, threads=1):
     """Cross-entropy difference H_in(x) - H_out(x); lower is more in-domain."""
-    return _map_sharded(
-        lambda s: sentence_cross_entropy(in_lm, s) - sentence_cross_entropy(out_lm, s),
-        general,
-        threads,
-    )
+    return [sentence_cross_entropy(in_lm, s) - sentence_cross_entropy(out_lm, s)
+            for s in general]
 
 
 def score_bilingual_ml(general, in_src_lm, out_src_lm, in_tgt_lm, out_tgt_lm, threads=1):
@@ -141,7 +126,7 @@ def score_bilingual_ml(general, in_src_lm, out_src_lm, in_tgt_lm, out_tgt_lm, th
             - sentence_cross_entropy(out_tgt_lm, pair.target)
         )
 
-    return _map_sharded(one, general, threads)
+    return [one(pair) for pair in general]
 
 
 def sample_out_subset(general, size, seed):
@@ -248,7 +233,7 @@ def score_fms(general, reference, cutoff=None, threads=1):
         scores = np.clip(1.0 - led / maxes, 0.0, 1.0)
         return float(scores.mean())
 
-    return _map_sharded(one, gen, threads)
+    return [one(src) for src in gen]
 
 
 # --- ranking and selection ----------------------------------------------------
@@ -318,19 +303,23 @@ def factored_select(general, in_domain, view, criterion, k=None, theta=None,
 # --- score and selection files ------------------------------------------------
 
 
+def format_scores(scores, meta=None):
+    """Score file text: ``# key: value`` header lines, then index<TAB>score rows."""
+    lines = ["# %s: %s" % item for item in (meta or {}).items()]
+    lines += ["%d\t%s" % (i, repr(float(s))) for i, s in enumerate(scores)]
+    return "\n".join(lines) + "\n"
+
+
 def write_scores(path, scores, meta=None):
-    lines = []
-    for key, value in (meta or {}).items():
-        lines.append("# %s: %s" % (key, value))
-    for i, s in enumerate(scores):
-        lines.append("%d\t%s" % (i, repr(float(s))))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    Path(path).write_text(format_scores(scores, meta), encoding="utf-8", newline="\n")
 
 
-def read_scores(path):
-    scores = {}
+def _read_annotated(path, parse_row):
+    """The ``# key: value`` header and the rows, parsed by
+    parse_row(line, path, lineno), of a score or selection file."""
     meta = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    rows = []
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -339,8 +328,29 @@ def read_scores(path):
                 key, value = body.split(":", 1)
                 meta[key.strip()] = value.strip()
             continue
-        idx, score = line.split("\t")
-        scores[int(idx)] = float(score)
+        rows.append(parse_row(line, path, lineno))
+    return meta, rows
+
+
+def _index(text):
+    """A sentence index: a non-negative integer."""
+    i = int(text)
+    if i < 0:
+        raise ValueError(text)
+    return i
+
+
+def _score_row(line, path, lineno):
+    fields = line.split("\t")
+    if len(fields) != 2:
+        raise FormatError("%s line %d: expected index<TAB>score" % (path, lineno))
+    return (parse_field(_index, fields[0], "index", path, lineno),
+            parse_field(float, fields[1], "score", path, lineno))
+
+
+def read_scores(path):
+    meta, rows = _read_annotated(path, _score_row)
+    scores = dict(rows)
     out = [0.0] * (max(scores) + 1 if scores else 0)
     for i, s in scores.items():
         out[i] = s
@@ -359,19 +369,12 @@ def write_selection(path, result, meta=None):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _selection_row(line, path, lineno):
+    return parse_field(_index, line, "index", path, lineno)
+
+
 def read_selection(path):
-    meta = {}
-    indices = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("# ")
-            if ":" in body:
-                key, value = body.split(":", 1)
-                meta[key.strip()] = value.strip()
-            continue
-        indices.append(int(line))
+    meta, indices = _read_annotated(path, _selection_row)
     return SelectionResult(
         indices,
         meta.get("criterion", ""),

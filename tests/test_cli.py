@@ -88,6 +88,68 @@ def test_score_select_round_trip(work, capsys):
     capsys.readouterr()
 
 
+def test_score_stdout_rows_equal_output_rows(work, capsys):
+    argv = ["score", "--criterion", "cosine", "--general", str(work / "general.txt"),
+            "--in-domain", str(work / "indomain.txt")]
+    capsys.readouterr()
+    assert run_cli(*argv) == 0
+    stdout_rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    out = work / "scores.tsv"
+    assert run_cli(*argv, "--output", str(out)) == 0
+    text = out.read_text(encoding="utf-8")
+    assert [l for l in text.splitlines() if not l.startswith("#")] == stdout_rows
+    assert len(stdout_rows) == 5 and "reference-mode" not in text
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("row, message", [
+    ("x\t0.2", "line 3: bad index 'x'"),
+    ("-1\t0.2", "line 3: bad index '-1'"),
+    ("1\tzz", "line 3: bad score 'zz'"),
+    ("1 0.2", "line 3: expected index<TAB>score"),
+    ("1\t0.2\t7", "line 3: expected index<TAB>score"),
+])
+def test_select_reports_malformed_score_rows(work, capsys, row, message):
+    scores_path = work / "scores.tsv"
+    scores_path.write_text("# direction: higher-is-better\n0\t0.1\n%s\n" % row,
+                           encoding="utf-8")
+    assert run_cli("select", "--scores", str(scores_path), "--k", "50",
+                   "--output", str(work / "s.txt")) == 1
+    err = capsys.readouterr().err
+    assert "error: %s %s" % (scores_path, message) in err
+    assert "Traceback" not in err
+
+
+def test_combine_reports_bad_selection_index(work, capsys):
+    sel = work / "s1.txt"
+    for bad in ("1.5", "-2"):
+        sel.write_text("# criterion: cosine\n0\n%s\n" % bad, encoding="utf-8")
+        assert run_cli("combine", "--mode", "naive-rank", "--selection", str(sel),
+                       "--target-size", "1", "--output", str(work / "merged.txt")) == 1
+        assert "error: %s line 3: bad index %r" % (sel, bad) in capsys.readouterr().err
+
+
+def test_combine_tables_reports_bad_score_field(work, capsys):
+    table = work / "t.txt"
+    table.write_text("a ||| x ||| 0.5 0.5\nb ||| y ||| 0.25 zz\n", encoding="utf-8")
+    assert run_cli("combine", "--mode", "tables", "--table", str(table),
+                   "--output", str(work / "out.txt")) == 1
+    assert "error: %s line 2: bad score 'zz'" % table in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt, line, message", [
+    ("plain", "a b|c", "token surface may not contain whitespace or '|': 'b|c'"),
+    ("factored", "a|a |x", "token surface must be non-empty"),
+])
+def test_preprocess_rejects_bad_tokens(work, capsys, fmt, line, message):
+    src = work / "bad.txt"
+    src.write_text("ok line\n%s\n" % line, encoding="utf-8")
+    assert run_cli("preprocess", "--input", str(src), "--output", str(work / "o.txt"),
+                   "--format", fmt) == 1
+    err = capsys.readouterr().err
+    assert "error: %s" % message in err and "Traceback" not in err
+
+
 def test_select_requires_exactly_one_mode(work, capsys):
     scores_path = work / "scores.tsv"
     select.write_scores(scores_path, [0.1, 0.9], {"direction": select.HIGHER})
@@ -312,6 +374,7 @@ _MODEL_TEXT = ("\\smoothing: witten-bell\n\n\\data\\\nngram 1=3\n\n\\1-grams:\n"
     ("-0.5\t</s>", "-x.5\t</s>", "line 7: bad probability '-x.5'"),
     ("-0.5\ta", "-0.5\ta\tzz", "line 8: bad backoff 'zz'"),
     ("ngram 1=3", "ngram x=3", "line 4: bad n-gram order 'x'"),
+    ("-0.5\t</s>", "400\t</s>", "line 7: bad probability '400'"),
 ])
 def test_perplexity_reports_malformed_model_fields(work, capsys, old, new, message):
     model_path = work / "m.lm"

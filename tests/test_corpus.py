@@ -1,8 +1,11 @@
 """Corpus model, I/O and preprocessing transforms."""
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusmine import corpus
 from corpusmine.errors import FormatError, MissingFactorError
@@ -32,8 +35,8 @@ def test_factored_round_trip(tmp_path):
     p.write_text(line + "\n", encoding="utf-8")
     c = corpus.load_corpus(p, format="factored")
     s = c.sentences[0]
-    assert s.tokens[0].ne == "NP00SP0"
-    assert s.tokens[1].pos == "POS" and s.tokens[1].ne is None
+    assert s.ne[0] == "NP00SP0"
+    assert s.pos[1] == "POS" and s.ne[1] is None
     assert s.factored_text() == line
     out = tmp_path / "out.txt"
     corpus.save_corpus(c, out, format="factored")
@@ -43,6 +46,15 @@ def test_factored_round_trip(tmp_path):
 def test_too_many_factors_rejected():
     with pytest.raises(FormatError):
         corpus.Sentence.from_factored("a|b|c|d|e")
+
+
+def test_token_validation():
+    with pytest.raises(FormatError, match=r"may not contain whitespace or '\|': 'b\|c'"):
+        corpus.Sentence.from_plain("a b|c d|e")
+    with pytest.raises(FormatError, match="token surface must be non-empty"):
+        corpus.Sentence.from_factored("a|a |x")
+    with pytest.raises(FormatError, match="at least one token"):
+        corpus.Sentence.from_factored("  ")
 
 
 def test_tsv_parallel_and_two_file(tmp_path):
@@ -105,8 +117,8 @@ def test_normalize_numbers_digit_runs():
 def test_normalize_numbers_keeps_factors():
     s = corpus.Sentence.from_factored("12|twelve|CD")
     out = corpus.normalize_numbers(s)
-    assert out.tokens[0].surface == "@num@"
-    assert out.tokens[0].lemma == "twelve"
+    assert out.surface[0] == "@num@"
+    assert out.lemma[0] == "twelve"
 
 
 def test_normalize_apostrophes():
@@ -180,3 +192,63 @@ def test_random_round_trips():
         c = corpus.Corpus.from_lines(lines)
         assert [s.text for s in c] == lines
         assert [s.text for s in corpus.dedup(c)] == list(dict.fromkeys(lines))
+
+
+# one factored token: surface, then lemma, POS and NE, each possibly absent
+_TOKEN = st.tuples(
+    st.sampled_from(["a", "b", "x1", "22", "c-3"]),
+    st.sampled_from([None, "a", "b7"]),
+    st.sampled_from([None, "NN", "CD"]),
+    st.sampled_from([None, "PER", "LOC"]),
+)
+_SENTENCES = st.lists(st.lists(_TOKEN, min_size=1, max_size=5), min_size=1, max_size=4)
+
+
+def _chunk(token):
+    parts = [f or "" for f in token]
+    while len(parts) > 1 and parts[-1] == "":
+        parts.pop()  # trailing factors are omitted
+    return "|".join(parts)
+
+
+def _expected_view(sentences, view):
+    """Per-token projection, or the MissingFactorError message it raises."""
+    if view.endswith("n") and not any(t[3] for s in sentences for t in s):
+        return "view %r requires NE factors but no token in 'c' carries one" % view
+    base = "flt".index(view[0])
+    out = []
+    for s in sentences:
+        words = []
+        for t in s:
+            w = t[3] if view.endswith("n") and t[3] else t[base]
+            if w is None:
+                return "token %r has no %s factor" % (t[0], ["", "lemma", "POS"][base])
+            words.append(w)
+        out.append(" ".join(words))
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sentences=_SENTENCES)
+def test_factor_streams_match_per_token_model(sentences):
+    lines = [" ".join(_chunk(t) for t in s) for s in sentences]
+    parsed = [corpus.Sentence.from_factored(l) for l in lines]
+    c = corpus.Corpus(tuple(parsed), id="c")
+    assert [s.factored_text() for s in parsed] == lines
+    for view in corpus.FACTOR_VIEWS:
+        want = _expected_view(sentences, view)
+        if isinstance(want, str):
+            with pytest.raises(MissingFactorError) as err:
+                corpus.factor_view(c, view)
+            assert str(err.value) == want
+        else:
+            assert [s.text for s in corpus.factor_view(c, view)] == want
+    for s, toks in zip(parsed, sentences):
+        out = corpus.normalize_numbers(s)
+        assert out.surface == tuple(re.sub("[0-9]+", "@num@", t[0]) for t in toks)
+        assert (out.lemma, out.pos, out.ne) == (s.lemma, s.pos, s.ne)
+        # a factored line without factors is the plain line
+        text = " ".join(t[0] for t in toks)
+        plain, bare = corpus.Sentence.from_plain(text), corpus.Sentence.from_factored(text)
+        assert plain == bare and hash(plain) == hash(bare)
+        assert len(corpus.dedup(corpus.Corpus((plain, bare)))) == 1
