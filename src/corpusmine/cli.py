@@ -310,10 +310,18 @@ def _cmd_select(args, parser):
     return 0
 
 
+def _numbers(text, option):
+    """The floats of a comma-separated option value."""
+    try:
+        return [float(p) for p in text.split(",")]
+    except ValueError:
+        raise ToolkitError("%s needs comma-separated numbers, got %r" % (option, text)) from None
+
+
 def _cmd_combine(args, parser):
     run = Run("combine")
     run.param("mode", args.mode)
-    weights = [float(w) for w in args.weights.split(",")] if args.weights else None
+    weights = _numbers(args.weights, "--weights") if args.weights else None
     if args.mode == "corpus":
         if not args.selection or args.corpus is None:
             parser.error("--mode corpus needs --selection (repeatable) and --corpus")
@@ -427,10 +435,10 @@ def _cmd_estimate_delta(args, parser):
 def _location_weights(args, parser):
     if args.location_weights is None:
         return webfilter.LocationWeights()
-    parts = args.location_weights.split(",")
+    parts = _numbers(args.location_weights, "--location-weights")
     if len(parts) != 4:
         parser.error("--location-weights needs title,headings,metadata,body")
-    return webfilter.LocationWeights(*[float(p) for p in parts])
+    return webfilter.LocationWeights(*parts)
 
 
 def _cmd_topic_filter(args, parser):

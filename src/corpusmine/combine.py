@@ -6,6 +6,7 @@ trained per selection source.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from . import lm
@@ -173,8 +174,13 @@ def write_weighted_corpus(wc, path, replicate=False):
 
 def combine_advanced_lm(per_source_sets, dev_corpus, order=4,
                         smoothing="modified-kneser-ney"):
-    """Train one LM per selection source set and interpolate them by EM."""
+    """Train one LM per selection source set and interpolate them by EM.
+
+    Every component is trained on the union vocabulary of the source sets,
+    so EM mixes distributions over one event set."""
     if not per_source_sets:
         raise ToolkitError("need at least one source set")
-    models = [lm.train(c, order=order, smoothing=smoothing) for c in per_source_sets]
+    vocab = lm.Vocabulary.from_corpus(chain.from_iterable(per_source_sets))
+    models = [lm.train(c, order=order, smoothing=smoothing, vocab=vocab)
+              for c in per_source_sets]
     return lm.interpolate(models, dev_corpus)

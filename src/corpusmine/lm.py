@@ -11,8 +11,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .corpus import words_of
 from .errors import FormatError, ToolkitError, parse_field
 
@@ -363,6 +361,8 @@ def interpolate(models, dev_corpus, tol=1e-6, max_iter=100):
     Starts from uniform weights; stops when the relative change of the dev
     log-likelihood drops below tol or after max_iter iterations.
     """
+    import numpy as np
+
     if not models:
         raise ToolkitError("need at least one model to interpolate")
     sentences = [words_of(s) for s in dev_corpus]

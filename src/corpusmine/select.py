@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import lm
 from .corpus import Corpus, factor_view, words_of
 from .errors import FormatError, ToolkitError, parse_field
@@ -185,55 +183,147 @@ def _encode(sentences, table):
     return out
 
 
-def _led_against_refs(src, refs_padded, ref_lens):
-    """Exact edit distance of one sequence against a padded batch of refs."""
-    n_refs, max_len = refs_padded.shape
-    prev = np.tile(np.arange(max_len + 1, dtype=np.int32), (n_refs, 1))
-    cur = np.empty_like(prev)
-    for i, sym in enumerate(src, 1):
-        cur[:, 0] = i
-        cost = (refs_padded != sym).astype(np.int32)
-        for j in range(1, max_len + 1):
-            np.minimum(prev[:, j] + 1, cur[:, j - 1] + 1, out=cur[:, j])
-            np.minimum(cur[:, j], prev[:, j - 1] + cost[:, j - 1], out=cur[:, j])
-        prev, cur = cur, prev
-    return prev[np.arange(n_refs), ref_lens]
+# General sentences per kernel pass: bounds the working set to a few
+# (references x block) uint64 arrays per pattern word.
+_FMS_BLOCK = 32
+
+
+def _uint64_words_array(values, n_words):
+    """Python ints as a (n_words, len(values)) uint64 array, least
+    significant word first."""
+    import numpy as np
+
+    return np.array([[(v >> 64 * w) & 0xFFFFFFFFFFFFFFFF for v in values]
+                     for w in range(n_words)], dtype=np.uint64)
+
+
+def _edit_distance_blocks(pats, texts, n_symbols):
+    """Exact Levenshtein distance of every pattern against every text, by
+    Myers' bit-vector algorithm (Myers 1999) in Hyyro's global-distance form
+    (Hyyro 2003), vectorized over blocks of (pattern, text) pairs.
+
+    Yields (pattern indices, distances) per block of patterns, distances of
+    shape (len(indices), len(texts)) in text order.  Symbols are ids in
+    [0, n_symbols).  Bit i of a pattern's vectors is row i + 1 of its DP
+    column; a pattern of m symbols takes ceil(m/64) uint64 words, and a block
+    pads every pattern to its widest, which is exact because carries only
+    flow upward and so rows above m cannot change row m.  Texts are stepped
+    column by column, longest first, and a pair's distance is frozen when its
+    text ends: D[m][n] = n + (+1 vertical deltas) - (-1 vertical deltas).
+    """
+    import numpy as np
+
+    by_len = sorted(range(len(texts)), key=lambda t: -len(texts[t]))
+    lens = [len(texts[t]) for t in by_len]
+    max_len = lens[0] if lens else 0
+    cols = np.full((max_len, len(texts)), n_symbols, dtype=np.intp)
+    for row, t in enumerate(by_len):
+        cols[: lens[row], row] = texts[t]
+    order = sorted(range(len(pats)), key=lambda g: len(pats[g]))
+    for start in range(0, len(pats), _FMS_BLOCK):
+        idx = order[start : start + _FMS_BLOCK]
+        block = [pats[g] for g in idx]
+        n_pats = len(block)
+        n_words = max(1, -(-len(block[-1]) // 64))
+        # Peq over the block's own symbols; every other symbol maps to row 0
+        syms = sorted({s for p in block for s in p})
+        local = np.zeros(n_symbols + 1, dtype=np.intp)
+        local[syms] = np.arange(1, len(syms) + 1)
+        peq_rows = []  # (symbol, pattern, bit mask of the symbol's positions)
+        for g, p in enumerate(block):
+            masks = {}
+            for i, s in enumerate(p):
+                masks[s] = masks.get(s, 0) | 1 << i
+            peq_rows += [(s, g, bits) for s, bits in masks.items()]
+        peq = np.zeros((n_words, len(syms) + 1, n_pats), dtype=np.uint64)
+        if peq_rows:
+            s, g, bits = zip(*peq_rows)
+            peq[:, local[list(s)], list(g)] = _uint64_words_array(bits, n_words)
+        # rows 1..m of each pattern, to freeze its distance from
+        low = _uint64_words_array([(1 << len(p)) - 1 for p in block], n_words)[:, None, :]
+        text_syms = local[cols]
+
+        pv = np.full((n_words, len(texts), n_pats), 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+        mv = np.zeros_like(pv)
+        dist = np.empty((len(texts), n_pats), dtype=np.int64)
+        active = len(texts)
+        for j in range(max_len + 1):
+            live = active
+            while live and lens[live - 1] == j:
+                live -= 1
+            if live < active:
+                dist[live:active] = (
+                    j
+                    + np.bitwise_count(pv[:, live:active] & low).sum(axis=0, dtype=np.int64)
+                    - np.bitwise_count(mv[:, live:active] & low).sum(axis=0, dtype=np.int64)
+                )
+                active = live
+                pv, mv = pv[:, :live], mv[:, :live]
+            if j == max_len:
+                break
+            eq = peq[:, text_syms[j, :live]]
+            xv = eq | mv
+            xh = (eq & pv) + pv
+            if n_words > 1:  # add the carry out of each word into the next
+                carry = xh < pv
+                for w in range(1, n_words):
+                    cin = carry[w - 1].astype(np.uint64)
+                    xh[w] += cin
+                    carry[w] |= xh[w] < cin
+            xh ^= pv
+            xh |= eq
+            ph = ~(xh | pv)
+            ph |= mv
+            mh = pv & xh
+            # shift both horizontal deltas up one row; row 0 gains +1 per column
+            ph_top, mh_top = ph >> 63, mh >> 63
+            ph <<= 1
+            mh <<= 1
+            ph[0] |= 1
+            ph[1:] |= ph_top[:-1]
+            mh[1:] |= mh_top[:-1]
+            pv = ~(xv | ph)
+            pv |= mh
+            mv = ph & xv
+        out = np.empty((n_pats, len(texts)), dtype=np.int64)
+        out[:, by_len] = dist.T
+        yield idx, out
 
 
 def score_fms(general, reference, cutoff=None, threads=1):
     """Mean FMS of each general sentence against every reference sentence.
 
-    Exact quadratic DP by default.  With a cutoff, pairs whose length bound
-    1 - |len difference| / max length falls below it contribute 0 to the
-    average (approximate fast mode)."""
+    Exact bit-parallel edit distance by default.  With a cutoff, pairs whose
+    length bound 1 - |len difference| / max length falls below it contribute
+    0 to the average (approximate mode); every pair's distance is computed
+    either way."""
+    import numpy as np
+
     table = {}
     gen = _encode([words_of(s) for s in general], table)
     refs = _encode([words_of(s) for s in reference], table)
     if not refs:
         raise ToolkitError("reference corpus must be non-empty")
     n_refs = len(refs)
-    max_len = max(len(r) for r in refs)
-    padded = np.full((n_refs, max_len), -1, dtype=np.int64)
-    for i, r in enumerate(refs):
-        padded[i, : len(r)] = r
     ref_lens = np.array([len(r) for r in refs])
 
-    def one(src):
-        src_len = len(src)
+    def one(src_len, led):
         maxes = np.maximum(ref_lens, src_len)
         if cutoff is not None:
             bound = 1.0 - np.abs(ref_lens - src_len) / maxes
             live = np.nonzero(bound >= cutoff)[0]
             if live.size == 0:
                 return 0.0
-            led = _led_against_refs(src, padded[live], ref_lens[live])
-            scores = np.clip(1.0 - led / maxes[live], 0.0, 1.0)
+            scores = np.clip(1.0 - led[live] / maxes[live], 0.0, 1.0)
             return float(scores.sum() / n_refs)
-        led = _led_against_refs(src, padded, ref_lens)
         scores = np.clip(1.0 - led / maxes, 0.0, 1.0)
         return float(scores.mean())
 
-    return [one(src) for src in gen]
+    out = [0.0] * len(gen)
+    for idx, led in _edit_distance_blocks(gen, refs, len(table)):
+        for g, row in zip(idx, led):
+            out[g] = one(len(gen[g]), row)
+    return out
 
 
 # --- ranking and selection ----------------------------------------------------
@@ -345,12 +435,16 @@ def _score_row(line, path, lineno):
     if len(fields) != 2:
         raise FormatError("%s line %d: expected index<TAB>score" % (path, lineno))
     return (parse_field(_index, fields[0], "index", path, lineno),
-            parse_field(float, fields[1], "score", path, lineno))
+            parse_field(float, fields[1], "score", path, lineno), lineno)
 
 
 def read_scores(path):
     meta, rows = _read_annotated(path, _score_row)
-    scores = dict(rows)
+    scores = {}
+    for i, score, lineno in rows:
+        if i in scores:
+            raise FormatError("%s line %d: repeated index %d" % (path, lineno, i))
+        scores[i] = score
     out = [0.0] * (max(scores) + 1 if scores else 0)
     for i, s in scores.items():
         out[i] = s

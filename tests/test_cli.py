@@ -1,6 +1,10 @@
 """End-to-end command-line interface behavior: exit codes, files, manifests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,16 @@ def test_version_and_usage_exit_codes(capsys):
     assert run_cli() == 2  # missing subcommand is a usage error
     assert run_cli("score", "--criterion", "bogus", "--general", "x") == 2
     capsys.readouterr()
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # only FMS scoring and EM interpolation need numpy; every other step
+    # should start without paying for its import
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = "import sys, corpusmine.cli; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", probe], env=env)
+    assert done.returncode == 0
 
 
 def test_missing_file_is_exit_1(tmp_path, capsys):
@@ -117,6 +131,33 @@ def test_select_reports_malformed_score_rows(work, capsys, row, message):
                    "--output", str(work / "s.txt")) == 1
     err = capsys.readouterr().err
     assert "error: %s %s" % (scores_path, message) in err
+    assert "Traceback" not in err
+
+
+def test_select_rejects_repeated_score_index(work, capsys):
+    scores_path = work / "scores.tsv"
+    scores_path.write_text("# direction: higher-is-better\n0\t0.1\n0\t0.9\n1\t0.2\n",
+                           encoding="utf-8")
+    assert run_cli("select", "--scores", str(scores_path), "--k", "50",
+                   "--output", str(work / "s.txt")) == 1
+    err = capsys.readouterr().err
+    assert "error: %s line 3: repeated index 0" % scores_path in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["combine", "--mode", "tables", "--table", "t.txt", "--weights", "1,x"], "--weights"),
+    (["topic-filter", "--collection", "web.tsv", "--topic", "topic.tsv", "--k", "50",
+      "--location-weights", "1,2,x,4"], "--location-weights"),
+])
+def test_non_numeric_weights_are_errors(work, capsys, argv, option):
+    (work / "t.txt").write_text("a ||| x ||| 0.5\n", encoding="utf-8")
+    (work / "web.tsv").write_text("d1\tthe market fell\n", encoding="utf-8")
+    (work / "topic.tsv").write_text("market\t3\tFIN\n", encoding="utf-8")
+    argv = [str(work / a) if a.endswith((".txt", ".tsv")) else a for a in argv]
+    assert run_cli(*argv, "--output", str(work / "out.txt")) == 1
+    err = capsys.readouterr().err
+    assert "error: %s needs comma-separated numbers" % option in err
     assert "Traceback" not in err
 
 

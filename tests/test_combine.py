@@ -155,3 +155,17 @@ def test_combine_advanced_lm():
     assert math.isclose(sum(mix.weights), 1.0, abs_tol=1e-9)
     single = combine.combine_advanced_lm([set1], dev, order=2, smoothing="witten-bell")
     assert single.weights == [1.0]
+
+
+def test_combine_advanced_lm_shares_one_vocabulary():
+    set1 = corpus.Corpus.from_lines(["a b a b", "b a b a", "a a b b"])
+    set2 = corpus.Corpus.from_lines(["c d c d", "d c d c", "c c d e"])
+    dev = corpus.Corpus.from_lines(["a b c", "d a b"])
+    for smoothing in ("witten-bell", "modified-kneser-ney"):
+        mix = combine.combine_advanced_lm([set1, set2], dev, order=2, smoothing=smoothing)
+        symbols = [c.vocab.event_symbols() for c in mix.components]
+        assert symbols[0] == symbols[1]
+        assert set(symbols[0]) >= {"a", "b", "c", "d", "e"}
+        for history in ((), ("a",), ("c",), ("e",), ("zz",)):
+            total = sum(mix.prob(w, history) for w in symbols[0])
+            assert math.isclose(total, 1.0, rel_tol=1e-9), (smoothing, history, total)

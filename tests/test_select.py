@@ -3,7 +3,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corpusmine import corpus, lm, select
 from corpusmine.errors import MissingFactorError, ToolkitError
@@ -67,6 +70,74 @@ def test_score_fms_threads_and_cutoff():
     # the cutoff only ever lowers a score (pruned pairs contribute 0)
     pruned = select.score_fms(general, reference, cutoff=0.8)
     assert all(p <= e + 1e-12 for p, e in zip(pruned, exact))
+
+
+# pattern lengths around the 64-bit word boundaries of the bit-parallel kernel
+_WORD_EDGES = (1, 63, 64, 65, 127, 128, 129, 130)
+_sentence_spec = st.tuples(st.sampled_from(_WORD_EDGES) | st.integers(1, 12),
+                           st.integers(0, 2 ** 32))
+
+
+def _seeded_sentence(length, seed, symbols):
+    rng = random.Random(seed)
+    return [rng.choice(symbols) for _ in range(length)]
+
+
+@st.composite
+def _fms_cases(draw):
+    alphabet = ["w%d" % i for i in range(draw(st.integers(1, 4)))]
+    gen = [_seeded_sentence(*draw(_sentence_spec), alphabet)
+           for _ in range(draw(st.integers(1, 3)))]
+    refs = [_seeded_sentence(*draw(_sentence_spec), alphabet)
+            for _ in range(draw(st.integers(0, 3)))]
+    base = draw(st.sampled_from(gen))
+    cut = draw(st.integers(1, len(base)))
+    refs += [
+        list(base),  # identical pair
+        base[:cut],  # shorter, sharing a prefix
+        base + _seeded_sentence(*draw(_sentence_spec), alphabet),  # longer
+        _seeded_sentence(*draw(_sentence_spec), ["z"]),  # disjoint from every pattern
+    ]
+    # enough general sentences, now and then, to span several kernel blocks
+    return gen * draw(st.sampled_from([1, 15])), refs
+
+
+def _fms_formula(gen, refs, cutoff):
+    """score_fms per general sentence from the scalar edit_distance, with
+    the same numpy float operations in the same order."""
+    ref_lens = np.array([len(r) for r in refs])
+    memo = {}
+    for src in gen:
+        key = tuple(src)
+        if key in memo:
+            yield memo[key]
+            continue
+        led = np.array([select.edit_distance(src, r) for r in refs])
+        maxes = np.maximum(ref_lens, len(src))
+        if cutoff is None:
+            score = float(np.clip(1.0 - led / maxes, 0.0, 1.0).mean())
+        else:
+            bound = 1.0 - np.abs(ref_lens - len(src)) / maxes
+            live = np.nonzero(bound >= cutoff)[0]
+            score = 0.0
+            if live.size:
+                score = float(np.clip(1.0 - led[live] / maxes[live], 0.0, 1.0).sum() / len(refs))
+        memo[key] = score
+        yield score
+
+
+# A carry that runs through a whole word: the text's "a" matches row 1, no
+# row of the middle word, and row 130, so word 0's carry must pass through
+# word 1 into word 2.
+_CARRY_THROUGH = ["a"] + ["b"] * 128 + ["a"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_fms_cases(), st.sampled_from([None, 0.0, 0.5, 0.9]))
+@example(([_CARRY_THROUGH, _CARRY_THROUGH + ["b"]], [["a"], ["a", "b"], ["a"] * 3]), None)
+def test_score_fms_equals_per_pair_edit_distance(case, cutoff):
+    gen, refs = case
+    assert select.score_fms(gen, refs, cutoff=cutoff) == list(_fms_formula(gen, refs, cutoff))
 
 
 def test_cosine_scores():
