@@ -197,7 +197,27 @@ def _uint64_words_array(values, n_words):
                      for w in range(n_words)], dtype=np.uint64)
 
 
-def _edit_distance_blocks(pats, texts, n_symbols):
+def _set_bits(words):
+    """Set bits per (text, pattern) of a (words, texts, patterns) uint64
+    array, by a SWAR popcount: numpy before 2.0 has no bitwise_count."""
+    import numpy as np
+
+    m1, m2, m4, h01 = (np.uint64(c) for c in (0x5555555555555555, 0x3333333333333333,
+                                               0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
+    x = words - ((words >> np.uint64(1)) & m1)
+    x = (x & m2) + ((x >> np.uint64(2)) & m2)
+    x = (x + (x >> np.uint64(4))) & m4
+    return ((x * h01) >> np.uint64(56)).sum(axis=0, dtype=np.int64)
+
+
+def _length_bound(src_len, ref_lens):
+    """The FMS no pair can exceed: 1 - |len difference| / max length."""
+    import numpy as np
+
+    return 1.0 - np.abs(ref_lens - src_len) / np.maximum(ref_lens, src_len)
+
+
+def _edit_distance_blocks(pats, texts, n_symbols, cutoff=None):
     """Exact Levenshtein distance of every pattern against every text, by
     Myers' bit-vector algorithm (Myers 1999) in Hyyro's global-distance form
     (Hyyro 2003), vectorized over blocks of (pattern, text) pairs.
@@ -208,15 +228,17 @@ def _edit_distance_blocks(pats, texts, n_symbols):
     column; a pattern of m symbols takes ceil(m/64) uint64 words, and a block
     pads every pattern to its widest, which is exact because carries only
     flow upward and so rows above m cannot change row m.  Texts are stepped
-    column by column, longest first, and a pair's distance is frozen when its
+    column by column, longest first, and a pair's vectors are frozen when its
     text ends: D[m][n] = n + (+1 vertical deltas) - (-1 vertical deltas).
+    With a cutoff, a block steps only the texts from the longest to the
+    shortest whose length bound reaches the cutoff for some pattern of the
+    block; every other pair reads -1.
     """
     import numpy as np
 
-    by_len = sorted(range(len(texts)), key=lambda t: -len(texts[t]))
-    lens = [len(texts[t]) for t in by_len]
-    max_len = lens[0] if lens else 0
-    cols = np.full((max_len, len(texts)), n_symbols, dtype=np.intp)
+    by_len = np.array(sorted(range(len(texts)), key=lambda t: -len(texts[t])), dtype=np.intp)
+    lens = np.array([len(texts[t]) for t in by_len], dtype=np.intp)
+    cols = np.full((lens[0] if len(texts) else 0, len(texts)), n_symbols, dtype=np.intp)
     for row, t in enumerate(by_len):
         cols[: lens[row], row] = texts[t]
     order = sorted(range(len(pats)), key=lambda g: len(pats[g]))
@@ -224,6 +246,20 @@ def _edit_distance_blocks(pats, texts, n_symbols):
         idx = order[start : start + _FMS_BLOCK]
         block = [pats[g] for g in idx]
         n_pats = len(block)
+        out = np.full((n_pats, len(texts)), -1, dtype=np.int64)
+        first, stop = 0, len(texts)
+        if cutoff is not None:
+            reach = np.zeros(len(texts), dtype=bool)
+            for m in {len(p) for p in block}:
+                reach |= _length_bound(m, lens) >= cutoff
+            reached = np.nonzero(reach)[0]
+            if reached.size == 0:
+                yield idx, out
+                continue
+            first, stop = reached[0], reached[-1] + 1
+        n_texts = stop - first
+        t_lens = lens[first:stop]
+        max_len = t_lens[0]
         n_words = max(1, -(-len(block[-1]) // 64))
         # Peq over the block's own symbols; every other symbol maps to row 0
         syms = sorted({s for p in block for s in p})
@@ -239,42 +275,28 @@ def _edit_distance_blocks(pats, texts, n_symbols):
         if peq_rows:
             s, g, bits = zip(*peq_rows)
             peq[:, local[list(s)], list(g)] = _uint64_words_array(bits, n_words)
-        # rows 1..m of each pattern, to freeze its distance from
-        low = _uint64_words_array([(1 << len(p)) - 1 for p in block], n_words)[:, None, :]
-        text_syms = local[cols]
-
-        pv = np.full((n_words, len(texts), n_pats), 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+        text_syms = local[cols[:max_len, first:stop]]
+        pv = np.full((n_words, n_texts, n_pats), 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
         mv = np.zeros_like(pv)
-        dist = np.empty((len(texts), n_pats), dtype=np.int64)
-        active = len(texts)
-        for j in range(max_len + 1):
-            live = active
-            while live and lens[live - 1] == j:
+        live = n_texts
+        for j in range(max_len):
+            while t_lens[live - 1] == j:  # this text ended: keep its vectors
                 live -= 1
-            if live < active:
-                dist[live:active] = (
-                    j
-                    + np.bitwise_count(pv[:, live:active] & low).sum(axis=0, dtype=np.int64)
-                    - np.bitwise_count(mv[:, live:active] & low).sum(axis=0, dtype=np.int64)
-                )
-                active = live
-                pv, mv = pv[:, :live], mv[:, :live]
-            if j == max_len:
-                break
+            p_v, m_v = pv[:, :live], mv[:, :live]
             eq = peq[:, text_syms[j, :live]]
-            xv = eq | mv
-            xh = (eq & pv) + pv
+            xv = eq | m_v
+            xh = (eq & p_v) + p_v
             if n_words > 1:  # add the carry out of each word into the next
-                carry = xh < pv
+                carry = xh < p_v
                 for w in range(1, n_words):
                     cin = carry[w - 1].astype(np.uint64)
                     xh[w] += cin
                     carry[w] |= xh[w] < cin
-            xh ^= pv
+            xh ^= p_v
             xh |= eq
-            ph = ~(xh | pv)
-            ph |= mv
-            mh = pv & xh
+            ph = ~(xh | p_v)
+            ph |= m_v
+            mh = p_v & xh
             # shift both horizontal deltas up one row; row 0 gains +1 per column
             ph_top, mh_top = ph >> 63, mh >> 63
             ph <<= 1
@@ -282,21 +304,23 @@ def _edit_distance_blocks(pats, texts, n_symbols):
             ph[0] |= 1
             ph[1:] |= ph_top[:-1]
             mh[1:] |= mh_top[:-1]
-            pv = ~(xv | ph)
-            pv |= mh
-            mv = ph & xv
-        out = np.empty((n_pats, len(texts)), dtype=np.int64)
-        out[:, by_len] = dist.T
+            np.invert(xv | ph, out=p_v)
+            p_v |= mh
+            np.bitwise_and(ph, xv, out=m_v)
+        # rows 1..m of each pattern hold its vertical deltas
+        low = _uint64_words_array([(1 << len(p)) - 1 for p in block], n_words)[:, None, :]
+        dist = t_lens[:, None] + _set_bits(pv & low) - _set_bits(mv & low)
+        out[:, by_len[first:stop]] = dist.T
         yield idx, out
 
 
 def score_fms(general, reference, cutoff=None, threads=1):
     """Mean FMS of each general sentence against every reference sentence.
 
-    Exact bit-parallel edit distance by default.  With a cutoff, pairs whose
-    length bound 1 - |len difference| / max length falls below it contribute
-    0 to the average (approximate mode); every pair's distance is computed
-    either way."""
+    Exact bit-parallel edit distance.  With a cutoff, pairs whose length
+    bound 1 - |len difference| / max length falls below it contribute 0 to
+    the average (approximate fast mode), and the kernel skips references
+    outside each block's length window."""
     import numpy as np
 
     table = {}
@@ -310,8 +334,7 @@ def score_fms(general, reference, cutoff=None, threads=1):
     def one(src_len, led):
         maxes = np.maximum(ref_lens, src_len)
         if cutoff is not None:
-            bound = 1.0 - np.abs(ref_lens - src_len) / maxes
-            live = np.nonzero(bound >= cutoff)[0]
+            live = np.nonzero(_length_bound(src_len, ref_lens) >= cutoff)[0]
             if live.size == 0:
                 return 0.0
             scores = np.clip(1.0 - led[live] / maxes[live], 0.0, 1.0)
@@ -320,7 +343,7 @@ def score_fms(general, reference, cutoff=None, threads=1):
         return float(scores.mean())
 
     out = [0.0] * len(gen)
-    for idx, led in _edit_distance_blocks(gen, refs, len(table)):
+    for idx, led in _edit_distance_blocks(gen, refs, len(table), cutoff):
         for g, row in zip(idx, led):
             out[g] = one(len(gen[g]), row)
     return out

@@ -140,6 +140,15 @@ def test_score_fms_equals_per_pair_edit_distance(case, cutoff):
     assert select.score_fms(gen, refs, cutoff=cutoff) == list(_fms_formula(gen, refs, cutoff))
 
 
+def test_score_fms_needs_no_numpy2_popcount(monkeypatch):
+    # numpy before 2.0 has no bitwise_count; the kernel must run without it
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    gen = [_CARRY_THROUGH, ["a", "b"], ["b"] * 70]
+    refs = [["a"], ["a", "b"], ["b"] * 65, _CARRY_THROUGH, []]
+    for cutoff in (None, 0.5):
+        assert select.score_fms(gen, refs, cutoff=cutoff) == list(_fms_formula(gen, refs, cutoff))
+
+
 def test_cosine_scores():
     general = corpus.Corpus.from_lines(["a b", "x y", "a a"])
     in_domain = corpus.Corpus.from_lines(["a b"])
