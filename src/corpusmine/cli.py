@@ -14,7 +14,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import __version__, combine, corpus, lm, metrics, retrieve, select, webfilter
-from .errors import ToolkitError
+from .errors import ToolkitError, read_text
 
 
 def _sha256(path):
@@ -142,7 +142,8 @@ def _cmd_preprocess(args, parser):
     return 0
 
 
-def _load_for_lm(path, fmt, view):
+def _load_view(path, fmt, view):
+    """A corpus file, projected to its --view factors when one other than 'f' is set."""
     data = corpus.load_corpus(path, format=fmt)
     if view and view != "f":
         data = corpus.factor_view(data, view)
@@ -154,12 +155,12 @@ def _cmd_train_lm(args, parser):
     for key in ("order", "smoothing", "format", "view"):
         run.param(key, getattr(args, key))
     run.input("input", args.input)
-    data = _load_for_lm(args.input, args.format, args.view)
+    data = _load_view(args.input, args.format, args.view)
     vocab = None
     if args.vocab_from:
         run.input("vocab_from", args.vocab_from)
         vocab = lm.Vocabulary.from_corpus(
-            _load_for_lm(args.vocab_from, args.format, args.view)
+            _load_view(args.vocab_from, args.format, args.view)
         )
     model = lm.train(data, order=args.order, smoothing=args.smoothing, vocab=vocab)
     lm.write_model(model, args.output)
@@ -195,18 +196,13 @@ def _cmd_score(args, parser):
     if crit == "mml":
         general = corpus.load_corpus(args.general, format="tsv-parallel")
     else:
-        general = corpus.load_corpus(args.general, format=fmt)
-        if args.view and args.view != "f":
-            general = corpus.factor_view(general, args.view)
+        general = _load_view(args.general, fmt, args.view)
 
     def load_in_domain(required_for):
         if args.in_domain is None:
             parser.error("--in-domain is required for --criterion %s" % required_for)
         run.input("in_domain", args.in_domain)
-        data = corpus.load_corpus(args.in_domain, format=fmt)
-        if args.view and args.view != "f":
-            data = corpus.factor_view(data, args.view)
-        return data
+        return _load_view(args.in_domain, fmt, args.view)
 
     if crit == "cosine":
         scores = select.score_cosine(general, load_in_domain("cosine"), threads=args.threads)
@@ -694,7 +690,7 @@ def _apply_config(argv, parser):
         parser.error("--config needs a file argument")
     path = argv[i + 1]
     defaults = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

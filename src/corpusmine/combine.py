@@ -10,7 +10,7 @@ from itertools import chain
 from pathlib import Path
 
 from . import lm
-from .errors import FormatError, ToolkitError, parse_field
+from .errors import FormatError, ToolkitError, parse_field, read_text
 
 
 @dataclass
@@ -131,7 +131,7 @@ def interpolate_tables(tables, weights):
 def read_table(path):
     rows = {}
     arity = None
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         fields = line.split(" ||| ")

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .errors import FormatError, MissingFactorError, ToolkitError
+from .errors import FormatError, MissingFactorError, ToolkitError, read_text
 
 FACTOR_SEP = "|"
 NUMBER_PLACEHOLDER = "@num@"
@@ -161,11 +161,7 @@ class Lexicon:
 
 
 def _read_lines(path, allow_empty=False):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError("%s is not valid UTF-8: %s" % (path, exc)) from exc
-    lines = text.split("\n")
+    lines = read_text(path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not allow_empty:

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all corpusmine modules."""
+"""Exception hierarchy shared by all corpusmine modules, and the input helpers
+that raise its errors."""
+
+from pathlib import Path
 
 
 class ToolkitError(Exception):
@@ -20,3 +23,11 @@ def parse_field(convert, text, what, path, lineno):
         return convert(text)
     except (ValueError, OverflowError):
         raise FormatError("%s line %d: bad %s %r" % (path, lineno, what, text)) from None
+
+
+def read_text(path):
+    """The text of a UTF-8 file, or a FormatError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError("%s is not valid UTF-8: %s" % (path, exc)) from exc

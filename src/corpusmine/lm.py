@@ -7,12 +7,12 @@ Cross-entropies are reported in bits (base 2).
 
 import logging
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import words_of
-from .errors import FormatError, ToolkitError, parse_field
+from .errors import FormatError, ToolkitError, parse_field, read_text
 
 logger = logging.getLogger("corpusmine.lm")
 
@@ -76,25 +76,23 @@ class Vocabulary:
         return vocab
 
 
-def _ngram_counts(corpus, order, vocab):
-    counts = [None] + [defaultdict(int) for _ in range(order)]
-    n_sentences = 0
+def _ngram_rows(corpus, order, vocab):
+    """Per-order n-gram counts grouped by context: list index n - 1 holds
+    {context ids: {word id: count}} for order n.
+
+    Contexts and the words in each row keep their first-occurrence order in
+    the corpus; the estimators' float sums run in that order."""
+    levels = [{} for _ in range(order)]
     for words in map(words_of, corpus):
-        n_sentences += 1
         seq = [_BOS_ID] * (order - 1) + [vocab.id(w) for w in words] + [_EOS_ID]
         for i in range(order - 1, len(seq)):
-            for n in range(1, order + 1):
-                counts[n][tuple(seq[i - n + 1 : i + 1])] += 1
-    if n_sentences == 0:
+            w = seq[i]
+            for n, rows in enumerate(levels):  # n: context length
+                row = rows.setdefault(tuple(seq[i - n : i]), {})
+                row[w] = row.get(w, 0) + 1
+    if not levels[0]:
         raise ToolkitError("cannot train a model on an empty corpus")
-    return counts
-
-
-def _group_by_context(table):
-    rows = defaultdict(dict)
-    for g, c in table.items():
-        rows[g[:-1]][g[-1]] = c
-    return rows
+    return levels
 
 
 class NGramModel:
@@ -114,10 +112,11 @@ class NGramModel:
         self._log10probs = log10probs
 
     def prob(self, word, history=()):
-        """Conditional probability of one event given its history (strings)."""
-        wid = self.vocab.id(word)
-        ctx = [self.vocab.id(h) for h in history]
-        return self.prob_ids(wid, ctx)
+        """Conditional probability of one event given its history (strings):
+        the last order-1 history words, padded on the left with BOS."""
+        m = self.order - 1
+        ctx = [self.vocab.id(h) for h in history][-m:] if m else []
+        return self.conditional_ids(self.vocab.id(word), [_BOS_ID] * (m - len(ctx)) + ctx)
 
     def event_probs(self, words):
         """prob(w, h) of each event of a sentence (its words, then EOS).
@@ -127,15 +126,6 @@ class NGramModel:
         m = self.order - 1
         seq = [_BOS_ID] * m + [self.vocab.id(w) for w in words] + [_EOS_ID]
         return [self.conditional_ids(seq[i], seq[i - m : i]) for i in range(m, len(seq))]
-
-    def prob_ids(self, word_id, ctx_ids):
-        if self.order > 1:
-            ctx = tuple(ctx_ids[-(self.order - 1) :])
-            if len(ctx) < self.order - 1:
-                ctx = (_BOS_ID,) * (self.order - 1 - len(ctx)) + ctx
-        else:
-            ctx = ()
-        return self.conditional_ids(word_id, ctx)
 
     def conditional_ids(self, word_id, ctx):
         """Backoff conditional for an exact context (no padding or trimming)."""
@@ -161,14 +151,12 @@ class NGramModel:
         return [self.vocab.symbol(i) for i in ctx]
 
 
-def _estimate_discounts(values):
-    """Modified Kneser-Ney discounts D1/D2/D3+ from counts-of-counts.
+def _estimate_discounts(rows):
+    """Modified Kneser-Ney discounts D1/D2/D3+ from the counts-of-counts of
+    one order's rows.
 
     Returns None when the counts-of-counts degenerate (n1 or n2 empty)."""
-    coc = defaultdict(int)
-    for c in values:
-        if c <= 4:
-            coc[c] += 1
+    coc = Counter(c for row in rows.values() for c in row.values())
     n1, n2, n3, n4 = coc[1], coc[2], coc[3], coc[4]
     if n1 == 0 or n2 == 0:
         return None
@@ -179,55 +167,51 @@ def _estimate_discounts(values):
     return (max(d1, 0.0), max(d2, 0.0), max(d3, 0.0))
 
 
-def _lower_prob(probs, ctx, w, n_events):
-    if ctx is None:  # below the unigram level: uniform over events
-        return 1.0 / n_events
-    return probs[ctx][w]
+def _continuation_rows(rows, longer):
+    """Modified Kneser-Ney counts for an order below the top: an n-gram
+    counts the distinct (n+1)-grams it is the suffix of.  Histories starting
+    with BOS never occur as suffixes and keep their raw counts."""
+    preceded = {}
+    for ctx, row in longer.items():
+        tally = preceded.setdefault(ctx[1:], {})
+        for w in row:
+            tally[w] = tally.get(w, 0) + 1
+    out = {}
+    for ctx, row in rows.items():
+        tally = preceded[ctx]
+        out[ctx] = row if ctx[:1] == (_BOS_ID,) else {w: tally[w] for w in row}
+    return out
 
 
-def _build_level_wb(rows, probs, bow, level, n_events):
-    """Witten-Bell interpolated estimates for one n-gram order."""
+def _build_level(rows, discounts, probs, bow, n_events):
+    """Interpolated estimates for one order, p(w|h) = num/denom + gamma * p(w|h[1:]),
+    where p = 1/n_events below the unigrams, which span every event.
+
+    Witten-Bell (discounts None): num = c, denom = total + T, gamma = T/denom, for
+    the T distinct words after h.  Modified Kneser-Ney: num = max(c - D_c, 0),
+    denom = total, gamma = (total - sum(num))/total.  Above the unigrams a row
+    holds its seen words and gamma is stored as the backoff weight."""
     for ctx, row in rows.items():
         total = sum(row.values())
-        t = len(row)
-        gamma = t / (total + t)
-        lower_ctx = ctx[1:] if ctx else None
-        if level == 1:
-            out = {}
-            for w in range(1, n_events + 1):
-                c = row.get(w, 0)
-                out[w] = c / (total + t) + gamma * (1.0 / n_events)
-            probs[ctx] = out
+        if discounts is None:
+            num = row
+            denom = total + len(row)
+            gamma = len(row) / denom
         else:
-            probs[ctx] = {
-                w: c / (total + t) + gamma * _lower_prob(probs, lower_ctx, w, n_events)
+            d1, d2, d3 = discounts
+            num = {
+                w: max(c - (d1 if c == 1 else d2 if c == 2 else d3), 0.0)
                 for w, c in row.items()
             }
+            denom = total
+            gamma = (total - sum(num.values())) / total
+        if ctx:
+            lower = probs[ctx[1:]]
             bow[ctx] = gamma
-
-
-def _build_level_discounted(rows, discounts, probs, bow, level, n_events):
-    d1, d2, d3 = discounts
-    for ctx, row in rows.items():
-        total = sum(row.values())
-        disc = {
-            w: max(c - (d1 if c == 1 else d2 if c == 2 else d3), 0.0)
-            for w, c in row.items()
-        }
-        gamma = (total - sum(disc.values())) / total
-        lower_ctx = ctx[1:] if ctx else None
-        if level == 1:
-            out = {}
-            for w in range(1, n_events + 1):
-                out[w] = disc.get(w, 0.0) / total + gamma * (1.0 / n_events)
-            probs[ctx] = out
         else:
-            probs[ctx] = {
-                w: disc[w] / total
-                + gamma * _lower_prob(probs, lower_ctx, w, n_events)
-                for w in row
-            }
-            bow[ctx] = gamma
+            lower = dict.fromkeys(range(1, n_events + 1), 1.0 / n_events)
+            num = {w: num.get(w, 0) for w in lower}
+        probs[ctx] = {w: x / denom + gamma * lower[w] for w, x in num.items()}
 
 
 def train(corpus, order=4, smoothing="modified-kneser-ney", vocab=None):
@@ -245,49 +229,29 @@ def train(corpus, order=4, smoothing="modified-kneser-ney", vocab=None):
         raise ToolkitError("order must be >= 1")
     if vocab is None:
         vocab = Vocabulary.from_corpus(corpus)
-    counts = _ngram_counts(corpus, order, vocab)
-    n_events = len(vocab) - 1  # everything but BOS
-
+    levels = _ngram_rows(corpus, order, vocab)
     probs = {}
     bow = {}
-    if smoothing == "mle":
-        for n in range(1, order + 1):
-            for ctx, row in _group_by_context(counts[n]).items():
+    if smoothing == "mle":  # exact count ratios of seen words, no backoff weights
+        for rows in levels:
+            for ctx, row in rows.items():
                 total = sum(row.values())
                 probs[ctx] = {w: c / total for w, c in row.items()}
         return NGramModel(order, smoothing, vocab, probs, bow)
 
-    if smoothing == "witten-bell":
-        for n in range(1, order + 1):
-            _build_level_wb(_group_by_context(counts[n]), probs, bow, n, n_events)
-        return NGramModel(order, smoothing, vocab, probs, bow)
-
-    # modified Kneser-Ney: raw counts at the top order, continuation counts
-    # below (except for histories starting with BOS, which can never occur
-    # as continuations and keep their raw counts).
-    adjusted = [None] + [dict() for _ in range(order)]
-    adjusted[order] = dict(counts[order])
-    for n in range(1, order):
-        continuation = defaultdict(set)
-        for g in counts[n + 1]:
-            continuation[g[1:]].add(g[0])
-        for g, c in counts[n].items():
-            if g[0] == _BOS_ID:
-                adjusted[n][g] = c
-            else:
-                adjusted[n][g] = len(continuation[g])
-    for n in range(1, order + 1):
-        rows = _group_by_context(adjusted[n])
-        discounts = _estimate_discounts(adjusted[n].values())
-        if discounts is None:
-            logger.warning(
-                "modified Kneser-Ney counts-of-counts degenerate at order %d; "
-                "falling back to Witten-Bell for that order",
-                n,
-            )
-            _build_level_wb(rows, probs, bow, n, n_events)
-        else:
-            _build_level_discounted(rows, discounts, probs, bow, n, n_events)
+    for n, rows in enumerate(levels, 1):
+        discounts = None
+        if smoothing == "modified-kneser-ney":
+            if n < order:
+                rows = _continuation_rows(rows, levels[n])
+            discounts = _estimate_discounts(rows)
+            if discounts is None:
+                logger.warning(
+                    "modified Kneser-Ney counts-of-counts degenerate at order %d; "
+                    "falling back to Witten-Bell for that order",
+                    n,
+                )
+        _build_level(rows, discounts, probs, bow, len(vocab) - 1)  # every symbol but BOS
     return NGramModel(order, smoothing, vocab, probs, bow)
 
 
@@ -298,11 +262,6 @@ def sentence_events(sentence):
         yield w, tuple(hist)
         hist.append(w)
     yield EOS, tuple(hist)
-
-
-def log_prob(model, sentence):
-    """Base-2 log probability of a sentence (word events plus EOS)."""
-    return sum(math.log2(p) for p in model.event_probs(words_of(sentence)))
 
 
 def cross_entropy(model, corpus):
@@ -397,25 +356,16 @@ def interpolate(models, dev_corpus, tol=1e-6, max_iter=100):
 _BOW_ONLY = "-99"
 
 
-def _log10_table(model):
-    if model._log10probs is None:
-        model._log10probs = {
-            ctx: {w: math.log10(p) for w, p in row.items()}
-            for ctx, row in model._probs.items()
-        }
-    return model._log10probs
-
-
 def write_model(model, path):
-    log10 = _log10_table(model)
     entries = [defaultdict(lambda: [None, None]) for _ in range(model.order + 1)]
-    for ctx, row in log10.items():
-        n = len(ctx) + 1
-        for w, lp in row.items():
-            entries[n][ctx + (w,)][0] = lp
-    for ctx, b in model._bow.items():
-        if len(ctx) >= 1:
-            entries[len(ctx)][ctx][1] = b
+    for ctx, row in model._probs.items():
+        # a model read from a file writes back the log10 values it was read with
+        logs = model._log10probs[ctx] if model._log10probs else {
+            w: math.log10(p) for w, p in row.items()}
+        for w, lp in logs.items():
+            entries[len(ctx) + 1][ctx + (w,)][0] = lp
+    for ctx, b in model._bow.items():  # contexts of one or more words
+        entries[len(ctx)][ctx][1] = b
     lines = ["\\smoothing: %s" % model.smoothing, "", "\\data\\"]
     for n in range(1, model.order + 1):
         lines.append("ngram %d=%d" % (n, len(entries[n])))
@@ -445,7 +395,7 @@ def _log10_prob(text):
 
 
 def read_model(path):
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    lines = read_text(path).split("\n")
     smoothing = "unknown"
     sizes = {}
     i = 0
@@ -464,32 +414,35 @@ def read_model(path):
     order = max(sizes) if sizes else 0
     if order < 1:
         raise FormatError("%s: no n-gram sections declared" % path)
+    # the 1-grams come first, so every later symbol resolves as it is read
     vocab = Vocabulary()
-    raw = []  # (ids not yet resolvable) collect as symbol tuples first
-    current_n = None
+    probs = {}
+    bow = {}
+    log10probs = {}
+    current_n = 0
     for lineno, line in enumerate(lines[i:], i + 1):
         if not line or line == "\\end\\":
             continue
         if line.endswith("-grams:") and line.startswith("\\"):
-            current_n = parse_field(int, line[1:].split("-")[0], "section order", path, lineno)
+            n = parse_field(int, line[1:].split("-")[0], "section order", path, lineno)
+            if n != current_n + 1:
+                raise FormatError("%s line %d: section %s out of order" % (path, lineno, line))
+            current_n = n
             continue
         fields = line.split("\t")
-        if current_n is None or len(fields) < 2:
+        if not current_n or len(fields) < 2:
             raise FormatError("%s line %d: unexpected line %r" % (path, lineno, line))
-        symbols = tuple(fields[1].split(" "))
+        symbols = fields[1].split(" ")
         if len(symbols) != current_n:
             raise FormatError("%s line %d: arity mismatch in %r" % (path, lineno, line))
         lp = None if fields[0] == _BOW_ONLY else parse_field(
             _log10_prob, fields[0], "probability", path, lineno)
         b = parse_field(float, fields[2], "backoff", path, lineno) if len(fields) > 2 else None
-        raw.append((symbols, lp, b))
         if current_n == 1 and symbols[0] not in _RESERVED:
+            if not symbols[0]:
+                raise FormatError("%s line %d: empty word type" % (path, lineno))
             vocab.add(symbols[0])
-    probs = {}
-    bow = {}
-    log10probs = {}
-    for symbols, lp, b in raw:
-        g = tuple(vocab.id(s) for s in symbols)
+        g = tuple(map(vocab.id, symbols))
         if lp is not None:
             probs.setdefault(g[:-1], {})[g[-1]] = 10.0 ** lp
             log10probs.setdefault(g[:-1], {})[g[-1]] = lp

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FormatError, ToolkitError
+from .errors import FormatError, ToolkitError, read_text
 
 
 @dataclass(frozen=True)
@@ -190,11 +190,11 @@ def load_collection(path):
     if path.is_dir():
         for child in sorted(path.iterdir()):
             if child.is_file():
-                tokens = tuple(child.read_text(encoding="utf-8").split())
+                tokens = tuple(read_text(child).split())
                 docs.append(Document(child.name, tokens))
     else:
         first_line = {}
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(read_text(path).splitlines(), 1):
             if not line.strip():
                 continue
             fields = line.split("\t", 1)
@@ -213,14 +213,14 @@ def load_collection(path):
 def load_stopwords(path):
     return frozenset(
         line.strip()
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
+        for line in read_text(path).splitlines()
         if line.strip()
     )
 
 
 def load_gold(path):
     gold = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         fields = line.split("\t")

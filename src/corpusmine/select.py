@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import lm
 from .corpus import Corpus, factor_view, words_of
-from .errors import FormatError, ToolkitError, parse_field
+from .errors import FormatError, ToolkitError, parse_field, read_text
 
 HIGHER = "higher-is-better"
 LOWER = "lower-is-better"
@@ -32,13 +32,6 @@ CRITERION_DIRECTIONS = {
     "mml": LOWER,
     "fms": HIGHER,
 }
-
-
-@dataclass(frozen=True)
-class ScoredSentence:
-    index: int
-    score: float
-    criterion: str
 
 
 @dataclass
@@ -432,7 +425,7 @@ def _read_annotated(path, parse_row):
     parse_row(line, path, lineno), of a score or selection file."""
     meta = {}
     rows = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         if line.startswith("#"):

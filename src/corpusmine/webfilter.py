@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import words_of
-from .errors import FormatError, ToolkitError, parse_field
+from .errors import FormatError, ToolkitError, parse_field, read_text
 from .select import topk_count
 
 LOCATIONS = ("title", "headings", "metadata", "body")
@@ -163,7 +163,7 @@ def load_topic_file(path):
     """TSV `term<TAB>weight<TAB>class`; a blank weight falls back to the
     term's token count."""
     entries = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")
@@ -213,11 +213,9 @@ def load_located_collection(path):
     if path.is_dir():
         for child in sorted(path.iterdir()):
             if child.is_file():
-                docs.append(
-                    parse_located_document(child.name, child.read_text(encoding="utf-8"))
-                )
+                docs.append(parse_located_document(child.name, read_text(child)))
     else:
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(read_text(path).splitlines(), 1):
             if not line.strip():
                 continue
             fields = line.split("\t", 1)

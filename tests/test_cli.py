@@ -416,6 +416,9 @@ _MODEL_TEXT = ("\\smoothing: witten-bell\n\n\\data\\\nngram 1=3\n\n\\1-grams:\n"
     ("-0.5\ta", "-0.5\ta\tzz", "line 8: bad backoff 'zz'"),
     ("ngram 1=3", "ngram x=3", "line 4: bad n-gram order 'x'"),
     ("-0.5\t</s>", "400\t</s>", "line 7: bad probability '400'"),
+    ("\\1-grams:\n", "\\2-grams:\n-0.5\ta </s>\n\n\\1-grams:\n",
+     "line 6: section \\2-grams: out of order"),
+    ("-0.5\ta", "-0.5\t", "line 8: empty word type"),
 ])
 def test_perplexity_reports_malformed_model_fields(work, capsys, old, new, message):
     model_path = work / "m.lm"
@@ -427,3 +430,26 @@ def test_perplexity_reports_malformed_model_fields(work, capsys, old, new, messa
     capsys.readouterr()
     assert run_cli(*argv) == 1
     assert "error: %s %s" % (model_path, message) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["perplexity", "--lm", "BAD", "--input", "indomain.txt"],
+    ["select", "--scores", "BAD", "--k", "50", "--output", "out.txt"],
+    ["combine", "--mode", "tables", "--table", "BAD", "--output", "out.txt"],
+    ["combine", "--mode", "naive-rank", "--selection", "BAD", "--target-size", "1",
+     "--output", "out.txt"],
+    ["retrieve", "--collection", "BAD", "--queries", "q.tsv", "--lambda", "0.5",
+     "--n-best", "1"],
+    ["topic-filter", "--collection", "q.tsv", "--topic", "BAD", "--k", "50"],
+    ["train-lm", "--config", "BAD", "--input", "indomain.txt", "--output", "m.lm"],
+])
+def test_non_utf8_input_is_an_error(work, capsys, argv):
+    bad = work / "bad.txt"
+    bad.write_bytes(b"a \xff b\n")
+    (work / "q.tsv").write_text("q1\tthe market fell\n", encoding="utf-8")
+    argv = [str(bad) if a == "BAD" else str(work / a) if a.endswith((".txt", ".tsv", ".lm"))
+            else a for a in argv]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert "error: %s is not valid UTF-8:" % bad in err
+    assert "Traceback" not in err

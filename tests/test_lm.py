@@ -186,6 +186,89 @@ def test_event_probs_equal_prob_over_sentence_events(order, smoothing, lines, ot
     assert model.event_probs(words) == want
 
 
+def _formula_model(lines, order, smoothing, vocab):
+    """Conditional tables {context: {word id: p}} and backoff weights
+    {context: gamma}, written out from Chen & Goodman's interpolated forms.
+
+    Rows and the words in them follow first occurrence in the corpus, the
+    order in which the estimator sums its discounted counts."""
+    bos = vocab.id(lm.BOS)
+    counts = [{} for _ in range(order + 1)]  # counts[n][id n-gram], OOV words as UNK
+    for line in lines:
+        seq = [bos] * (order - 1) + [vocab.id(w) for w in line.split()] + [vocab.id(lm.EOS)]
+        for i in range(order - 1, len(seq)):
+            for n in range(1, order + 1):
+                g = tuple(seq[i - n + 1 : i + 1])
+                counts[n][g] = counts[n].get(g, 0) + 1
+    n_events = len(vocab.event_ids())
+    probs, bows = {}, {}
+    for n in range(1, order + 1):
+        adjusted = dict(counts[n])
+        if smoothing == "modified-kneser-ney" and n < order:
+            # continuation count N1+(. g): distinct words seen before g;
+            # a history starting with BOS has no word before it
+            for g in adjusted:
+                if g[0] != bos:
+                    adjusted[g] = len({h[0] for h in counts[n + 1] if h[1:] == g})
+        rows = {}
+        for g, c in adjusted.items():
+            rows.setdefault(g[:-1], {})[g[-1]] = c
+        discounts = None
+        if smoothing == "modified-kneser-ney":
+            coc = Counter(adjusted.values())
+            n1, n2, n3, n4 = coc[1], coc[2], coc[3], coc[4]
+            if n1 and n2:  # otherwise Witten-Bell for this order
+                y = n1 / (n1 + 2.0 * n2)
+                d1 = 1.0 - 2.0 * y * (n2 / n1)
+                d2 = 2.0 - 3.0 * y * (n3 / n2)
+                d3 = 3.0 - 4.0 * y * (n4 / n3) if n3 else d2
+                discounts = {1: max(d1, 0.0), 2: max(d2, 0.0), 3: max(d3, 0.0)}
+        for ctx, row in rows.items():
+            total = sum(row.values())
+            if smoothing == "mle":
+                probs[ctx] = {w: c / total for w, c in row.items()}
+                continue
+            if discounts is None:  # Witten-Bell
+                num = row
+                denom = total + len(row)
+                gamma = len(row) / denom
+            else:
+                num = {w: max(c - discounts[min(c, 3)], 0.0) for w, c in row.items()}
+                denom = total
+                gamma = (total - sum(num.values())) / total
+            if n == 1:
+                probs[ctx] = {w: num.get(w, 0) / denom + gamma * (1.0 / n_events)
+                              for w in vocab.event_ids()}
+            else:
+                probs[ctx] = {w: x / denom + gamma * probs[ctx[1:]][w] for w, x in num.items()}
+                bows[ctx] = gamma
+    return probs, bows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    order=st.integers(1, 4),
+    smoothing=st.sampled_from(lm.SMOOTHING_MODES),
+    lines=_TRAIN_LINES,
+    other_lines=_TRAIN_LINES.map(lambda ls: ls + ["b x"]),
+    shared=st.booleans(),
+)
+def test_train_equals_written_out_formulas(order, smoothing, lines, other_lines, shared):
+    vocab = lm.Vocabulary.from_corpus(corpus.Corpus.from_lines(other_lines)) if shared else None
+    model = lm.train(corpus.Corpus.from_lines(lines), order=order, smoothing=smoothing,
+                     vocab=vocab)
+    probs, bows = _formula_model(lines, order, smoothing, model.vocab)
+    assert sorted(model.stored_contexts()) == sorted(probs)
+    for ctx in model.stored_contexts():
+        for w in model.vocab.event_ids():
+            weight, lower = 1.0, ctx
+            while w not in probs[lower] and lower:
+                weight *= bows.get(lower, 0.0)
+                lower = lower[1:]
+            p = weight * probs[lower].get(w, 0.0)
+            assert model.conditional_ids(w, ctx) == (p if p > 0.0 else lm.UNK_FLOOR)
+
+
 def test_mixture_validation():
     model = lm.train(corpus.Corpus.from_lines(["a b"]), order=1, smoothing="witten-bell")
     with pytest.raises(ToolkitError):
