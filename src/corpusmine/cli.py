@@ -14,7 +14,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import __version__, combine, corpus, lm, metrics, retrieve, select, webfilter
-from .errors import ToolkitError, read_text
+from .errors import FormatError, ToolkitError, read_text
 
 
 def _sha256(path):
@@ -690,12 +690,12 @@ def _apply_config(argv, parser):
         parser.error("--config needs a file argument")
     path = argv[i + 1]
     defaults = {}
-    for line in read_text(path).splitlines():
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ToolkitError("config line without '=': %r" % line)
+            raise FormatError("%s line %d: config line without '=': %r" % (path, lineno, line))
         key, value = line.split("=", 1)
         value = value.strip()
         if value.lower() in ("true", "false"):

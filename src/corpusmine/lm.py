@@ -3,12 +3,17 @@
 Events are the words of a sentence plus one end-of-sentence symbol; histories
 are padded with the begin-of-sentence symbol, which is never itself predicted.
 Cross-entropies are reported in bits (base 2).
+
+A model is one sorted table per order, as in KenLM (Heafield 2011): ids a1..ak
+have the key rank(a1..a_{k-1}) * |V| + a_k, with the prefix's rank in the
+order-(k-1) table.  numpy is imported lazily, by the functions that use it.
 """
 
 import logging
 import math
-from collections import Counter, defaultdict
+from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import chain, compress, count, repeat
 from pathlib import Path
 
 from .corpus import words_of
@@ -68,31 +73,57 @@ class Vocabulary:
     @classmethod
     def from_corpus(cls, corpus):
         vocab = cls()
-        for words in map(words_of, corpus):
-            for w in words:
-                if w in _RESERVED:
-                    raise FormatError("corpus contains reserved symbol %r" % w)
-                vocab.add(w)
+        for w in dict.fromkeys(chain.from_iterable(map(words_of, corpus))):  # by first use
+            if w in _RESERVED:
+                raise FormatError("corpus contains reserved symbol %r" % w)
+            vocab.add(w)
         return vocab
 
 
-def _ngram_rows(corpus, order, vocab):
-    """Per-order n-gram counts grouped by context: list index n - 1 holds
-    {context ids: {word id: count}} for order n.
+def _encode(sentences, vocab, pad):
+    """One flat id array of the sentences, each after `pad` BOS ids and before
+    EOS, and the positions of their events (every id but the padding)."""
+    import numpy as np
 
-    Contexts and the words in each row keep their first-occurrence order in
-    the corpus; the estimators' float sums run in that order."""
-    levels = [{} for _ in range(order)]
-    for words in map(words_of, corpus):
-        seq = [_BOS_ID] * (order - 1) + [vocab.id(w) for w in words] + [_EOS_ID]
-        for i in range(order - 1, len(seq)):
-            w = seq[i]
-            for n, rows in enumerate(levels):  # n: context length
-                row = rows.setdefault(tuple(seq[i - n : i]), {})
-                row[w] = row.get(w, 0) + 1
-    if not levels[0]:
-        raise ToolkitError("cannot train a model on an empty corpus")
-    return levels
+    tokens = []
+    for words in sentences:
+        tokens += [BOS] * pad
+        tokens += words
+        tokens.append(EOS)
+    events = np.ones(len(tokens), dtype=bool)
+    ends = np.cumsum([len(words) + pad + 1 for words in sentences])
+    events[((ends - np.diff(ends, prepend=0))[:, None] + np.arange(pad)).ravel()] = False
+    seq = np.fromiter(map(vocab._ids.get, tokens, repeat(_UNK_ID)), np.int32, len(tokens))
+    return seq, np.flatnonzero(events)
+
+
+# The stored id tuples of one order by ascending key, and a last slot (key
+# _ABSENT) where lookups of unstored tuples land: p(a_k | a1..a_{k-1}) where
+# has_prob, the backoff weight where has_bow (else 0.0), and whether some
+# stored probability is conditioned on the tuple.
+_Table = namedtuple("_Table", "keys prob has_prob bow has_bow is_context")
+_ABSENT = 2 ** 63 - 1
+
+
+def _tables(size, blocks):
+    """Empty tables of orders 0..len(blocks) holding the id tuples of each
+    block, blocks[n - 1] an (rows, n) array, and all their prefixes (order 1
+    holds every id), ranked by one np.unique per order; and the slot of each
+    row of each block."""
+    import numpy as np
+
+    slots = [np.zeros(len(ids), dtype=np.int64) for ids in blocks]  # each row's prefix so far
+    keys, tables = np.zeros(1, dtype=np.int64), []
+    for n in range(len(blocks) + 1):
+        if n:
+            parts = [slots[j] * size + blocks[j][:, n - 1] for j in range(n - 1, len(blocks))]
+            keys, inv = np.unique(np.concatenate(parts + [np.arange(size)] * (n == 1)),
+                                  return_inverse=True)
+            slots[n - 1 :] = np.split(inv, np.cumsum([len(p) for p in parts]))[: len(parts)]
+        k = len(keys) + 1
+        tables.append(_Table(np.append(keys, _ABSENT), np.full(k, np.nan), np.zeros(k, bool),
+                             np.zeros(k), np.zeros(k, bool), np.zeros(k, bool)))
+    return tables, slots
 
 
 class NGramModel:
@@ -103,13 +134,20 @@ class NGramModel:
     shorter context's probability.
     """
 
-    def __init__(self, order, smoothing, vocab, probs, bow, log10probs=None):
+    def __init__(self, order, smoothing, vocab, tables, log10=None):
         self.order = order
         self.smoothing = smoothing
         self.vocab = vocab
-        self._probs = probs
-        self._bow = bow
-        self._log10probs = log10probs
+        self._tables = tables  # index k: order k; index 0: the empty history
+        self._log10 = log10  # per order, the log10 probabilities a model file gave
+        for below, t in zip(tables, tables[1:]):
+            below.is_context[t.keys[:-1][t.has_prob[:-1]] // len(vocab)] = True
+
+    def corpus_event_probs(self, sentences):
+        return batch_event_probs([self], sentences)[0]
+
+    def event_probs(self, words):
+        return self.corpus_event_probs([words])
 
     def prob(self, word, history=()):
         """Conditional probability of one event given its history (strings):
@@ -118,46 +156,84 @@ class NGramModel:
         ctx = [self.vocab.id(h) for h in history][-m:] if m else []
         return self.conditional_ids(self.vocab.id(word), [_BOS_ID] * (m - len(ctx)) + ctx)
 
-    def event_probs(self, words):
-        """prob(w, h) of each event of a sentence (its words, then EOS).
-
-        The sentence is encoded once and an (order-1)-id window slides over
-        it, so the values equal prob() over sentence_events()."""
-        m = self.order - 1
-        seq = [_BOS_ID] * m + [self.vocab.id(w) for w in words] + [_EOS_ID]
-        return [self.conditional_ids(seq[i], seq[i - m : i]) for i in range(m, len(seq))]
-
     def conditional_ids(self, word_id, ctx):
-        """Backoff conditional for an exact context (no padding or trimming)."""
-        ctx = tuple(ctx)
-        factor = 1.0
-        while True:
-            row = self._probs.get(ctx)
-            if row is not None:
-                p = row.get(word_id)
-                if p is not None:
-                    val = factor * p
-                    return val if val > 0.0 else UNK_FLOOR
-                factor *= self._bow.get(ctx, 0.0)
-            if not ctx:
-                return UNK_FLOOR
-            ctx = ctx[1:]
+        """Backoff conditional for an exact context (no padding); no context
+        longer than order - 1 ids is stored."""
+        import numpy as np
+
+        ctx = list(ctx)[max(0, len(ctx) - self.order + 1):]
+        return float(self._score(np.array(ctx + [word_id]), np.array([len(ctx)]), len(ctx))[0])
+
+    def _score(self, seq, pos, m):
+        """Probabilities of the events at positions `pos` of the id array
+        `seq`, each given the m ids before it: one searchsorted per order, then
+        the backoff chain steps down one order at a time over the open events."""
+        import numpy as np
+
+        rank = seq.astype(np.int64)  # order 1 holds every id, in id order
+        ranks = [np.zeros(len(seq), dtype=np.int64), rank]  # the empty history ends anywhere
+        for t, below in zip(self._tables[2 : m + 2], self._tables[1:]):
+            # where the window one id shorter, ending one id earlier, is stored
+            live = np.flatnonzero(rank[:-1] < len(below.keys) - 1) + 1
+            query = rank[live - 1] * len(self.vocab) + seq[live]
+            order = np.argsort(query)  # sorted queries search several times faster
+            found = np.empty_like(order)
+            found[order] = np.searchsorted(t.keys, query[order])
+            hit = t.keys[found] == query
+            rank = np.full(len(seq), len(t.keys) - 1)
+            rank[live[hit]] = found[hit]
+            ranks.append(rank)
+        probs = np.full(len(pos), UNK_FLOOR)
+        factor = np.ones(len(pos))
+        open_ = np.ones(len(pos), dtype=bool)
+        for k in range(m, -1, -1):  # history length
+            ctx = ranks[k][pos - 1]
+            e = np.flatnonzero(open_ & self._tables[k].is_context[ctx])  # stored histories
+            gram = ranks[k + 1][pos[e]]
+            hit = self._tables[k + 1].has_prob[gram]
+            probs[e[hit]] = factor[e[hit]] * self._tables[k + 1].prob[gram[hit]]
+            factor[e[~hit]] *= self._tables[k].bow[ctx[e[~hit]]]
+            open_[e[hit]] = False
+        return np.where(probs > 0.0, probs, UNK_FLOOR)
 
     def stored_contexts(self):
-        return list(self._probs.keys())
+        contexts, tuples = [], [()]
+        for k, t in enumerate(self._tables[: self.order]):
+            if k:  # a key is (prefix rank, last id)
+                keys = map(divmod, t.keys[:-1].tolist(), repeat(len(self.vocab)))
+                tuples = [tuples[a] + (b,) for a, b in keys]
+            contexts += compress(tuples, t.is_context.tolist())
+        return contexts
 
     def context_history(self, ctx):
         """Render a stored context's ids back to symbol strings."""
         return [self.vocab.symbol(i) for i in ctx]
 
 
-def _estimate_discounts(rows):
-    """Modified Kneser-Ney discounts D1/D2/D3+ from the counts-of-counts of
-    one order's rows.
+def batch_event_probs(models, sentences):
+    """Each model's prob(w, h) of every event of the sentences (word lists),
+    in order: a sentence's words, then its EOS.  N-gram models that share a
+    vocabulary and order share one encoding of the sentences."""
+    if not sentences:
+        return [[] for _ in models]
+    encoded, out = {}, []
+    for model in models:
+        if not isinstance(model, NGramModel):  # a mixture
+            out.append(model.corpus_event_probs(sentences))
+            continue
+        key = (id(model.vocab), model.order)
+        if key not in encoded:
+            encoded[key] = _encode(sentences, model.vocab, model.order - 1)
+        out.append(model._score(*encoded[key], model.order - 1).tolist())
+    return out
+
+
+def _estimate_discounts(coc):
+    """Modified Kneser-Ney discounts D1/D2/D3+ from one order's
+    counts-of-counts (n1, n2, n3, n4).
 
     Returns None when the counts-of-counts degenerate (n1 or n2 empty)."""
-    coc = Counter(c for row in rows.values() for c in row.values())
-    n1, n2, n3, n4 = coc[1], coc[2], coc[3], coc[4]
+    n1, n2, n3, n4 = coc
     if n1 == 0 or n2 == 0:
         return None
     y = n1 / (n1 + 2.0 * n2)
@@ -167,53 +243,6 @@ def _estimate_discounts(rows):
     return (max(d1, 0.0), max(d2, 0.0), max(d3, 0.0))
 
 
-def _continuation_rows(rows, longer):
-    """Modified Kneser-Ney counts for an order below the top: an n-gram
-    counts the distinct (n+1)-grams it is the suffix of.  Histories starting
-    with BOS never occur as suffixes and keep their raw counts."""
-    preceded = {}
-    for ctx, row in longer.items():
-        tally = preceded.setdefault(ctx[1:], {})
-        for w in row:
-            tally[w] = tally.get(w, 0) + 1
-    out = {}
-    for ctx, row in rows.items():
-        tally = preceded[ctx]
-        out[ctx] = row if ctx[:1] == (_BOS_ID,) else {w: tally[w] for w in row}
-    return out
-
-
-def _build_level(rows, discounts, probs, bow, n_events):
-    """Interpolated estimates for one order, p(w|h) = num/denom + gamma * p(w|h[1:]),
-    where p = 1/n_events below the unigrams, which span every event.
-
-    Witten-Bell (discounts None): num = c, denom = total + T, gamma = T/denom, for
-    the T distinct words after h.  Modified Kneser-Ney: num = max(c - D_c, 0),
-    denom = total, gamma = (total - sum(num))/total.  Above the unigrams a row
-    holds its seen words and gamma is stored as the backoff weight."""
-    for ctx, row in rows.items():
-        total = sum(row.values())
-        if discounts is None:
-            num = row
-            denom = total + len(row)
-            gamma = len(row) / denom
-        else:
-            d1, d2, d3 = discounts
-            num = {
-                w: max(c - (d1 if c == 1 else d2 if c == 2 else d3), 0.0)
-                for w, c in row.items()
-            }
-            denom = total
-            gamma = (total - sum(num.values())) / total
-        if ctx:
-            lower = probs[ctx[1:]]
-            bow[ctx] = gamma
-        else:
-            lower = dict.fromkeys(range(1, n_events + 1), 1.0 / n_events)
-            num = {w: num.get(w, 0) for w in lower}
-        probs[ctx] = {w: x / denom + gamma * lower[w] for w, x in num.items()}
-
-
 def train(corpus, order=4, smoothing="modified-kneser-ney", vocab=None):
     """Train an n-gram model.
 
@@ -221,7 +250,17 @@ def train(corpus, order=4, smoothing="modified-kneser-ney", vocab=None):
     vocabulary is supplied, out-of-vocabulary training words map to the UNK
     symbol.  MLE assigns unseen events a floor of 1e-10 at query time (no
     renormalization, so stored probabilities stay exact count ratios).
+
+    The others interpolate p(w|h) = num/denom + gamma * p(w|h[1:]), with
+    1/|events| below the unigrams, which span every event; gamma is h's
+    backoff weight.  Witten-Bell: num = c, denom = total + T, gamma = T/denom
+    for the T words seen after h.  Modified Kneser-Ney: num = max(c - D_c, 0),
+    denom = total, gamma = (total - sum(num))/total summed in the order h's
+    words first occur; below the top order c counts distinct preceding words
+    unless the n-gram starts with BOS.
     """
+    import numpy as np
+
     smoothing = _SMOOTHING_ALIASES.get(smoothing, smoothing)
     if smoothing not in SMOOTHING_MODES:
         raise ToolkitError("unknown smoothing mode %r" % smoothing)
@@ -229,30 +268,60 @@ def train(corpus, order=4, smoothing="modified-kneser-ney", vocab=None):
         raise ToolkitError("order must be >= 1")
     if vocab is None:
         vocab = Vocabulary.from_corpus(corpus)
-    levels = _ngram_rows(corpus, order, vocab)
-    probs = {}
-    bow = {}
-    if smoothing == "mle":  # exact count ratios of seen words, no backoff weights
-        for rows in levels:
-            for ctx, row in rows.items():
-                total = sum(row.values())
-                probs[ctx] = {w: c / total for w, c in row.items()}
-        return NGramModel(order, smoothing, vocab, probs, bow)
-
-    for n, rows in enumerate(levels, 1):
+    sentences = [words_of(s) for s in corpus]
+    if not sentences:
+        raise ToolkitError("cannot train a model on an empty corpus")
+    reserved = {BOS, EOS}.intersection(chain.from_iterable(sentences))  # in a shared vocabulary
+    if reserved:
+        raise FormatError("corpus contains reserved symbol %r" % min(reserved))
+    seq, pos = _encode(sentences, vocab, order - 1)
+    size = len(vocab)
+    # at[n - 1]: the slot of the n-gram at each event; counted[n - 1]: the
+    # distinct n-grams' slots, first events and counts
+    tables, at = _tables(size, [seq[(pos - n + 1)[:, None] + np.arange(n)] for n in range(1, order + 1)])
+    counted = [np.unique(a, return_index=True, return_counts=True) for a in at]
+    for n, (t, (grams, first, c)) in enumerate(zip(tables[1:], counted), 1):
+        hist = t.keys[grams] // size  # the histories' slots in the order n-1 table
+        starts = np.flatnonzero(np.diff(hist, prepend=-1))
+        width = np.diff(np.append(starts, len(hist)))
+        row = np.repeat(np.arange(len(starts)), width)
+        if smoothing == "modified-kneser-ney" and n < order:  # continuation counts
+            preceded = np.unique(at[n - 1][counted[n][1]], return_counts=True)[1]
+            c = np.where(seq[pos[first] - n + 1] == _BOS_ID, c, preceded) if n > 1 else preceded
+        total = np.add.reduceat(c, starts)
         discounts = None
         if smoothing == "modified-kneser-ney":
-            if n < order:
-                rows = _continuation_rows(rows, levels[n])
-            discounts = _estimate_discounts(rows)
+            discounts = _estimate_discounts(np.bincount(c, minlength=5)[1:5].tolist())
             if discounts is None:
-                logger.warning(
-                    "modified Kneser-Ney counts-of-counts degenerate at order %d; "
-                    "falling back to Witten-Bell for that order",
-                    n,
-                )
-        _build_level(rows, discounts, probs, bow, len(vocab) - 1)  # every symbol but BOS
-    return NGramModel(order, smoothing, vocab, probs, bow)
+                logger.warning("modified Kneser-Ney counts-of-counts degenerate at order %d; "
+                               "falling back to Witten-Bell for that order", n)
+        if smoothing == "mle":  # exact count ratios of seen words, no backoff weights
+            num, denom, gamma = c, total, np.zeros(len(starts))
+        elif discounts is None:
+            num, denom = c, total + width
+            gamma = width / denom
+        else:
+            num = np.maximum(c - np.select([c == 1, c == 2], discounts[:2], discounts[2]), 0.0)
+            denom = total
+            by_first = num[np.lexsort((first, row))]
+            sums = by_first[starts]  # sum([x]) is x: only longer rows need adding up
+            values, lo, hi = by_first.tolist(), starts.tolist(), (starts + width).tolist()
+            for r in np.flatnonzero(width > 1).tolist():
+                sums[r] = sum(values[lo[r] : hi[r]])
+            gamma = (total - sums) / total
+        if n == 1 and smoothing != "mle":  # unigrams span every symbol but BOS
+            x = np.zeros(size)
+            x[grams] = num
+            t.prob[1:size] = x[1:] / denom + gamma * (1.0 / (size - 1))
+            t.has_prob[1:size] = True
+            continue
+        lower = tables[n - 1].prob[at[n - 2][first]] if n > 1 else 0.0
+        t.prob[grams] = num / denom[row] + gamma[row] * lower
+        t.has_prob[grams] = True
+        if n > 1 and smoothing != "mle":
+            tables[n - 1].bow[hist[starts]] = gamma
+            tables[n - 1].has_bow[hist[starts]] = True
+    return NGramModel(order, smoothing, vocab, tables)
 
 
 def sentence_events(sentence):
@@ -265,16 +334,14 @@ def sentence_events(sentence):
 
 
 def cross_entropy(model, corpus):
-    """Bits per event over word+EOS events of the corpus."""
-    total = 0.0
-    n = 0
-    for words in map(words_of, corpus):
-        for p in model.event_probs(words):
-            total += math.log2(p)
-            n += 1
-    if n == 0:
+    """Bits per event over word+EOS events of the corpus, the logs summed in
+    event order (a cumulative sum adds one value at a time)."""
+    import numpy as np
+
+    probs = model.corpus_event_probs([words_of(s) for s in corpus])
+    if not probs:
         raise ToolkitError("cannot compute cross-entropy of an empty corpus")
-    return -total / n
+    return -float(np.cumsum(list(map(math.log2, probs)))[-1]) / len(probs)
 
 
 def perplexity(model, corpus):
@@ -308,10 +375,13 @@ class MixtureModel:
             w * c.prob(word, history) for w, c in zip(self.weights, self.components)
         )
 
-    def event_probs(self, words):
-        """The mixture's prob(w, h) of each event of a sentence."""
-        columns = zip(*(c.event_probs(words) for c in self.components))
+    def corpus_event_probs(self, sentences):
+        """The mixture's prob(w, h) of every event of the sentences."""
+        columns = zip(*batch_event_probs(self.components, sentences))
         return [sum(w * p for w, p in zip(self.weights, probs)) for probs in columns]
+
+    def event_probs(self, words):
+        return self.corpus_event_probs([words])
 
 
 def interpolate(models, dev_corpus, tol=1e-6, max_iter=100):
@@ -327,7 +397,7 @@ def interpolate(models, dev_corpus, tol=1e-6, max_iter=100):
     sentences = [words_of(s) for s in dev_corpus]
     if not sentences:
         raise ToolkitError("dev corpus is empty")
-    columns = [[p for words in sentences for p in m.event_probs(words)] for m in models]
+    columns = batch_event_probs(models, sentences)
     p = np.array(list(zip(*columns)), dtype=float)
     k = len(models)
     weights = np.full(k, 1.0 / k)
@@ -356,96 +426,142 @@ def interpolate(models, dev_corpus, tol=1e-6, max_iter=100):
 _BOW_ONLY = "-99"
 
 
+def _texts(values, convert=float):
+    """repr(convert(x)) for each float of an array, formatted once per
+    distinct bit pattern (so -0.0 stays apart from 0.0)."""
+    import numpy as np
+
+    bits, inv = np.unique(values.view(np.int64), return_inverse=True)
+    text = [repr(convert(x)) for x in bits.view(np.float64).tolist()]
+    return list(map(text.__getitem__, inv.tolist()))
+
+
 def write_model(model, path):
-    entries = [defaultdict(lambda: [None, None]) for _ in range(model.order + 1)]
-    for ctx, row in model._probs.items():
+    import numpy as np
+
+    size = len(model.vocab)
+    symbols = [model.vocab.symbol(i) for i in range(size)]
+    place = np.empty(size, dtype=np.int64)  # each tuple's rank in symbol-string order
+    place[sorted(range(size), key=symbols.__getitem__)] = np.arange(size)
+    by_symbol, texts = place, symbols
+    header, body = ["\\smoothing: %s" % model.smoothing, "", "\\data\\"], []
+    for n, t in enumerate(model._tables[1:], 1):
+        hist, last = np.divmod(t.keys[:-1], size)
+        perm = np.lexsort((by_symbol[last], place[hist]))
+        place = np.empty(len(perm), dtype=np.int64)
+        place[perm] = np.arange(len(perm))
+        if n > 1:
+            texts = list(map(" ".join, zip(map(texts.__getitem__, hist.tolist()),
+                                           map(symbols.__getitem__, last.tolist()))))
+        rows = perm[(t.has_prob | t.has_bow)[perm]]
+        probs, bows = np.full(len(rows), _BOW_ONLY, dtype=object), np.full(len(rows), "", dtype=object)
+        has = t.has_prob[rows]
         # a model read from a file writes back the log10 values it was read with
-        logs = model._log10probs[ctx] if model._log10probs else {
-            w: math.log10(p) for w, p in row.items()}
-        for w, lp in logs.items():
-            entries[len(ctx) + 1][ctx + (w,)][0] = lp
-    for ctx, b in model._bow.items():  # contexts of one or more words
-        entries[len(ctx)][ctx][1] = b
-    lines = ["\\smoothing: %s" % model.smoothing, "", "\\data\\"]
-    for n in range(1, model.order + 1):
-        lines.append("ngram %d=%d" % (n, len(entries[n])))
-    for n in range(1, model.order + 1):
-        lines.append("")
-        lines.append("\\%d-grams:" % n)
-        keyed = sorted(
-            entries[n].items(),
-            key=lambda kv: tuple(model.vocab.symbol(i) for i in kv[0]),
-        )
-        for g, (lp, b) in keyed:
-            text = " ".join(model.vocab.symbol(i) for i in g)
-            fields = [_BOW_ONLY if lp is None else repr(lp), text]
-            if b is not None:
-                fields.append(repr(b))
-            lines.append("\t".join(fields))
-    lines += ["", "\\end\\", ""]
+        probs[has] = (_texts(t.prob[rows[has]], math.log10) if model._log10 is None
+                      else _texts(model._log10[n][rows[has]]))
+        has = t.has_bow[rows]
+        bows[has] = list(map("\t".__add__, _texts(t.bow[rows[has]])))
+        lines = list(map("".join, zip(probs.tolist(), repeat("\t"),
+                                      map(texts.__getitem__, rows.tolist()), bows.tolist())))
+        header.append("ngram %d=%d" % (n, len(rows)))
+        body += ["", "\\%d-grams:" % n] + lines
+    lines = header + body + ["", "\\end\\", ""]
     Path(path).write_text("\n".join(lines), encoding="utf-8", newline="\n")
 
 
-def _log10_prob(text):
-    """An ARPA log10 probability field whose power of ten is a float."""
-    lp = float(text)
-    if lp > 0.0:
-        10.0 ** lp  # raises OverflowError past the float range
-    return lp
+def _check_line(line, n, path, lineno):
+    """Raise the first fault of a line of the order-n section (n = 0: before
+    the first section), checking its fields in the order they are read."""
+    fields = line.split("\t")
+    if not n or len(fields) < 2:
+        raise FormatError("%s line %d: unexpected line %r" % (path, lineno, line))
+    if fields[1].count(" ") != n - 1:
+        raise FormatError("%s line %d: arity mismatch in %r" % (path, lineno, line))
+    if fields[0] != _BOW_ONLY:
+        parse_field(lambda lp: 10.0 ** float(lp), fields[0], "probability", path, lineno)
+    if len(fields) > 2:
+        parse_field(float, fields[2], "backoff", path, lineno)
+    if n == 1 and not fields[1]:
+        raise FormatError("%s line %d: empty word type" % (path, lineno))
 
 
 def read_model(path):
+    import numpy as np
+
     lines = read_text(path).split("\n")
-    smoothing = "unknown"
-    sizes = {}
-    i = 0
-    while i < len(lines) and lines[i] != "\\data\\":
-        if lines[i].startswith("\\smoothing:"):
-            smoothing = lines[i].split(":", 1)[1].strip()
-        i += 1
-    if i == len(lines):
+    if "\\data\\" not in lines:
         raise FormatError("%s: missing \\data\\ header" % path)
-    i += 1
+    i = lines.index("\\data\\") + 1
+    smoothing = next((line.split(":", 1)[1].strip() for line in reversed(lines[: i - 1])
+                      if line.startswith("\\smoothing:")), "unknown")
+    sizes = {}
     while i < len(lines) and lines[i].startswith("ngram "):
         n, _, size = lines[i][len("ngram ") :].partition("=")
         n = parse_field(int, n, "n-gram order", path, i + 1)
-        sizes[n] = parse_field(int, size, "n-gram count", path, i + 1)
+        sizes[n] = (parse_field(int, size, "n-gram count", path, i + 1), i + 1)
         i += 1
     order = max(sizes) if sizes else 0
     if order < 1:
         raise FormatError("%s: no n-gram sections declared" % path)
-    # the 1-grams come first, so every later symbol resolves as it is read
+    heads = [k for k in compress(count(i), map(str.endswith, lines[i:], repeat("-grams:")))
+             if lines[k].startswith("\\")]
     vocab = Vocabulary()
-    probs = {}
-    bow = {}
-    log10probs = {}
-    current_n = 0
-    for lineno, line in enumerate(lines[i:], i + 1):
-        if not line or line == "\\end\\":
-            continue
-        if line.endswith("-grams:") and line.startswith("\\"):
-            n = parse_field(int, line[1:].split("-")[0], "section order", path, lineno)
-            if n != current_n + 1:
-                raise FormatError("%s line %d: section %s out of order" % (path, lineno, line))
-            current_n = n
-            continue
-        fields = line.split("\t")
-        if not current_n or len(fields) < 2:
-            raise FormatError("%s line %d: unexpected line %r" % (path, lineno, line))
-        symbols = fields[1].split(" ")
-        if len(symbols) != current_n:
-            raise FormatError("%s line %d: arity mismatch in %r" % (path, lineno, line))
-        lp = None if fields[0] == _BOW_ONLY else parse_field(
-            _log10_prob, fields[0], "probability", path, lineno)
-        b = parse_field(float, fields[2], "backoff", path, lineno) if len(fields) > 2 else None
-        if current_n == 1 and symbols[0] not in _RESERVED:
-            if not symbols[0]:
-                raise FormatError("%s line %d: empty word type" % (path, lineno))
-            vocab.add(symbols[0])
-        g = tuple(map(vocab.id, symbols))
-        if lp is not None:
-            probs.setdefault(g[:-1], {})[g[-1]] = 10.0 ** lp
-            log10probs.setdefault(g[:-1], {})[g[-1]] = lp
-        if b is not None:
-            bow[g] = b
-    return NGramModel(order, smoothing, vocab, probs, bow, log10probs=log10probs)
+    blocks = [np.zeros((0, n), dtype=np.int64) for n in range(1, order + 1)]
+    columns, held = [([], [], [], [], [])] * order, {}
+    # lines a+1 .. b-1 hold section n; "section" 0 is what precedes the first
+    for n, (a, b) in enumerate(zip([i - 1] + heads, heads + [len(lines)])):
+        if n and parse_field(int, lines[a][1:].split("-")[0], "section order", path, a + 1) != n:
+            raise FormatError("%s line %d: section %s out of order" % (path, a + 1, lines[a]))
+        if n > order:
+            raise FormatError("%s line %d: section %s above the declared order %d"
+                              % (path, a + 1, lines[a], order))
+        body = list(filter("\\end\\".__ne__, filter(None, lines[a + 1 : b])))
+        # a column at a time, from one flat list of all the fields (no list per
+        # line); a fault is then found by checking each line
+        tabs = np.fromiter(map(str.count, body, repeat("\t")), np.int64, len(body))
+        starts = (np.cumsum(tabs + 1) - tabs - 1).tolist()  # each line's first field
+        fields = "\t".join(body).split("\t")
+        try:
+            if body and (not n or 0 in tabs):
+                raise ValueError
+            texts = list(map(fields.__getitem__, map((1).__add__, starts)))
+            if list(map(str.count, texts, repeat(" "))).count(n - 1) < len(texts) or (
+                    n == 1 and "" in texts):
+                raise ValueError
+            firsts = list(map(fields.__getitem__, starts))
+            has_prob = list(map(_BOW_ONLY.__ne__, firsts))
+            lps = list(map(float, compress(firsts, has_prob)))
+            has_bow = (tabs > 1).tolist()
+            thirds = list(map(fields.__getitem__, map((2).__add__, compress(starts, has_bow))))
+            distinct = set(thirds)  # backoff weights repeat: convert each text once
+            weights = list(map(dict(zip(distinct, map(float, distinct))).__getitem__, thirds))
+            probs = list(map(pow, repeat(10.0), lps))
+        except (ValueError, OverflowError):
+            for k in range(a + 1, b):
+                if lines[k] and lines[k] != "\\end\\":
+                    _check_line(lines[k], n, path, k + 1)
+            raise
+        if n:
+            for t in texts if n == 1 else ():  # 1-grams come first: later symbols resolve
+                vocab.add(t)
+            tokens = " ".join(texts).split(" ") if texts else []
+            ids = np.fromiter(map(vocab._ids.get, tokens, repeat(_UNK_ID)), np.int64, len(tokens))
+            blocks[n - 1] = ids.reshape(-1, n)
+            columns[n - 1] = (has_prob, probs, lps, has_bow, weights)
+            held[n] = len(body)
+    for n, (size, lineno) in sorted(sizes.items()):
+        if size != held.get(n, 0):
+            raise FormatError("%s line %d: ngram %d=%d but its section holds %d n-grams"
+                              % (path, lineno, n, size, held.get(n, 0)))
+    tables, slots = _tables(len(vocab), blocks)
+    log10 = [None]
+    for t, at, (has_prob, probs, lps, has_bow, weights) in zip(tables[1:], slots, columns):
+        log10.append(np.full(len(t.keys), np.nan))
+        for mask, has, pairs in ((has_prob, t.has_prob, ((t.prob, probs), (log10[-1], lps))),
+                                 (has_bow, t.has_bow, ((t.bow, weights),))):
+            rank = at[np.array(mask, dtype=bool)]
+            slot, last = np.unique(rank[::-1], return_index=True)  # a later line wins
+            has[slot] = True
+            for column, values in pairs:
+                column[slot] = np.array(values)[len(rank) - 1 - last]
+    return NGramModel(order, smoothing, vocab, tables, log10)

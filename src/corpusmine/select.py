@@ -16,6 +16,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 from . import lm
@@ -88,36 +89,36 @@ def score_cosine(general, in_domain, threads=1):
 # --- perplexity-based criteria ------------------------------------------------
 
 
+def sentence_cross_entropies(models, sentences):
+    """Per-event cross-entropy (bits) of each sentence, word events plus EOS,
+    under each model; the models score every event in one batch."""
+    sentences = [words_of(s) for s in sentences]
+    scores = []
+    for probs in lm.batch_event_probs(models, sentences):
+        logs = map(math.log2, probs)
+        scores.append([-sum(islice(logs, len(w) + 1)) / (len(w) + 1) for w in sentences])
+    return scores
+
+
 def sentence_cross_entropy(model, sentence):
-    """Per-event cross-entropy (bits) of one sentence: word events plus EOS."""
-    probs = model.event_probs(words_of(sentence))
-    total = sum(math.log2(p) for p in probs)
-    return -total / len(probs)
+    return sentence_cross_entropies([model], [sentence])[0][0]
 
 
 def score_cross_entropy(general, in_lm, threads=1):
-    return [sentence_cross_entropy(in_lm, s) for s in general]
+    return sentence_cross_entropies([in_lm], general)[0]
 
 
 def score_moore_lewis(general, in_lm, out_lm, threads=1):
     """Cross-entropy difference H_in(x) - H_out(x); lower is more in-domain."""
-    return [sentence_cross_entropy(in_lm, s) - sentence_cross_entropy(out_lm, s)
-            for s in general]
+    h_in, h_out = sentence_cross_entropies([in_lm, out_lm], general)
+    return [a - b for a, b in zip(h_in, h_out)]
 
 
 def score_bilingual_ml(general, in_src_lm, out_src_lm, in_tgt_lm, out_tgt_lm, threads=1):
     """Bilingual cross-entropy difference summed over both sides of each pair."""
-
-    def one(pair):
-        return (
-            sentence_cross_entropy(in_src_lm, pair.source)
-            - sentence_cross_entropy(out_src_lm, pair.source)
-        ) + (
-            sentence_cross_entropy(in_tgt_lm, pair.target)
-            - sentence_cross_entropy(out_tgt_lm, pair.target)
-        )
-
-    return [one(pair) for pair in general]
+    src = sentence_cross_entropies([in_src_lm, out_src_lm], [pair.source for pair in general])
+    tgt = sentence_cross_entropies([in_tgt_lm, out_tgt_lm], [pair.target for pair in general])
+    return [(a - b) + (c - d) for a, b, c, d in zip(*src, *tgt)]
 
 
 def sample_out_subset(general, size, seed):

@@ -8,6 +8,7 @@ filtering, and the combined document-then-sentence K/N filter.
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 from .corpus import words_of
@@ -119,15 +120,16 @@ def filter_documents_topk(scored_docs, k):
     return [doc_id for doc_id, _ in ranked[:n]]
 
 
-def ppl1(model, sentence):
+def ppl1(model, sentence, probs=None):
     """Perplexity whose word count excludes the end-of-sentence event.
 
     10 ** (-log10 P / W) with P over word events plus EOS and W the number
-    of words only."""
+    of words only.  probs: the sentence's event probabilities under the
+    model, when a batch has already scored them."""
     words = words_of(sentence)
     if not words:
         raise ToolkitError("ppl1 of an empty sentence is undefined")
-    log10p = sum(math.log10(p) for p in model.event_probs(words))
+    log10p = sum(math.log10(p) for p in (model.event_probs(words) if probs is None else probs))
     return 10.0 ** (-log10p / len(words))
 
 
@@ -148,9 +150,12 @@ def combined_filter(docs, topic, k, n, in_lm, loc_weights=None):
         for line in d.all_lines()
         if line.split()
     ]
+    words = [words_of(line) for _, line in sentences]
+    events = iter(in_lm.corpus_event_probs(words))
+    probs = [list(islice(events, len(w) + 1)) for w in words]
     ranked = sorted(
         range(len(sentences)),
-        key=lambda i: (ppl1(in_lm, sentences[i][1]), i),
+        key=lambda i: (ppl1(in_lm, sentences[i][1], probs[i]), i),
     )
     keep = topk_count(n, len(sentences))
     return [sentences[i] for i in ranked[:keep]]

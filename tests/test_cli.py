@@ -36,8 +36,8 @@ def test_version_and_usage_exit_codes(capsys):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # only FMS scoring and EM interpolation need numpy; every other step
-    # should start without paying for its import
+    # numpy is imported by the steps that need it (FMS and the n-gram LM);
+    # every other step should start without paying for its import
     src = Path(cli.__file__).resolve().parents[1]
     probe = "import sys, corpusmine.cli; sys.exit('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -360,6 +360,26 @@ def test_config_file_defaults(work, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("symbol", ["<s>", "</s>"])
+def test_train_lm_rejects_sentence_markers_with_shared_vocabulary(work, capsys, symbol):
+    (work / "marked.txt").write_text("a %s b\n" % symbol, encoding="utf-8")
+    assert run_cli("train-lm", "--input", str(work / "marked.txt"), "--vocab-from",
+                   str(work / "indomain.txt"), "--output", str(work / "m.lm")) == 1
+    err = capsys.readouterr().err
+    assert "error: corpus contains reserved symbol %r" % symbol in err
+    assert "Traceback" not in err
+
+
+def test_config_line_without_equals_names_file_and_line(work, capsys):
+    cfg = work / "c.cfg"
+    cfg.write_text("order=2\n# comment\nno equals\n", encoding="utf-8")
+    assert run_cli("train-lm", "--config", str(cfg), "--input", str(work / "indomain.txt"),
+                   "--output", str(work / "m.lm")) == 1
+    err = capsys.readouterr().err
+    assert "error: %s line 3: config line without '=': 'no equals'" % cfg in err
+    assert "Traceback" not in err
+
+
 def test_topic_and_ppl_filter_cli(work, capsys):
     coll = work / "web.tsv"
     coll.write_text("d1\tthe market fell again\nd2\tdogs bark loudly\n", encoding="utf-8")
@@ -419,6 +439,10 @@ _MODEL_TEXT = ("\\smoothing: witten-bell\n\n\\data\\\nngram 1=3\n\n\\1-grams:\n"
     ("\\1-grams:\n", "\\2-grams:\n-0.5\ta </s>\n\n\\1-grams:\n",
      "line 6: section \\2-grams: out of order"),
     ("-0.5\ta", "-0.5\t", "line 8: empty word type"),
+    ("\n\\end\\\n", "\n\\2-grams:\n-0.1\ta a\n\n\\end\\\n",
+     "line 11: section \\2-grams: above the declared order 1"),
+    ("ngram 1=3", "ngram 1=4", "line 4: ngram 1=4 but its section holds 3 n-grams"),
+    ("-0.5\t<unk>\n", "", "line 4: ngram 1=3 but its section holds 2 n-grams"),
 ])
 def test_perplexity_reports_malformed_model_fields(work, capsys, old, new, message):
     model_path = work / "m.lm"

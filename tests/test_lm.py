@@ -2,13 +2,16 @@
 
 import math
 import random
+import tempfile
 from collections import Counter
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusmine import corpus, lm
+from corpusmine import corpus, lm, select
 from corpusmine.errors import ToolkitError
 
 
@@ -28,7 +31,7 @@ def _brute_force_counts(lines, order):
     for line in lines:
         words = [lm.BOS] * (order - 1) + line.split() + [lm.EOS]
         for n in range(1, order + 1):
-            for i in range(order - 1 if n == order else 0, len(words) - n + 1):
+            for i in range(len(words) - n + 1):
                 g = tuple(words[i : i + n])
                 if g == (lm.BOS,) * n:
                     continue
@@ -267,6 +270,125 @@ def test_train_equals_written_out_formulas(order, smoothing, lines, other_lines,
                 lower = lower[1:]
             p = weight * probs[lower].get(w, 0.0)
             assert model.conditional_ids(w, ctx) == (p if p > 0.0 else lm.UNK_FLOOR)
+
+
+def _walk(probs, bows, word, ctx):
+    """The backoff chain over dict tables: the first stored history, longest
+    first, that holds the word gives its probability, times the backoff
+    weights of the stored histories above it."""
+    factor = 1.0
+    while True:
+        row = probs.get(ctx)
+        if row is not None:
+            if word in row:
+                p = factor * row[word]
+                return p if p > 0.0 else lm.UNK_FLOOR
+            factor *= bows.get(ctx, 0.0)
+        if not ctx:
+            return lm.UNK_FLOOR
+        ctx = ctx[1:]
+
+
+def _file_tables(text, vocab):
+    """Dict tables parsed from model file text, each probability 10 ** log10."""
+    probs, bows = {}, {}
+    for line in text.split("\n"):
+        fields = line.split("\t")
+        if len(fields) < 2:
+            continue
+        g = tuple(vocab.id(w) for w in fields[1].split(" "))
+        if fields[0] != "-99":
+            probs.setdefault(g[:-1], {})[g[-1]] = 10.0 ** float(fields[0])
+        if len(fields) > 2:
+            bows[g] = float(fields[2])
+    return probs, bows
+
+
+def _oracle_events(tables, order, vocab, sentences):
+    """Per sentence, the walked probability of each event of the sentence."""
+    bos, eos = vocab.id(lm.BOS), vocab.id(lm.EOS)
+    out = []
+    for words in sentences:
+        seq = [bos] * (order - 1) + [vocab.id(w) for w in words] + [eos]
+        out.append([_walk(*tables, seq[i], tuple(seq[i - order + 1 : i]))
+                    for i in range(order - 1, len(seq))])
+    return out
+
+
+def _flat(per_sentence):
+    return [p for probs in per_sentence for p in probs]
+
+
+def _padded(model, history):
+    """The ids of the last order - 1 history words, padded with BOS."""
+    m = model.order - 1
+    ctx = [model.vocab.id(w) for w in history][-m:] if m else []
+    return [model.vocab.id(lm.BOS)] * (m - len(ctx)) + ctx
+
+
+_SENTENCES = st.lists(
+    st.one_of(st.lists(st.sampled_from("a b c d x".split()), min_size=1, max_size=1),
+              st.lists(st.sampled_from("a b c d x y".split()), max_size=30)),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    order=st.integers(1, 4),
+    smoothing=st.sampled_from(lm.SMOOTHING_MODES),
+    lines=_TRAIN_LINES,
+    other_lines=_TRAIN_LINES.map(lambda ls: ls + ["b x"]),
+    shared=st.booleans(),
+    # a mixture weight, or no mixture
+    weight=st.one_of(st.none(), st.integers(1, 999_999).map(lambda k: k / 1e6)),
+    # "y" is never trained on; "x" only through the shared vocabulary
+    sentences=_SENTENCES,
+    # for probabilities near 1, where log2 implementations round differently
+    rng=st.randoms(use_true_random=False),
+)
+def test_batch_scores_equal_backoff_walk(order, smoothing, lines, other_lines, shared, weight,
+                                        sentences, rng):
+    vocab = lm.Vocabulary.from_corpus(corpus.Corpus.from_lines(other_lines)) if shared else None
+    model = lm.train(corpus.Corpus.from_lines(lines), order=order, smoothing=smoothing,
+                     vocab=vocab)
+    want = _oracle_events(_formula_model(lines, order, smoothing, model.vocab), order,
+                          model.vocab, sentences)
+    assert model.corpus_event_probs(sentences) == _flat(want)
+    assert want == [[model.conditional_ids(model.vocab.id(w), _padded(model, h))
+                      for w, h in lm.sentence_events(words)] for words in sentences]
+    scored = model
+    if weight is not None:
+        other_order = max(1, order - 1)
+        other = lm.train(corpus.Corpus.from_lines(other_lines), order=other_order,
+                         smoothing=smoothing, vocab=model.vocab)
+        scored = lm.MixtureModel([model, other], [weight, 1 - weight])
+        other_want = _oracle_events(
+            _formula_model(other_lines, other_order, smoothing, model.vocab), other_order,
+            model.vocab, sentences)
+        want = [[weight * p + (1 - weight) * q for p, q in zip(ps, qs)]
+                for ps, qs in zip(want, other_want)]
+        assert scored.corpus_event_probs(sentences) == _flat(want)
+    # cross-entropies take math.log2 of each event and sum in event order
+    assert select.score_cross_entropy(sentences, scored) == [
+        -sum(math.log2(p) for p in ps) / len(ps) for ps in want]
+    total = 0.0
+    for p in (p for ps in want for p in ps):
+        total += math.log2(p)
+    assert lm.cross_entropy(scored, sentences) == -total / sum(map(len, want))
+    for p in [rng.uniform(0.5, 1.0) for _ in range(20)]:  # one event: no sum hides a last bit
+        fixed = SimpleNamespace(corpus_event_probs=lambda _: [p])
+        assert select.score_cross_entropy([[]], fixed) == [-math.log2(p)]
+        assert lm.cross_entropy(fixed, [[]]) == -math.log2(p)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "m1.lm"), Path(tmp, "m2.lm")
+        lm.write_model(model, first)
+        loaded = lm.read_model(first)
+        lm.write_model(loaded, second)
+        text = first.read_text(encoding="utf-8")
+        assert second.read_text(encoding="utf-8") == text
+    assert loaded.corpus_event_probs(sentences) == _flat(_oracle_events(
+        _file_tables(text, loaded.vocab), order, loaded.vocab, sentences))
 
 
 def test_mixture_validation():
