@@ -7,5 +7,4 @@ evaluates the resulting corpora.
 
 __version__ = "0.1.0"
 
-from . import combine, corpus, lm, metrics, retrieve, select, webfilter  # noqa: F401
 from .errors import FormatError, MissingFactorError, ToolkitError  # noqa: F401

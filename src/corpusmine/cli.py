@@ -13,8 +13,8 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from . import __version__, combine, corpus, lm, metrics, retrieve, select, webfilter
-from .errors import FormatError, ToolkitError, read_text
+from . import __version__, corpus
+from .errors import FormatError, ToolkitError, read_text, write_text
 
 
 def _sha256(path):
@@ -47,28 +47,22 @@ class Run:
 
     def write(self, output):
         lines = ["subcommand=%s" % self.subcommand, "version=%s" % __version__]
-        for key in sorted(self.params):
-            lines.append("parameter.%s=%s" % (key, self.params[key]))
-        for name in sorted(self.inputs):
-            path, digest = self.inputs[name]
-            lines.append("input.%s=%s sha256=%s" % (name, path, digest))
+        lines += ["parameter.%s=%s" % (k, self.params[k]) for k in sorted(self.params)]
+        lines += ["input.%s=%s sha256=%s" % (k, *self.inputs[k]) for k in sorted(self.inputs)]
         lines.append("duration_s=%.6f" % (time.monotonic() - self.started))
-        Path(str(output) + ".manifest").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8", newline="\n"
-        )
+        write_text(str(output) + ".manifest", "\n".join(lines) + "\n")
 
     def header(self, output, extra=None):
-        lines = ["# manifest: %s" % self.manifest_name(output)]
-        for key, value in (extra or {}).items():
-            lines.append("# %s: %s" % (key, value))
-        return lines
+        """`# key: value` lines, the manifest's name first, then extra's items."""
+        items = [("manifest", self.manifest_name(output))] + list((extra or {}).items())
+        return ["# %s: %s" % item for item in items]
 
 
 def _emit(output, text, run=None):
     if output is None:
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text, encoding="utf-8", newline="\n")
+        write_text(output, text)
         if run is not None:
             run.write(output)
 
@@ -131,10 +125,9 @@ def _cmd_preprocess(args, parser):
         if args.hyphen_alt:
             run.input("lexicon", args.hyphen_alt)
             lexicon = corpus.Lexicon.load(args.hyphen_alt)
-            text = "".join(
+            _emit(args.output, "".join(
                 corpus.hyphen_alt_markup(s, lexicon) + "\n" for s in data.sentences
-            )
-            Path(args.output).write_text(text, encoding="utf-8", newline="\n")
+            ))
         else:
             corpus.save_corpus(data, args.output, format=args.format if args.format == "factored" else "plain")
         run.write(args.output)
@@ -151,6 +144,8 @@ def _load_view(path, fmt, view):
 
 
 def _cmd_train_lm(args, parser):
+    from . import lm
+
     run = Run("train-lm")
     for key in ("order", "smoothing", "format", "view"):
         run.param(key, getattr(args, key))
@@ -170,6 +165,8 @@ def _cmd_train_lm(args, parser):
 
 
 def _cmd_perplexity(args, parser):
+    from . import lm
+
     run = Run("perplexity")
     run.input("lm", args.lm)
     run.input("input", args.input)
@@ -185,6 +182,8 @@ def _cmd_perplexity(args, parser):
 
 
 def _cmd_score(args, parser):
+    from . import lm, select
+
     run = Run("score")
     # --threads is accepted and has no effect, so it is not recorded
     for key in ("criterion", "view", "order", "smoothing", "seed", "fms_cutoff"):
@@ -279,6 +278,8 @@ def _cmd_score(args, parser):
 
 
 def _cmd_select(args, parser):
+    from . import select
+
     run = Run("select")
     run.input("scores", args.scores)
     run.param("k", args.k)
@@ -315,6 +316,8 @@ def _numbers(text, option):
 
 
 def _cmd_combine(args, parser):
+    from . import combine, lm, select
+
     run = Run("combine")
     run.param("mode", args.mode)
     weights = _numbers(args.weights, "--weights") if args.weights else None
@@ -337,9 +340,7 @@ def _cmd_combine(args, parser):
         for i, p in enumerate(args.selection):
             run.input("selection%d" % i, p)
         merged = combine.combine_naive_rank(ranked, args.target_size)
-        lines = ["# manifest: %s" % run.manifest_name(args.output)]
-        lines += [str(i) for i in merged]
-        Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        _emit(args.output, "\n".join(run.header(args.output) + list(map(str, merged))) + "\n")
     elif args.mode == "tables":
         if not args.table:
             parser.error("--mode tables needs --table (repeatable)")
@@ -360,12 +361,12 @@ def _cmd_combine(args, parser):
         mixture = combine.combine_advanced_lm(
             sets, dev, order=args.order, smoothing=args.smoothing
         )
-        lines = ["# manifest: %s" % run.manifest_name(args.output)]
+        lines = run.header(args.output)
         for i, (w, component) in enumerate(zip(mixture.weights, mixture.components)):
             component_path = "%s.%d.lm" % (args.output, i)
             lm.write_model(component, component_path)
             lines.append("%s\t%s" % (repr(w), Path(component_path).name))
-        Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        _emit(args.output, "\n".join(lines) + "\n")
     else:
         parser.error("unknown combine mode %r" % args.mode)
     run.write(args.output)
@@ -374,6 +375,8 @@ def _cmd_combine(args, parser):
 
 
 def _cmd_retrieve(args, parser):
+    from . import retrieve
+
     run = Run("retrieve")
     for key in ("lambda_percent", "n_best", "delta", "multiplier"):
         run.param(key, getattr(args, key))
@@ -411,6 +414,8 @@ def _cmd_retrieve(args, parser):
 
 
 def _cmd_estimate_delta(args, parser):
+    from . import retrieve
+
     run = Run("estimate-delta")
     if args.input:
         run.input("input", args.input)
@@ -429,6 +434,8 @@ def _cmd_estimate_delta(args, parser):
 
 
 def _location_weights(args, parser):
+    from . import webfilter
+
     if args.location_weights is None:
         return webfilter.LocationWeights()
     parts = _numbers(args.location_weights, "--location-weights")
@@ -438,6 +445,8 @@ def _location_weights(args, parser):
 
 
 def _cmd_topic_filter(args, parser):
+    from . import webfilter
+
     run = Run("topic-filter")
     run.param("k", args.k)
     run.param("location_weights", args.location_weights)
@@ -460,6 +469,8 @@ def _cmd_topic_filter(args, parser):
 
 
 def _cmd_ppl_filter(args, parser):
+    from . import lm, webfilter
+
     run = Run("ppl-filter")
     run.param("k", args.k)
     run.param("n", args.n)
@@ -483,6 +494,8 @@ def _cmd_ppl_filter(args, parser):
 
 
 def _cmd_diagnose(args, parser):
+    from . import metrics, select
+
     run = Run("diagnose")
     rows = []
     if args.corpus:
@@ -517,6 +530,8 @@ def _cmd_diagnose(args, parser):
 
 
 def _cmd_bleu(args, parser):
+    from . import metrics
+
     run = Run("bleu")
     run.input("hypothesis", args.hypothesis)
     run.input("reference", args.reference)
@@ -605,7 +620,7 @@ def build_parser():
     p.add_argument("--scores", required=True)
     p.add_argument("--k", type=float)
     p.add_argument("--theta", type=float)
-    p.add_argument("--direction", choices=[select.HIGHER, select.LOWER])
+    p.add_argument("--direction", choices=["higher-is-better", "lower-is-better"])
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_select)
 
@@ -643,7 +658,7 @@ def build_parser():
     p.add_argument("--output")
     p.set_defaults(func=_cmd_estimate_delta)
 
-    p = sub.add_parser("topic-filter", help="top-K% documents by topic relevance")
+    p = sub.add_parser("topic-filter", help="top-K%% documents by topic relevance")
     p.add_argument("--collection", required=True)
     p.add_argument("--topic", required=True)
     p.add_argument("--k", type=float, required=True)
@@ -698,15 +713,10 @@ def _apply_config(argv, parser):
             raise FormatError("%s line %d: config line without '=': %r" % (path, lineno, line))
         key, value = line.split("=", 1)
         value = value.strip()
+        # other values stay text: argparse converts a text default with its
+        # option's type=, as it converts the same value given as a flag
         if value.lower() in ("true", "false"):
             value = value.lower() == "true"
-        else:
-            for cast in (int, float):
-                try:
-                    value = cast(value)
-                    break
-                except ValueError:
-                    pass
         defaults[key.strip().replace("-", "_")] = value
     rest = argv[:i] + argv[i + 2 :]
     parser.set_defaults(**defaults)

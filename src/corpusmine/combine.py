@@ -7,10 +7,9 @@ trained per selection source.
 
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 
 from . import lm
-from .errors import FormatError, ToolkitError, parse_field, read_text
+from .errors import FormatError, ToolkitError, finite, parse_field, read_text, write_text
 
 
 @dataclass
@@ -138,7 +137,7 @@ def read_table(path):
         if len(fields) != 3:
             raise FormatError("%s line %d: expected 'src ||| tgt ||| scores'"
                               % (path, lineno))
-        scores = tuple(parse_field(float, s, "score", path, lineno) for s in fields[2].split())
+        scores = tuple(parse_field(finite, s, "score", path, lineno) for s in fields[2].split())
         if arity is None:
             arity = len(scores)
         elif len(scores) != arity:
@@ -154,7 +153,7 @@ def write_table(table, path):
         "%s ||| %s ||| %s" % (src, tgt, " ".join(repr(s) for s in table.rows[(src, tgt)]))
         for src, tgt in sorted(table.rows)
     ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_weighted_corpus(wc, path, replicate=False):
@@ -169,7 +168,7 @@ def write_weighted_corpus(wc, path, replicate=False):
             lines.extend([text] * max(1, round(entry.weight)))
         else:
             lines.append("%s\t%s\t%s" % (repr(entry.weight), ",".join(entry.provenance), text))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def combine_advanced_lm(per_source_sets, dev_corpus, order=4,

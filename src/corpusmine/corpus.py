@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .errors import FormatError, MissingFactorError, ToolkitError, read_text
+from .errors import FormatError, MissingFactorError, ToolkitError, read_text, write_text
 
 FACTOR_SEP = "|"
 NUMBER_PLACEHOLDER = "@num@"
@@ -221,15 +221,11 @@ def load_parallel(source_path, target_path, format="plain", id=None):
 
 def save_corpus(corpus, path, format="plain"):
     render = (lambda s: s.factored_text()) if format == "factored" else (lambda s: s.text)
-    data = "".join(render(s) + "\n" for s in corpus.sentences)
-    Path(path).write_text(data, encoding="utf-8", newline="\n")
+    write_text(path, "".join(render(s) + "\n" for s in corpus.sentences))
 
 
 def save_parallel(corpus, path):
-    data = "".join(
-        p.source.text + "\t" + p.target.text + "\n" for p in corpus.pairs
-    )
-    Path(path).write_text(data, encoding="utf-8", newline="\n")
+    write_text(path, "".join(p.source.text + "\t" + p.target.text + "\n" for p in corpus.pairs))
 
 
 def dedup(corpus):

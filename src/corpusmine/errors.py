@@ -1,6 +1,8 @@
-"""Exception hierarchy shared by all corpusmine modules, and the input helpers
-that raise its errors."""
+"""Exception hierarchy shared by all corpusmine modules, and the helpers that
+every file reader and writer goes through."""
 
+import math
+import os
 from pathlib import Path
 
 
@@ -25,9 +27,34 @@ def parse_field(convert, text, what, path, lineno):
         raise FormatError("%s line %d: bad %s %r" % (path, lineno, what, text)) from None
 
 
+def finite(text):
+    """float(text) for a numeric field, which may not be nan or +-inf."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(text)
+    return x
+
+
 def read_text(path):
     """The text of a UTF-8 file, or a FormatError naming the file."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError("%s is not valid UTF-8: %s" % (path, exc)) from exc
+
+
+def write_text(path, text):
+    """Replace path with text (UTF-8, \\n newlines) by way of `<path>.tmp`: a
+    write that fails leaves the old file and no temp, a killed one no torn file."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        # a rename would put a regular file in place of a device or pipe
+        raise ToolkitError("%s is not a regular file" % path)
+    path = os.path.realpath(path)  # through a symlink to its target, as open() goes
+    tmp = "%s.tmp" % path
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise

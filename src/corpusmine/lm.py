@@ -14,10 +14,9 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
-from pathlib import Path
 
 from .corpus import words_of
-from .errors import FormatError, ToolkitError, parse_field, read_text
+from .errors import FormatError, ToolkitError, finite, parse_field, read_text, write_text
 
 logger = logging.getLogger("corpusmine.lm")
 
@@ -466,7 +465,7 @@ def write_model(model, path):
         header.append("ngram %d=%d" % (n, len(rows)))
         body += ["", "\\%d-grams:" % n] + lines
     lines = header + body + ["", "\\end\\", ""]
-    Path(path).write_text("\n".join(lines), encoding="utf-8", newline="\n")
+    write_text(path, "\n".join(lines))
 
 
 def _check_line(line, n, path, lineno):
@@ -478,9 +477,9 @@ def _check_line(line, n, path, lineno):
     if fields[1].count(" ") != n - 1:
         raise FormatError("%s line %d: arity mismatch in %r" % (path, lineno, line))
     if fields[0] != _BOW_ONLY:
-        parse_field(lambda lp: 10.0 ** float(lp), fields[0], "probability", path, lineno)
+        parse_field(lambda lp: 10.0 ** finite(lp), fields[0], "probability", path, lineno)
     if len(fields) > 2:
-        parse_field(float, fields[2], "backoff", path, lineno)
+        parse_field(finite, fields[2], "backoff", path, lineno)
     if n == 1 and not fields[1]:
         raise FormatError("%s line %d: empty word type" % (path, lineno))
 
@@ -534,7 +533,10 @@ def read_model(path):
             has_bow = (tabs > 1).tolist()
             thirds = list(map(fields.__getitem__, map((2).__add__, compress(starts, has_bow))))
             distinct = set(thirds)  # backoff weights repeat: convert each text once
-            weights = list(map(dict(zip(distinct, map(float, distinct))).__getitem__, thirds))
+            weight = dict(zip(distinct, map(float, distinct)))
+            if not all(map(math.isfinite, chain(lps, weight.values()))):
+                raise ValueError
+            weights = list(map(weight.__getitem__, thirds))
             probs = list(map(pow, repeat(10.0), lps))
         except (ValueError, OverflowError):
             for k in range(a + 1, b):

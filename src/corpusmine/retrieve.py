@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FormatError, ToolkitError, read_text
+from .errors import FormatError, ToolkitError, read_text, write_text
 
 
 @dataclass(frozen=True)
@@ -241,4 +241,4 @@ def result_rows(results):
 
 def write_results(results, path, header_lines=()):
     lines = list(header_lines) + result_rows(results)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_text(path, "\n".join(lines) + "\n")

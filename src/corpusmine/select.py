@@ -17,11 +17,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from pathlib import Path
 
 from . import lm
 from .corpus import Corpus, factor_view, words_of
-from .errors import FormatError, ToolkitError, parse_field, read_text
+from .errors import FormatError, ToolkitError, finite, parse_field, read_text, write_text
 
 HIGHER = "higher-is-better"
 LOWER = "lower-is-better"
@@ -418,7 +417,7 @@ def format_scores(scores, meta=None):
 
 
 def write_scores(path, scores, meta=None):
-    Path(path).write_text(format_scores(scores, meta), encoding="utf-8", newline="\n")
+    write_text(path, format_scores(scores, meta))
 
 
 def _read_annotated(path, parse_row):
@@ -452,7 +451,7 @@ def _score_row(line, path, lineno):
     if len(fields) != 2:
         raise FormatError("%s line %d: expected index<TAB>score" % (path, lineno))
     return (parse_field(_index, fields[0], "index", path, lineno),
-            parse_field(float, fields[1], "score", path, lineno), lineno)
+            parse_field(finite, fields[1], "score", path, lineno), lineno)
 
 
 def read_scores(path):
@@ -477,7 +476,7 @@ def write_selection(path, result, meta=None):
     header.update(meta or {})
     lines = ["# %s: %s" % (k, v) for k, v in header.items()]
     lines += [str(i) for i in result.indices]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _selection_row(line, path, lineno):

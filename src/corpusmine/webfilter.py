@@ -12,7 +12,7 @@ from itertools import islice
 from pathlib import Path
 
 from .corpus import words_of
-from .errors import FormatError, ToolkitError, parse_field, read_text
+from .errors import FormatError, ToolkitError, finite, parse_field, read_text
 from .select import topk_count
 
 LOCATIONS = ("title", "headings", "metadata", "body")
@@ -178,7 +178,7 @@ def load_topic_file(path):
         tokens = tuple(fields[0].split())
         if not tokens:
             raise FormatError("%s line %d: empty term" % (path, lineno))
-        weight = (parse_field(float, fields[1], "weight", path, lineno) if fields[1].strip()
+        weight = (parse_field(finite, fields[1], "weight", path, lineno) if fields[1].strip()
                   else default_term_weight(tokens))
         entries.append(TopicTerm(tokens, weight, fields[2]))
     return TopicDefinition(entries)

@@ -30,6 +30,7 @@ def work(tmp_path):
 
 def test_version_and_usage_exit_codes(capsys):
     assert run_cli("--version") == 0
+    assert run_cli("--help") == 0
     assert run_cli() == 2  # missing subcommand is a usage error
     assert run_cli("score", "--criterion", "bogus", "--general", "x") == 2
     capsys.readouterr()
@@ -43,6 +44,29 @@ def test_cli_import_leaves_numpy_unloaded():
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", probe], env=env)
     assert done.returncode == 0
+
+
+def test_cli_import_loads_no_step_module():
+    # each step imports the modules it runs; the parser and --version need none
+    src = Path(cli.__file__).resolve().parents[1]
+    steps = ["corpusmine.%s" % m for m in
+             ("lm", "select", "combine", "retrieve", "webfilter", "metrics")]
+    probe = ("import sys, corpusmine.cli; corpusmine.cli.build_parser(); "
+             "print(' '.join(sorted(set(%r) & set(sys.modules))))" % steps)
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0 and done.stdout.strip() == ""
+
+
+def test_direction_choices_are_the_select_directions(capsys):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if a.dest == "subcommand")
+    direction = next(a for a in sub.choices["select"]._actions if a.dest == "direction")
+    assert direction.choices == [select.HIGHER, select.LOWER]
+    assert run_cli("select", "--scores", "s", "--k", "1", "--output", "o",
+                   "--direction", "up") == 2
+    capsys.readouterr()
 
 
 def test_missing_file_is_exit_1(tmp_path, capsys):
@@ -102,6 +126,47 @@ def test_score_select_round_trip(work, capsys):
     capsys.readouterr()
 
 
+def test_failed_write_keeps_the_old_output(work, capsys, monkeypatch):
+    scores_path = work / "scores.tsv"
+    assert run_cli("score", "--criterion", "cosine", "--general", str(work / "general.txt"),
+                   "--in-domain", str(work / "indomain.txt"), "--output", str(scores_path)) == 0
+    out = work / "out.sel"
+    assert run_cli("select", "--scores", str(scores_path), "--k", "40",
+                   "--output", str(out)) == 0
+    assert not list(work.glob("*.tmp"))
+    before = {p.name: p.read_bytes() for p in work.iterdir()}
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    capsys.readouterr()
+    assert run_cli("select", "--scores", str(scores_path), "--k", "100",
+                   "--output", str(out)) == 1
+    assert "error: replace failed" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+    assert not list(work.glob("*.tmp"))
+
+
+def test_output_that_is_not_a_regular_file_is_an_error(work, capsys):
+    pipe = work / "pipe"
+    os.mkfifo(pipe)
+    assert run_cli("preprocess", "--input", str(work / "general.txt"),
+                   "--output", str(pipe)) == 1
+    assert "error: %s is not a regular file" % pipe in capsys.readouterr().err
+    assert pipe.is_fifo() and not list(work.glob("*.tmp"))
+
+
+def test_output_through_a_symlink_replaces_its_target(work, capsys):
+    (work / "real.txt").write_text("old\n", encoding="utf-8")
+    (work / "link.txt").symlink_to("real.txt")
+    assert run_cli("preprocess", "--input", str(work / "indomain.txt"),
+                   "--output", str(work / "link.txt")) == 0
+    assert (work / "link.txt").is_symlink()
+    assert (work / "real.txt").read_bytes() == (work / "indomain.txt").read_bytes()
+    capsys.readouterr()
+
+
 def test_score_stdout_rows_equal_output_rows(work, capsys):
     argv = ["score", "--criterion", "cosine", "--general", str(work / "general.txt"),
             "--in-domain", str(work / "indomain.txt")]
@@ -122,6 +187,7 @@ def test_score_stdout_rows_equal_output_rows(work, capsys):
     ("1\tzz", "line 3: bad score 'zz'"),
     ("1 0.2", "line 3: expected index<TAB>score"),
     ("1\t0.2\t7", "line 3: expected index<TAB>score"),
+    ("1\tnan", "line 3: bad score 'nan'"),
 ])
 def test_select_reports_malformed_score_rows(work, capsys, row, message):
     scores_path = work / "scores.tsv"
@@ -176,6 +242,10 @@ def test_combine_tables_reports_bad_score_field(work, capsys):
     assert run_cli("combine", "--mode", "tables", "--table", str(table),
                    "--output", str(work / "out.txt")) == 1
     assert "error: %s line 2: bad score 'zz'" % table in capsys.readouterr().err
+    table.write_text("a ||| x ||| 0.5 0.5\nb ||| y ||| 0.25 inf\n", encoding="utf-8")
+    assert run_cli("combine", "--mode", "tables", "--table", str(table),
+                   "--output", str(work / "out.txt")) == 1
+    assert "error: %s line 2: bad score 'inf'" % table in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fmt, line, message", [
@@ -358,6 +428,12 @@ def test_config_file_defaults(work, capsys):
                    "--input", str(work / "indomain.txt"),
                    "--output", str(model_path)) == 1
     capsys.readouterr()
+    # a config value goes through its option's type=, as a flag value does
+    bad.write_text("order=inf\n", encoding="utf-8")
+    assert run_cli("train-lm", "--config", str(bad),
+                   "--input", str(work / "indomain.txt"),
+                   "--output", str(model_path)) == 2
+    assert "argument --order: invalid int value: 'inf'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("symbol", ["<s>", "</s>"])
@@ -425,6 +501,11 @@ def test_ppl_filter_rejects_non_numeric_topic_weight(work, capsys):
     err = capsys.readouterr().err
     assert "error: %s line 2: bad weight 'abc'" % topic in err
     assert "Traceback" not in err
+    topic.write_text("market\tnan\tFIN\n", encoding="utf-8")
+    assert run_cli("ppl-filter", "--collection", str(coll), "--topic", str(topic),
+                   "--k", "50", "--n", "100", "--lm", str(model_path),
+                   "--output", str(work / "out.tsv")) == 1
+    assert "error: %s line 1: bad weight 'nan'" % topic in capsys.readouterr().err
 
 
 _MODEL_TEXT = ("\\smoothing: witten-bell\n\n\\data\\\nngram 1=3\n\n\\1-grams:\n"
@@ -443,6 +524,9 @@ _MODEL_TEXT = ("\\smoothing: witten-bell\n\n\\data\\\nngram 1=3\n\n\\1-grams:\n"
      "line 11: section \\2-grams: above the declared order 1"),
     ("ngram 1=3", "ngram 1=4", "line 4: ngram 1=4 but its section holds 3 n-grams"),
     ("-0.5\t<unk>\n", "", "line 4: ngram 1=3 but its section holds 2 n-grams"),
+    ("-0.5\ta", "nan\ta", "line 8: bad probability 'nan'"),
+    ("-0.5\ta", "inf\ta", "line 8: bad probability 'inf'"),
+    ("-0.5\ta", "-0.5\ta\tnan", "line 8: bad backoff 'nan'"),
 ])
 def test_perplexity_reports_malformed_model_fields(work, capsys, old, new, message):
     model_path = work / "m.lm"
