@@ -14,7 +14,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import __version__, corpus
-from .errors import FormatError, ToolkitError, read_text, write_text
+from .errors import FormatError, ToolkitError, finite, read_text, write_text
 
 
 def _sha256(path):
@@ -308,9 +308,9 @@ def _cmd_select(args, parser):
 
 
 def _numbers(text, option):
-    """The floats of a comma-separated option value."""
+    """The finite floats of a comma-separated option value."""
     try:
-        return [float(p) for p in text.split(",")]
+        return [finite(p) for p in text.split(",")]
     except ValueError:
         raise ToolkitError("%s needs comma-separated numbers, got %r" % (option, text)) from None
 
@@ -608,7 +608,7 @@ def build_parser():
     p.add_argument("--in-tgt-lm")
     p.add_argument("--out-tgt-lm")
     p.add_argument("--view", choices=list(corpus.FACTOR_VIEWS))
-    p.add_argument("--fms-cutoff", type=float)
+    p.add_argument("--fms-cutoff", type=finite)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; scoring runs on one thread")
@@ -618,8 +618,8 @@ def build_parser():
 
     p = sub.add_parser("select", help="top-K or threshold selection from a score file")
     p.add_argument("--scores", required=True)
-    p.add_argument("--k", type=float)
-    p.add_argument("--theta", type=float)
+    p.add_argument("--k", type=finite)
+    p.add_argument("--theta", type=finite)
     p.add_argument("--direction", choices=["higher-is-better", "lower-is-better"])
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_select)
@@ -642,10 +642,10 @@ def build_parser():
     p = sub.add_parser("retrieve", help="rank collection documents for each query document")
     p.add_argument("--collection", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--lambda", dest="lambda_percent", type=float, required=True)
+    p.add_argument("--lambda", dest="lambda_percent", type=finite, required=True)
     p.add_argument("--n-best", type=int, required=True)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--multiplier", type=float, default=4.0)
+    p.add_argument("--delta", type=finite)
+    p.add_argument("--multiplier", type=finite, default=4.0)
     p.add_argument("--stopwords")
     p.add_argument("--gold")
     p.add_argument("--output")
@@ -661,7 +661,7 @@ def build_parser():
     p = sub.add_parser("topic-filter", help="top-K%% documents by topic relevance")
     p.add_argument("--collection", required=True)
     p.add_argument("--topic", required=True)
-    p.add_argument("--k", type=float, required=True)
+    p.add_argument("--k", type=finite, required=True)
     p.add_argument("--location-weights")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_topic_filter)
@@ -669,8 +669,8 @@ def build_parser():
     p = sub.add_parser("ppl-filter", help="combined topic/perplexity K/N filter")
     p.add_argument("--collection", required=True)
     p.add_argument("--topic")
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--n", type=float, required=True)
+    p.add_argument("--k", type=finite, required=True)
+    p.add_argument("--n", type=finite, required=True)
     p.add_argument("--lm", required=True)
     p.add_argument("--location-weights")
     p.add_argument("--output")

@@ -147,17 +147,42 @@ class Lexicon:
     @classmethod
     def load(cls, path):
         entries = {}
-        for line in _read_lines(path, allow_empty=True):
+        for lineno, line in enumerate(_read_lines(path, allow_empty=True), 1):
             if not line.strip():
                 continue
             fields = line.split("\t")
             if len(fields) < 2:
-                raise FormatError("lexicon line needs source<TAB>target: %r" % line)
+                raise FormatError("%s line %d: lexicon line needs source<TAB>target: %r"
+                                  % (path, lineno, line))
             src, tgt = fields[0], fields[1]
             if " " in src:
-                raise FormatError("lexicon keys must be single tokens: %r" % src)
+                raise FormatError("%s line %d: lexicon keys must be single tokens: %r"
+                                  % (path, lineno, src))
             entries.setdefault(src, tgt)
         return cls(entries)
+
+
+def read_documents(path):
+    """(id, text, where) for each document of a collection: a directory of
+    UTF-8 files (file name = id) or a TSV of `doc_id<TAB>text` lines, whose
+    ids must differ.  `where` names the file, and for a TSV row its line."""
+    path = Path(path)
+    if path.is_dir():
+        return [(child.name, read_text(child), str(child))
+                for child in sorted(path.iterdir()) if child.is_file()]
+    docs, first_line = [], {}
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+        if not line.strip():
+            continue
+        fields = line.split("\t", 1)
+        if len(fields) != 2:
+            raise FormatError("%s line %d: expected doc_id<TAB>text" % (path, lineno))
+        if fields[0] in first_line:
+            raise FormatError("%s line %d: duplicate document id %r (first on line %d)"
+                              % (path, lineno, fields[0], first_line[fields[0]]))
+        first_line[fields[0]] = lineno
+        docs.append((fields[0], fields[1], "%s line %d" % (path, lineno)))
+    return docs
 
 
 def _read_lines(path, allow_empty=False):
@@ -167,7 +192,7 @@ def _read_lines(path, allow_empty=False):
     if not allow_empty:
         for i, line in enumerate(lines):
             if not line.strip():
-                raise FormatError("%s: empty line %d" % (path, i + 1))
+                raise FormatError("%s line %d: empty line" % (path, i + 1))
     return lines
 
 

@@ -35,6 +35,14 @@ def finite(text):
     return x
 
 
+def log10_prob(text):
+    """finite(text) for a log10 probability, which may not be above 0 (p > 1)."""
+    lp = finite(text)
+    if lp > 0:
+        raise ValueError(text)
+    return lp
+
+
 def read_text(path):
     """The text of a UTF-8 file, or a FormatError naming the file."""
     try:

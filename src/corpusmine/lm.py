@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
 
 from .corpus import words_of
-from .errors import FormatError, ToolkitError, finite, parse_field, read_text, write_text
+from .errors import (FormatError, ToolkitError, finite, log10_prob, parse_field, read_text,
+                     write_text)
 
 logger = logging.getLogger("corpusmine.lm")
 
@@ -468,22 +469,6 @@ def write_model(model, path):
     write_text(path, "\n".join(lines))
 
 
-def _check_line(line, n, path, lineno):
-    """Raise the first fault of a line of the order-n section (n = 0: before
-    the first section), checking its fields in the order they are read."""
-    fields = line.split("\t")
-    if not n or len(fields) < 2:
-        raise FormatError("%s line %d: unexpected line %r" % (path, lineno, line))
-    if fields[1].count(" ") != n - 1:
-        raise FormatError("%s line %d: arity mismatch in %r" % (path, lineno, line))
-    if fields[0] != _BOW_ONLY:
-        parse_field(lambda lp: 10.0 ** finite(lp), fields[0], "probability", path, lineno)
-    if len(fields) > 2:
-        parse_field(finite, fields[2], "backoff", path, lineno)
-    if n == 1 and not fields[1]:
-        raise FormatError("%s line %d: empty word type" % (path, lineno))
-
-
 def read_model(path):
     import numpy as np
 
@@ -506,7 +491,7 @@ def read_model(path):
              if lines[k].startswith("\\")]
     vocab = Vocabulary()
     blocks = [np.zeros((0, n), dtype=np.int64) for n in range(1, order + 1)]
-    columns, held = [([], [], [], [], [])] * order, {}
+    columns, held, weight = [([], [], [])] * order, {}, {}
     # lines a+1 .. b-1 hold section n; "section" 0 is what precedes the first
     for n, (a, b) in enumerate(zip([i - 1] + heads, heads + [len(lines)])):
         if n and parse_field(int, lines[a][1:].split("-")[0], "section order", path, a + 1) != n:
@@ -514,56 +499,45 @@ def read_model(path):
         if n > order:
             raise FormatError("%s line %d: section %s above the declared order %d"
                               % (path, a + 1, lines[a], order))
-        body = list(filter("\\end\\".__ne__, filter(None, lines[a + 1 : b])))
-        # a column at a time, from one flat list of all the fields (no list per
-        # line); a fault is then found by checking each line
-        tabs = np.fromiter(map(str.count, body, repeat("\t")), np.int64, len(body))
-        starts = (np.cumsum(tabs + 1) - tabs - 1).tolist()  # each line's first field
-        fields = "\t".join(body).split("\t")
-        try:
-            if body and (not n or 0 in tabs):
-                raise ValueError
-            texts = list(map(fields.__getitem__, map((1).__add__, starts)))
-            if list(map(str.count, texts, repeat(" "))).count(n - 1) < len(texts) or (
-                    n == 1 and "" in texts):
-                raise ValueError
-            firsts = list(map(fields.__getitem__, starts))
-            has_prob = list(map(_BOW_ONLY.__ne__, firsts))
-            lps = list(map(float, compress(firsts, has_prob)))
-            has_bow = (tabs > 1).tolist()
-            thirds = list(map(fields.__getitem__, map((2).__add__, compress(starts, has_bow))))
-            distinct = set(thirds)  # backoff weights repeat: convert each text once
-            weight = dict(zip(distinct, map(float, distinct)))
-            if not all(map(math.isfinite, chain(lps, weight.values()))):
-                raise ValueError
-            weights = list(map(weight.__getitem__, thirds))
-            probs = list(map(pow, repeat(10.0), lps))
-        except (ValueError, OverflowError):
-            for k in range(a + 1, b):
-                if lines[k] and lines[k] != "\\end\\":
-                    _check_line(lines[k], n, path, k + 1)
-            raise
+        texts, lps, weights = [], [], []  # nan: no such field (finite() rejects a nan one)
+        for lineno, line in enumerate(lines[a + 1 : b], a + 2):
+            if not line or line == "\\end\\":
+                continue
+            fields = line.split("\t")
+            if not n or len(fields) < 2:
+                raise FormatError("%s line %d: unexpected line %r" % (path, lineno, line))
+            if fields[1].count(" ") != n - 1:
+                raise FormatError("%s line %d: arity mismatch in %r" % (path, lineno, line))
+            lps.append(math.nan if fields[0] == _BOW_ONLY
+                       else parse_field(log10_prob, fields[0], "probability", path, lineno))
+            if len(fields) > 2 and fields[2] not in weight:  # weights repeat: convert once
+                weight[fields[2]] = parse_field(finite, fields[2], "backoff", path, lineno)
+            weights.append(weight[fields[2]] if len(fields) > 2 else math.nan)
+            if n == 1 and not fields[1]:
+                raise FormatError("%s line %d: empty word type" % (path, lineno))
+            texts.append(fields[1])
         if n:
             for t in texts if n == 1 else ():  # 1-grams come first: later symbols resolve
                 vocab.add(t)
             tokens = " ".join(texts).split(" ") if texts else []
             ids = np.fromiter(map(vocab._ids.get, tokens, repeat(_UNK_ID)), np.int64, len(tokens))
             blocks[n - 1] = ids.reshape(-1, n)
-            columns[n - 1] = (has_prob, probs, lps, has_bow, weights)
-            held[n] = len(body)
+            columns[n - 1] = (lps, list(map(pow, repeat(10.0), lps)), weights)
+            held[n] = len(texts)
     for n, (size, lineno) in sorted(sizes.items()):
         if size != held.get(n, 0):
             raise FormatError("%s line %d: ngram %d=%d but its section holds %d n-grams"
                               % (path, lineno, n, size, held.get(n, 0)))
     tables, slots = _tables(len(vocab), blocks)
     log10 = [None]
-    for t, at, (has_prob, probs, lps, has_bow, weights) in zip(tables[1:], slots, columns):
+    for t, at, (lps, probs, weights) in zip(tables[1:], slots, columns):
         log10.append(np.full(len(t.keys), np.nan))
-        for mask, has, pairs in ((has_prob, t.has_prob, ((t.prob, probs), (log10[-1], lps))),
-                                 (has_bow, t.has_bow, ((t.bow, weights),))):
-            rank = at[np.array(mask, dtype=bool)]
+        for has, pairs in ((t.has_prob, ((t.prob, probs), (log10[-1], lps))),
+                           (t.has_bow, ((t.bow, weights),))):
+            given = ~np.isnan(pairs[0][1])
+            rank = at[given]
             slot, last = np.unique(rank[::-1], return_index=True)  # a later line wins
             has[slot] = True
             for column, values in pairs:
-                column[slot] = np.array(values)[len(rank) - 1 - last]
+                column[slot] = np.array(values)[given][len(rank) - 1 - last]
     return NGramModel(order, smoothing, vocab, tables, log10)

@@ -9,8 +9,8 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
+from .corpus import read_documents
 from .errors import FormatError, ToolkitError, read_text, write_text
 
 
@@ -185,28 +185,12 @@ def evaluate_retrieval(results, gold):
 def load_collection(path):
     """Load documents from a TSV of `doc_id<TAB>text` or a directory of
     UTF-8 token files (file name = document id)."""
-    path = Path(path)
     docs = []
-    if path.is_dir():
-        for child in sorted(path.iterdir()):
-            if child.is_file():
-                tokens = tuple(read_text(child).split())
-                docs.append(Document(child.name, tokens))
-    else:
-        first_line = {}
-        for lineno, line in enumerate(read_text(path).splitlines(), 1):
-            if not line.strip():
-                continue
-            fields = line.split("\t", 1)
-            if len(fields) != 2:
-                raise FormatError("%s line %d: expected doc_id<TAB>text" % (path, lineno))
-            if fields[0] in first_line:
-                raise FormatError("%s line %d: duplicate document id %r (first on line %d)"
-                                  % (path, lineno, fields[0], first_line[fields[0]]))
-            first_line[fields[0]] = lineno
-            if not fields[1].split():
-                raise FormatError("%s line %d: document %r is empty" % (path, lineno, fields[0]))
-            docs.append(Document(fields[0], tuple(fields[1].split())))
+    for doc_id, text, where in read_documents(path):
+        tokens = tuple(text.split())
+        if not tokens:
+            raise FormatError("%s: document %r is empty" % (where, doc_id))
+        docs.append(Document(doc_id, tokens))
     return docs
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
-from .corpus import words_of
+from .corpus import read_documents, words_of
 from .errors import FormatError, ToolkitError, finite, parse_field, read_text
 from .select import topk_count
 
@@ -184,9 +184,9 @@ def load_topic_file(path):
     return TopicDefinition(entries)
 
 
-def parse_located_document(doc_id, text):
-    """Sectioned text with #title/#headings/#metadata/#body markers; plain
-    text without markers is treated as all-body."""
+def parse_located_document(doc_id, text, path):
+    """Sectioned text (of the file at path) with #title/#headings/#metadata/#body
+    markers; plain text without markers is treated as all-body."""
     sections = {}
     current = None
     has_marker = any(
@@ -195,7 +195,7 @@ def parse_located_document(doc_id, text):
     if not has_marker:
         body = [line for line in text.splitlines() if line.strip()]
         return LocatedDocument(doc_id, {"body": body})
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if stripped in ("#" + loc for loc in LOCATIONS):
             current = stripped[1:]
@@ -204,8 +204,8 @@ def parse_located_document(doc_id, text):
         if not stripped:
             continue
         if current is None:
-            raise FormatError("document %r: content before the first section marker"
-                              % doc_id)
+            raise FormatError("%s line %d: content before the first section marker"
+                              % (path, lineno))
         sections[current].append(line)
     return LocatedDocument(doc_id, sections)
 
@@ -213,18 +213,7 @@ def parse_located_document(doc_id, text):
 def load_located_collection(path):
     """Directory of sectioned/plain document files, or a TSV of
     `doc_id<TAB>text` treated as all-body documents."""
-    path = Path(path)
-    docs = []
-    if path.is_dir():
-        for child in sorted(path.iterdir()):
-            if child.is_file():
-                docs.append(parse_located_document(child.name, read_text(child)))
-    else:
-        for lineno, line in enumerate(read_text(path).splitlines(), 1):
-            if not line.strip():
-                continue
-            fields = line.split("\t", 1)
-            if len(fields) != 2:
-                raise FormatError("%s line %d: expected doc_id<TAB>text" % (path, lineno))
-            docs.append(LocatedDocument(fields[0], {"body": [fields[1]]}))
-    return docs
+    pages = Path(path).is_dir()
+    return [parse_located_document(doc_id, text, where) if pages
+            else LocatedDocument(doc_id, {"body": [text]})
+            for doc_id, text, where in read_documents(path)]

@@ -227,6 +227,31 @@ def test_non_numeric_weights_are_errors(work, capsys, argv, option):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["select", "--scores", "s.tsv", "--theta", "nan"], 2),
+    (["retrieve", "--collection", "web.tsv", "--queries", "web.tsv", "--lambda", "0.5",
+      "--n-best", "1", "--delta", "nan"], 2),
+    (["retrieve", "--collection", "web.tsv", "--queries", "web.tsv", "--lambda", "0.5",
+      "--n-best", "1", "--multiplier", "inf"], 2),
+    (["score", "--criterion", "fms", "--general", "general.txt", "--in-domain",
+      "indomain.txt", "--fms-cutoff", "nan"], 2),
+    (["combine", "--mode", "tables", "--table", "t.txt", "--table", "t.txt",
+      "--weights", "1,nan"], 1),
+    (["topic-filter", "--collection", "web.tsv", "--topic", "topic.tsv", "--k", "50",
+      "--location-weights", "1,2,nan,4"], 1),
+])
+def test_non_finite_numeric_options_are_errors(work, capsys, argv, code):
+    select.write_scores(work / "s.tsv", [0.1, 0.9], {"direction": select.HIGHER})
+    (work / "t.txt").write_text("a ||| x ||| 0.5\n", encoding="utf-8")
+    (work / "web.tsv").write_text("d1\tthe market fell\n", encoding="utf-8")
+    (work / "topic.tsv").write_text("market\t3\tFIN\n", encoding="utf-8")
+    argv = [str(work / a) if a.endswith((".txt", ".tsv")) else a for a in argv]
+    assert run_cli(*argv, "--output", str(work / "out.txt")) == code
+    err = capsys.readouterr().err
+    assert "error:" in err and argv[-2] in err and "Traceback" not in err
+    assert not (work / "out.txt").exists()
+
+
 def test_combine_reports_bad_selection_index(work, capsys):
     sel = work / "s1.txt"
     for bad in ("1.5", "-2"):
@@ -259,6 +284,28 @@ def test_preprocess_rejects_bad_tokens(work, capsys, fmt, line, message):
                    "--format", fmt) == 1
     err = capsys.readouterr().err
     assert "error: %s" % message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, text, argv, message", [
+    ("lex.tsv", "slow\tlento\na\n", ["preprocess", "--input", "indomain.txt",
+     "--hyphen-alt", "lex.tsv"], "lex.tsv line 2: lexicon line needs source<TAB>target: 'a'"),
+    ("lex.tsv", "a b\tx\n", ["preprocess", "--input", "indomain.txt", "--hyphen-alt",
+     "lex.tsv"], "lex.tsv line 1: lexicon keys must be single tokens: 'a b'"),
+    ("blank.txt", "a b\n\nc\n", ["preprocess", "--input", "blank.txt"],
+     "blank.txt line 2: empty line"),
+    ("pages/p1", "stray\n#body\nthe market\n", ["topic-filter", "--collection", "pages",
+     "--topic", "topic.tsv", "--k", "50"],
+     "p1 line 1: content before the first section marker"),
+])
+def test_reader_errors_name_file_and_line(work, capsys, name, text, argv, message):
+    (work / "pages").mkdir()
+    (work / name).write_text(text, encoding="utf-8")
+    (work / "topic.tsv").write_text("market\t3\tFIN\n", encoding="utf-8")
+    argv = [str(work / a) if a.endswith((".txt", ".tsv")) or a == "pages" else a for a in argv]
+    assert run_cli(*argv, "--output", str(work / "out.txt")) == 1
+    err = capsys.readouterr().err
+    assert "error: %s" % (work / name) in err and message in err
+    assert "Traceback" not in err
 
 
 def test_select_requires_exactly_one_mode(work, capsys):
@@ -486,6 +533,26 @@ def test_topic_and_ppl_filter_cli(work, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["topic-filter", "--k", "100"],
+    ["ppl-filter", "--k", "100", "--n", "100", "--lm", "in.lm"],
+])
+def test_located_collection_rejects_repeated_document_id(work, capsys, argv):
+    coll = work / "web.tsv"
+    coll.write_text("d1\tfoo bar\nd1\tbaz qux\nd2\tfoo foo\n", encoding="utf-8")
+    topic = work / "topic.tsv"
+    topic.write_text("foo\t\tX\nbaz\t5\tX\n", encoding="utf-8")
+    assert run_cli("train-lm", "--input", str(work / "indomain.txt"),
+                   "--output", str(work / "in.lm"), "--order", "2") == 0
+    argv = [str(work / a) if a.endswith(".lm") else a for a in argv]
+    assert run_cli(*argv, "--collection", str(coll), "--topic", str(topic),
+                   "--output", str(work / "out.tsv")) == 1
+    err = capsys.readouterr().err
+    assert "error: %s line 2: duplicate document id 'd1' (first on line 1)" % coll in err
+    assert "Traceback" not in err
+    assert not (work / "out.tsv").exists()
+
+
 def test_ppl_filter_rejects_non_numeric_topic_weight(work, capsys):
     coll = work / "web.tsv"
     coll.write_text("d1\tthe market fell\n", encoding="utf-8")
@@ -527,6 +594,13 @@ _MODEL_TEXT = ("\\smoothing: witten-bell\n\n\\data\\\nngram 1=3\n\n\\1-grams:\n"
     ("-0.5\ta", "nan\ta", "line 8: bad probability 'nan'"),
     ("-0.5\ta", "inf\ta", "line 8: bad probability 'inf'"),
     ("-0.5\ta", "-0.5\ta\tnan", "line 8: bad backoff 'nan'"),
+    ("-0.5\ta", "0.5\ta", "line 8: bad probability '0.5'"),
+    ("-0.5\ta", "-0.5 a", "line 8: unexpected line '-0.5 a'"),
+    ("ngram 1=3\n", "ngram 1=3\nstray\n", "line 5: unexpected line 'stray'"),
+    ("ngram 1=3\n\n\\1-grams:\n-0.5\t</s>\n-0.5\ta\n-0.5\t<unk>\n",
+     "ngram 1=3\nngram 2=1\n\n\\1-grams:\n-0.5\t</s>\n-0.5\ta\n-0.5\t<unk>\n"
+     "\n\\2-grams:\n-0.1\ta\n", "line 13: arity mismatch in '-0.1\\ta'"),
+    ("-0.5\t</s>\n-0.5\ta", "-0.5\t</s>\tzz\nnan\ta", "line 7: bad backoff 'zz'"),
 ])
 def test_perplexity_reports_malformed_model_fields(work, capsys, old, new, message):
     model_path = work / "m.lm"
