@@ -14,7 +14,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import __version__, corpus
-from .errors import FormatError, ToolkitError, finite, read_text, write_text
+from .errors import FormatError, ToolkitError, finite, read_lines, write_text
 
 
 def _sha256(path):
@@ -52,19 +52,16 @@ class Run:
         lines.append("duration_s=%.6f" % (time.monotonic() - self.started))
         write_text(str(output) + ".manifest", "\n".join(lines) + "\n")
 
-    def header(self, output, extra=None):
-        """`# key: value` lines, the manifest's name first, then extra's items."""
-        items = [("manifest", self.manifest_name(output))] + list((extra or {}).items())
-        return ["# %s: %s" % item for item in items]
-
-
-def _emit(output, text, run=None):
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        write_text(output, text)
-        if run is not None:
-            run.write(output)
+    def report(self, output, rows, extra=None):
+        """Write `# key: value` header lines (the manifest's name first, then
+        extra's items) and the rows to output and its manifest, or to stdout."""
+        items = [("manifest", self.manifest_name(output or "stdout"))] + list((extra or {}).items())
+        text = "\n".join(["# %s: %s" % item for item in items] + list(rows)) + "\n"
+        if output is None:
+            sys.stdout.write(text)
+        else:
+            write_text(output, text)
+            self.write(output)
 
 
 def _log(msg):
@@ -125,7 +122,7 @@ def _cmd_preprocess(args, parser):
         if args.hyphen_alt:
             run.input("lexicon", args.hyphen_alt)
             lexicon = corpus.Lexicon.load(args.hyphen_alt)
-            _emit(args.output, "".join(
+            write_text(args.output, "".join(
                 corpus.hyphen_alt_markup(s, lexicon) + "\n" for s in data.sentences
             ))
         else:
@@ -174,10 +171,8 @@ def _cmd_perplexity(args, parser):
     model = lm.read_model(args.lm)
     data = corpus.load_corpus(args.input, format=args.format)
     h = lm.cross_entropy(model, data)
-    lines = run.header(args.output or "stdout", {"units": "bits"})
-    lines.append("cross_entropy_bits\t%s" % repr(h))
-    lines.append("perplexity\t%s" % repr(2.0 ** h))
-    _emit(args.output, "\n".join(lines) + "\n", run)
+    run.report(args.output, ["cross_entropy_bits\t%s" % repr(h), "perplexity\t%s" % repr(2.0 ** h)],
+               {"units": "bits"})
     return 0
 
 
@@ -189,90 +184,35 @@ def _cmd_score(args, parser):
     for key in ("criterion", "view", "order", "smoothing", "seed", "fms_cutoff"):
         run.param(key, getattr(args, key))
     crit = args.criterion
-    direction = select.CRITERION_DIRECTIONS[crit]
-    fmt = args.general_format
+    # mml scores sentence pairs: source<TAB>target files, which carry no factors
+    fmt, view = ("tsv-parallel", None) if crit == "mml" else (args.general_format, args.view)
     run.input("general", args.general)
-    if crit == "mml":
-        general = corpus.load_corpus(args.general, format="tsv-parallel")
+    general = _load_view(args.general, fmt, view)
+    files = {name: getattr(args, name) for name in select.LM_FILES.get(crit, ())}
+    flags = ["--" + name.replace("_", "-") for name in files]
+    in_domain = models = None
+    if any(files.values()):
+        missing = [flag for flag, path in zip(flags, files.values()) if not path]
+        if missing:
+            parser.error("--criterion %s is missing %s" % (crit, ", ".join(missing)))
+        if view and view != "f":
+            parser.error("--view needs corpus-based training, not LM files")
+        for name, path in files.items():
+            run.input(name, path)
+        models = [lm.read_model(path) for path in files.values()]
     else:
-        general = _load_view(args.general, fmt, args.view)
-
-    def load_in_domain(required_for):
         if args.in_domain is None:
-            parser.error("--in-domain is required for --criterion %s" % required_for)
+            parser.error("--criterion %s needs --in-domain" % crit
+                         + (" or %s" % ", ".join(flags) if flags else ""))
         run.input("in_domain", args.in_domain)
-        return _load_view(args.in_domain, fmt, args.view)
-
-    if crit == "cosine":
-        scores = select.score_cosine(general, load_in_domain("cosine"), threads=args.threads)
-    elif crit == "fms":
-        scores = select.score_fms(
-            general, load_in_domain("fms"), cutoff=args.fms_cutoff, threads=args.threads
-        )
-    elif crit == "ce":
-        if args.in_lm:
-            if args.view and args.view != "f":
-                parser.error("--view needs corpus-based training, not --in-lm")
-            run.input("in_lm", args.in_lm)
-            in_model = lm.read_model(args.in_lm)
-        else:
-            in_model = lm.train(
-                load_in_domain("ce"), order=args.order, smoothing=args.smoothing
-            )
-        scores = select.score_cross_entropy(general, in_model, threads=args.threads)
-    elif crit == "ml":
-        if args.in_lm or args.out_lm:
-            if not (args.in_lm and args.out_lm):
-                parser.error("--criterion ml needs both --in-lm and --out-lm")
-            if args.view and args.view != "f":
-                parser.error("--view needs corpus-based training, not LM files")
-            run.input("in_lm", args.in_lm)
-            run.input("out_lm", args.out_lm)
-            in_model = lm.read_model(args.in_lm)
-            out_model = lm.read_model(args.out_lm)
-        else:
-            in_model, out_model = select.train_selection_models(
-                general, load_in_domain("ml"),
-                order=args.order, seed=args.seed, smoothing=args.smoothing,
-            )
-        scores = select.score_moore_lewis(general, in_model, out_model, threads=args.threads)
-    else:  # mml
-        lm_flags = (args.in_src_lm, args.out_src_lm, args.in_tgt_lm, args.out_tgt_lm)
-        if any(lm_flags):
-            missing = [name for name, v in zip(
-                ("--in-src-lm", "--out-src-lm", "--in-tgt-lm", "--out-tgt-lm"), lm_flags
-            ) if not v]
-            if missing:
-                parser.error("--criterion mml is missing %s" % ", ".join(missing))
-            for name, v in zip(("in_src_lm", "out_src_lm", "in_tgt_lm", "out_tgt_lm"), lm_flags):
-                run.input(name, v)
-            models = [lm.read_model(v) for v in lm_flags]
-        else:
-            if args.in_domain is None:
-                parser.error("--criterion mml needs four LM files or --in-domain")
-            run.input("in_domain", args.in_domain)
-            in_par = corpus.load_corpus(args.in_domain, format="tsv-parallel")
-            in_src, out_src = select.train_selection_models(
-                general.source_corpus(), in_par.source_corpus(),
-                order=args.order, seed=args.seed, smoothing=args.smoothing,
-            )
-            in_tgt, out_tgt = select.train_selection_models(
-                general.target_corpus(), in_par.target_corpus(),
-                order=args.order, seed=args.seed, smoothing=args.smoothing,
-            )
-            models = [in_src, out_src, in_tgt, out_tgt]
-        scores = select.score_bilingual_ml(general, *models, threads=args.threads)
-
-    meta = {
-        "manifest": run.manifest_name(args.output or "stdout"),
-        "criterion": crit,
-        "direction": direction,
-        "normalization": "per-word cross-entropy, bits",
-        "seed": args.seed,
-    }
+        in_domain = _load_view(args.in_domain, fmt, view)
+    scores = select.score(crit, general, in_domain, models, order=args.order, seed=args.seed,
+                          smoothing=args.smoothing, cutoff=args.fms_cutoff)
+    meta = {"criterion": crit, "direction": select.CRITERION_DIRECTIONS[crit],
+            "normalization": "per-word cross-entropy, bits", "seed": args.seed}
     if args.view:
         meta["view"] = args.view
-    _emit(args.output, select.format_scores(scores, meta), run)
+    run.report(args.output, select.index_rows(scores), meta)
     _log("score: %s over %d sentences" % (crit, len(scores)))
     return 0
 
@@ -333,6 +273,7 @@ def _cmd_combine(args, parser):
         data = corpus.load_corpus(args.corpus, format=args.format)
         wc = combine.combine_corpus_weighted(selections, data, weights)
         combine.write_weighted_corpus(wc, args.output, replicate=args.replicate)
+        run.write(args.output)
     elif args.mode == "naive-rank":
         if not args.selection or args.target_size is None:
             parser.error("--mode naive-rank needs --selection (repeatable) and --target-size")
@@ -340,7 +281,7 @@ def _cmd_combine(args, parser):
         for i, p in enumerate(args.selection):
             run.input("selection%d" % i, p)
         merged = combine.combine_naive_rank(ranked, args.target_size)
-        _emit(args.output, "\n".join(run.header(args.output) + list(map(str, merged))) + "\n")
+        run.report(args.output, map(str, merged))
     elif args.mode == "tables":
         if not args.table:
             parser.error("--mode tables needs --table (repeatable)")
@@ -350,6 +291,7 @@ def _cmd_combine(args, parser):
         if weights is None:
             weights = [1.0] * len(tables)
         combine.write_table(combine.interpolate_tables(tables, weights), args.output)
+        run.write(args.output)
     elif args.mode == "lm-interp":
         if not args.set or args.dev is None:
             parser.error("--mode lm-interp needs --set (repeatable) and --dev")
@@ -361,15 +303,14 @@ def _cmd_combine(args, parser):
         mixture = combine.combine_advanced_lm(
             sets, dev, order=args.order, smoothing=args.smoothing
         )
-        lines = run.header(args.output)
+        rows = []
         for i, (w, component) in enumerate(zip(mixture.weights, mixture.components)):
             component_path = "%s.%d.lm" % (args.output, i)
             lm.write_model(component, component_path)
-            lines.append("%s\t%s" % (repr(w), Path(component_path).name))
-        _emit(args.output, "\n".join(lines) + "\n")
+            rows.append("%s\t%s" % (repr(w), Path(component_path).name))
+        run.report(args.output, rows)
     else:
         parser.error("unknown combine mode %r" % args.mode)
-    run.write(args.output)
     _log("combine: mode %s done" % args.mode)
     return 0
 
@@ -397,16 +338,14 @@ def _cmd_retrieve(args, parser):
                                 params=params, stopwords=stopwords, stats=stats)
         for q in queries
     }
-    header = run.header(args.output or "stdout")
+    extra = {}
     if args.gold:
         run.input("gold", args.gold)
         gold = retrieve.load_gold(args.gold)
         ranked_ids = {src: [d for d, _ in r] for src, r in results.items()}
-        p, r, f = retrieve.evaluate_retrieval(ranked_ids, gold)
-        header.append("# precision: %s" % repr(p))
-        header.append("# recall: %s" % repr(r))
-        header.append("# f1: %s" % repr(f))
-    _emit(args.output, "\n".join(header + retrieve.result_rows(results)) + "\n", run)
+        prf = retrieve.evaluate_retrieval(ranked_ids, gold)
+        extra = dict(zip(("precision", "recall", "f1"), map(repr, prf)))
+    run.report(args.output, retrieve.result_rows(results), extra)
     _log("retrieve: %d queries against %d documents; %d postings visited of %d "
          "(query terms x candidates)" % (len(queries), index.n_docs, stats["postings"],
                                          stats["postings_base"]))
@@ -426,10 +365,7 @@ def _cmd_estimate_delta(args, parser):
         data = corpus.load_parallel(args.source, args.target)
     else:
         parser.error("need --input (TSV) or --source/--target")
-    delta = retrieve.estimate_delta(data)
-    lines = run.header(args.output or "stdout")
-    lines.append("delta\t%s" % repr(delta))
-    _emit(args.output, "\n".join(lines) + "\n", run)
+    run.report(args.output, ["delta\t%s" % repr(retrieve.estimate_delta(data))])
     return 0
 
 
@@ -457,13 +393,11 @@ def _cmd_topic_filter(args, parser):
     scored = [(d.id, webfilter.topic_relevance(d, topic, weights)) for d in docs]
     kept = webfilter.filter_documents_topk(scored, args.k)
     by_id = dict(scored)
-    lines = run.header(args.output or "stdout", {
+    run.report(args.output, ["%s\t%s" % (doc_id, repr(by_id[doc_id])) for doc_id in kept], {
         "k": args.k,
         "location-weights": "title=%g headings=%g metadata=%g body=%g"
         % (weights.title, weights.headings, weights.metadata, weights.body),
     })
-    lines += ["%s\t%s" % (doc_id, repr(by_id[doc_id])) for doc_id in kept]
-    _emit(args.output, "\n".join(lines) + "\n", run)
     _log("topic-filter: kept %d of %d documents" % (len(kept), len(docs)))
     return 0
 
@@ -486,9 +420,7 @@ def _cmd_ppl_filter(args, parser):
     model = lm.read_model(args.lm)
     weights = _location_weights(args, parser)
     kept = webfilter.combined_filter(docs, topic, args.k, args.n, model, weights)
-    lines = run.header(args.output or "stdout", {"k": args.k, "n": args.n})
-    lines += ["%s\t%s" % (doc_id, sentence) for doc_id, sentence in kept]
-    _emit(args.output, "\n".join(lines) + "\n", run)
+    run.report(args.output, ["%s\t%s" % row for row in kept], {"k": args.k, "n": args.n})
     _log("ppl-filter: kept %d sentences" % len(kept))
     return 0
 
@@ -520,12 +452,8 @@ def _cmd_diagnose(args, parser):
             rows.append(("unique_%d" % i, repr(u)))
     if not rows:
         parser.error("nothing to diagnose: pass --corpus, --train/--test or >=2 --selection")
-    lines = run.header(args.output or "stdout")
-    if args.table:
-        lines.append(metrics.format_table(("metric", "value"), rows))
-    else:
-        lines += ["%s\t%s" % (k, v) for k, v in rows]
-    _emit(args.output, "\n".join(lines) + "\n", run)
+    run.report(args.output, [metrics.format_table(("metric", "value"), rows)] if args.table
+               else ["%s\t%s" % row for row in rows])
     return 0
 
 
@@ -539,12 +467,9 @@ def _cmd_bleu(args, parser):
     hyp = corpus.load_corpus(args.hypothesis)
     ref = corpus.load_corpus(args.reference)
     report = metrics.bleu(hyp, ref, smooth=args.smooth)
-    lines = run.header(args.output or "stdout")
-    for n, p in enumerate(report.precisions, 1):
-        lines.append("p%d\t%s" % (n, repr(p)))
-    lines.append("brevity_penalty\t%s" % repr(report.brevity_penalty))
-    lines.append("bleu\t%s" % repr(report.score))
-    _emit(args.output, "\n".join(lines) + "\n", run)
+    rows = [("p%d" % n, p) for n, p in enumerate(report.precisions, 1)]
+    rows += [("brevity_penalty", report.brevity_penalty), ("bleu", report.score)]
+    run.report(args.output, ["%s\t%r" % row for row in rows])
     return 0
 
 
@@ -705,7 +630,7 @@ def _apply_config(argv, parser):
         parser.error("--config needs a file argument")
     path = argv[i + 1]
     defaults = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+    for lineno, line in read_lines(path):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from . import lm
-from .errors import FormatError, ToolkitError, finite, parse_field, read_text, write_text
+from .errors import FormatError, ToolkitError, finite, parse_field, read_lines, write_text
 
 
 @dataclass
@@ -36,7 +36,7 @@ def combine_corpus_weighted(selections, corpus, weights):
         )
     if any(w < 0 for w in weights):
         raise ToolkitError("selection weights must be non-negative")
-    items = list(corpus.pairs if hasattr(corpus, "pairs") else corpus.sentences)
+    items = list(corpus)
     picked = {}
     for sel, w in zip(selections, weights):
         for i in sel.indices:
@@ -130,7 +130,7 @@ def interpolate_tables(tables, weights):
 def read_table(path):
     rows = {}
     arity = None
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+    for lineno, line in read_lines(path):
         if not line.strip():
             continue
         fields = line.split(" ||| ")

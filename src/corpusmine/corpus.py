@@ -10,7 +10,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .errors import FormatError, MissingFactorError, ToolkitError, read_text, write_text
+from .errors import (FormatError, MissingFactorError, ToolkitError, read_lines, read_text,
+                     write_text)
 
 FACTOR_SEP = "|"
 NUMBER_PLACEHOLDER = "@num@"
@@ -147,7 +148,7 @@ class Lexicon:
     @classmethod
     def load(cls, path):
         entries = {}
-        for lineno, line in enumerate(_read_lines(path, allow_empty=True), 1):
+        for lineno, line in read_lines(path):
             if not line.strip():
                 continue
             fields = line.split("\t")
@@ -171,7 +172,7 @@ def read_documents(path):
         return [(child.name, read_text(child), str(child))
                 for child in sorted(path.iterdir()) if child.is_file()]
     docs, first_line = [], {}
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+    for lineno, line in read_lines(path):
         if not line.strip():
             continue
         fields = line.split("\t", 1)
@@ -185,15 +186,29 @@ def read_documents(path):
     return docs
 
 
-def _read_lines(path, allow_empty=False):
-    lines = read_text(path).split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not allow_empty:
-        for i, line in enumerate(lines):
-            if not line.strip():
-                raise FormatError("%s line %d: empty line" % (path, i + 1))
-    return lines
+def _parse_lines(parse, path):
+    """parse(line) for each line of a corpus file, which may hold no blank
+    line; an error names the file and the line."""
+    items = []
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            raise FormatError("%s line %d: empty line" % (path, lineno))
+        try:
+            items.append(parse(line))
+        except FormatError as exc:
+            raise FormatError("%s line %d: %s" % (path, lineno, exc)) from None
+    return tuple(items)
+
+
+def _pair(line):
+    fields = line.split("\t")
+    if len(fields) != 2:
+        raise FormatError("expected source<TAB>target")
+    return SentencePair(Sentence.from_plain(fields[0]), Sentence.from_plain(fields[1]))
+
+
+_PARSERS = {"plain": Sentence.from_plain, "factored": Sentence.from_factored,
+            "tsv-parallel": _pair}
 
 
 def load_corpus(path, format="plain", id=None):
@@ -206,42 +221,23 @@ def load_corpus(path, format="plain", id=None):
     """
     if id is None:
         id = Path(path).name
-    lines = _read_lines(path)
-    if format == "plain":
-        return Corpus.from_lines(lines, id=id)
-    if format == "factored":
-        return Corpus(tuple(Sentence.from_factored(l) for l in lines), id=id)
-    if format == "tsv-parallel":
-        pairs = []
-        for i, line in enumerate(lines):
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise FormatError(
-                    "%s line %d: expected source<TAB>target" % (path, i + 1)
-                )
-            pairs.append(
-                SentencePair(Sentence.from_plain(fields[0]), Sentence.from_plain(fields[1]))
-            )
-        return ParallelCorpus(tuple(pairs), id=id)
-    raise FormatError("unknown corpus format %r" % format)
+    if format not in _PARSERS:
+        raise FormatError("unknown corpus format %r" % format)
+    items = _parse_lines(_PARSERS[format], path)
+    return (ParallelCorpus if format == "tsv-parallel" else Corpus)(items, id=id)
 
 
 def load_parallel(source_path, target_path, format="plain", id=None):
     """Load a two-file parallel corpus; the files must have equal line counts."""
     if id is None:
         id = "%s-%s" % (Path(source_path).name, Path(target_path).name)
-    src_lines = _read_lines(source_path)
-    tgt_lines = _read_lines(target_path)
-    if len(src_lines) != len(tgt_lines):
-        raise FormatError(
-            "line-count mismatch: %s has %d lines, %s has %d"
-            % (source_path, len(src_lines), target_path, len(tgt_lines))
-        )
     parse = Sentence.from_factored if format == "factored" else Sentence.from_plain
-    pairs = tuple(
-        SentencePair(parse(s), parse(t)) for s, t in zip(src_lines, tgt_lines)
-    )
-    return ParallelCorpus(pairs, id=id)
+    src = _parse_lines(parse, source_path)
+    tgt = _parse_lines(parse, target_path)
+    if len(src) != len(tgt):
+        raise FormatError("line-count mismatch: %s has %d lines, %s has %d"
+                          % (source_path, len(src), target_path, len(tgt)))
+    return ParallelCorpus(tuple(map(SentencePair, src, tgt)), id=id)
 
 
 def save_corpus(corpus, path, format="plain"):
@@ -255,16 +251,7 @@ def save_parallel(corpus, path):
 
 def dedup(corpus):
     """Keep the first occurrence of each distinct sentence (or pair)."""
-    seen = set()
-    kept = []
-    items = corpus.pairs if isinstance(corpus, ParallelCorpus) else corpus.sentences
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            kept.append(item)
-    if isinstance(corpus, ParallelCorpus):
-        return ParallelCorpus(tuple(kept), id=corpus.id)
-    return Corpus(tuple(kept), id=corpus.id)
+    return type(corpus)(tuple(dict.fromkeys(corpus)), id=corpus.id)
 
 
 def length_filter(corpus, max_len=80):

@@ -51,6 +51,16 @@ def read_text(path):
         raise FormatError("%s is not valid UTF-8: %s" % (path, exc)) from exc
 
 
+def read_lines(path):
+    """(line number, line) for each line of a UTF-8 file.  Lines end at \\n
+    only: str.splitlines() would also end one at U+2028, U+0085, \\x0b, \\x0c
+    or \\x1c-\\x1e, and so shift every later line number."""
+    lines = read_text(path).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return list(enumerate(lines, 1))
+
+
 def write_text(path, text):
     """Replace path with text (UTF-8, \\n newlines) by way of `<path>.tmp`: a
     write that fails leaves the old file and no temp, a killed one no torn file."""

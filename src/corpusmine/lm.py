@@ -421,7 +421,8 @@ def interpolate(models, dev_corpus, tol=1e-6, max_iter=100):
 # Header with per-order n-gram counts, then one line per n-gram:
 #   log10prob<TAB>ngram[<TAB>backoff]
 # Backoff weights are written as linear values.  Lines whose probability
-# field is -99 carry only a backoff weight (history-only entries).
+# field is -99 carry only a backoff weight (history-only entries), or, for a
+# 1-gram, nothing: a vocabulary type the model gives no mass (MLE).
 
 _BOW_ONLY = "-99"
 
@@ -453,7 +454,10 @@ def write_model(model, path):
         if n > 1:
             texts = list(map(" ".join, zip(map(texts.__getitem__, hist.tolist()),
                                            map(symbols.__getitem__, last.tolist()))))
-        rows = perm[(t.has_prob | t.has_bow)[perm]]
+        keep = t.has_prob | t.has_bow
+        if n == 1:  # every type, so a zero-count MLE type is read back as itself, not <unk>
+            keep[len(_RESERVED) : size] = True
+        rows = perm[keep[perm]]
         probs, bows = np.full(len(rows), _BOW_ONLY, dtype=object), np.full(len(rows), "", dtype=object)
         has = t.has_prob[rows]
         # a model read from a file writes back the log10 values it was read with

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import read_documents
-from .errors import FormatError, ToolkitError, read_text, write_text
+from .errors import FormatError, ToolkitError, read_lines, write_text
 
 
 @dataclass(frozen=True)
@@ -195,16 +195,12 @@ def load_collection(path):
 
 
 def load_stopwords(path):
-    return frozenset(
-        line.strip()
-        for line in read_text(path).splitlines()
-        if line.strip()
-    )
+    return frozenset(line.strip() for _, line in read_lines(path) if line.strip())
 
 
 def load_gold(path):
     gold = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+    for lineno, line in read_lines(path):
         if not line.strip():
             continue
         fields = line.split("\t")

@@ -20,7 +20,7 @@ from itertools import islice
 
 from . import lm
 from .corpus import Corpus, factor_view, words_of
-from .errors import FormatError, ToolkitError, finite, parse_field, read_text, write_text
+from .errors import FormatError, ToolkitError, finite, parse_field, read_lines, write_text
 
 HIGHER = "higher-is-better"
 LOWER = "lower-is-better"
@@ -53,7 +53,7 @@ def score_cosine(general, in_domain, threads=1):
     general sentences and df clamped to >= 1.
     """
     gen_sents = [words_of(s) for s in general]
-    if not gen_sents or len(in_domain.sentences if hasattr(in_domain, "sentences") else in_domain) == 0:
+    if not gen_sents or len(in_domain) == 0:
         raise ToolkitError("both corpora must be non-empty")
     n_docs = len(gen_sents)
     df = Counter()
@@ -122,7 +122,7 @@ def score_bilingual_ml(general, in_src_lm, out_src_lm, in_tgt_lm, out_tgt_lm, th
 
 def sample_out_subset(general, size, seed):
     """Seeded random general-corpus subset used to train the out-domain LM."""
-    sentences = list(general.sentences if hasattr(general, "sentences") else general)
+    sentences = list(general)
     if size > len(sentences):
         raise ToolkitError("subset size exceeds corpus size")
     rng = random.Random(seed)
@@ -342,6 +342,43 @@ def score_fms(general, reference, cutoff=None, threads=1):
     return out
 
 
+# --- one score per sentence under any criterion ------------------------------
+
+# The model-file options of the LM criteria, in the order score() takes the models.
+LM_FILES = {
+    "ce": ("in_lm",),
+    "ml": ("in_lm", "out_lm"),
+    "mml": ("in_src_lm", "out_src_lm", "in_tgt_lm", "out_tgt_lm"),
+}
+
+
+def score(criterion, general, in_domain, models=None, order=4, seed=0,
+          smoothing="modified-kneser-ney", cutoff=None):
+    """The criterion's score of each general sentence (mml: of each pair).
+
+    The LM criteria score with `models`, ordered as in LM_FILES, or else with
+    models trained on in_domain: ml's pair by train_selection_models, and
+    mml's by train_selection_models once per side.  cutoff is FMS's."""
+    if criterion not in CRITERION_DIRECTIONS:
+        raise ToolkitError("unknown criterion %r" % criterion)
+    if criterion == "cosine":
+        return score_cosine(general, in_domain)
+    if criterion == "fms":
+        return score_fms(general, in_domain, cutoff=cutoff)
+    if models is None:
+        if criterion == "ce":
+            models = [lm.train(in_domain, order=order, smoothing=smoothing)]
+        elif criterion == "ml":
+            models = train_selection_models(general, in_domain, order, seed, smoothing)
+        else:
+            models = (train_selection_models(general.source_corpus(), in_domain.source_corpus(),
+                                             order, seed, smoothing)
+                      + train_selection_models(general.target_corpus(),
+                                               in_domain.target_corpus(), order, seed, smoothing))
+    scorer = {"ce": score_cross_entropy, "ml": score_moore_lewis, "mml": score_bilingual_ml}
+    return scorer[criterion](general, *models)
+
+
 # --- ranking and selection ----------------------------------------------------
 
 
@@ -377,8 +414,7 @@ def threshold_filter(scores, theta, direction, criterion="", note=""):
 
 
 def factored_select(general, in_domain, view, criterion, k=None, theta=None,
-                    order=4, seed=0, smoothing="modified-kneser-ney",
-                    threads=1):
+                    order=4, seed=0, smoothing="modified-kneser-ney"):
     """Score through a linguistic factor view, select over original sentences.
 
     Both corpora are projected with the chosen view, scored with the chosen
@@ -386,20 +422,8 @@ def factored_select(general, in_domain, view, criterion, k=None, theta=None,
     direction = CRITERION_DIRECTIONS.get(criterion)
     if direction is None or criterion == "mml":
         raise ToolkitError("unsupported factored criterion %r" % criterion)
-    gen_proj = factor_view(general, view)
-    in_proj = factor_view(in_domain, view)
-    if criterion == "cosine":
-        scores = score_cosine(gen_proj, in_proj, threads=threads)
-    elif criterion == "ce":
-        in_lm = lm.train(in_proj, order=order, smoothing=smoothing)
-        scores = score_cross_entropy(gen_proj, in_lm, threads=threads)
-    elif criterion == "ml":
-        in_lm, out_lm = train_selection_models(
-            gen_proj, in_proj, order=order, seed=seed, smoothing=smoothing
-        )
-        scores = score_moore_lewis(gen_proj, in_lm, out_lm, threads=threads)
-    else:  # fms
-        scores = score_fms(gen_proj, in_proj, threads=threads)
+    scores = score(criterion, factor_view(general, view), factor_view(in_domain, view),
+                   order=order, seed=seed, smoothing=smoothing)
     note = "view=%s seed=%d" % (view, seed)
     if theta is not None:
         return threshold_filter(scores, theta, direction, criterion, note=note)
@@ -409,11 +433,15 @@ def factored_select(general, in_domain, view, criterion, k=None, theta=None,
 # --- score and selection files ------------------------------------------------
 
 
+def index_rows(scores):
+    """The index<TAB>score rows of a score file."""
+    return ["%d\t%s" % (i, repr(float(s))) for i, s in enumerate(scores)]
+
+
 def format_scores(scores, meta=None):
-    """Score file text: ``# key: value`` header lines, then index<TAB>score rows."""
+    """Score file text: ``# key: value`` header lines, then the score rows."""
     lines = ["# %s: %s" % item for item in (meta or {}).items()]
-    lines += ["%d\t%s" % (i, repr(float(s))) for i, s in enumerate(scores)]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + index_rows(scores)) + "\n"
 
 
 def write_scores(path, scores, meta=None):
@@ -425,7 +453,7 @@ def _read_annotated(path, parse_row):
     parse_row(line, path, lineno), of a score or selection file."""
     meta = {}
     rows = []
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+    for lineno, line in read_lines(path):
         if not line.strip():
             continue
         if line.startswith("#"):

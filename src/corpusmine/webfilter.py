@@ -12,7 +12,7 @@ from itertools import islice
 from pathlib import Path
 
 from .corpus import read_documents, words_of
-from .errors import FormatError, ToolkitError, finite, parse_field, read_text
+from .errors import FormatError, ToolkitError, finite, parse_field, read_lines
 from .select import topk_count
 
 LOCATIONS = ("title", "headings", "metadata", "body")
@@ -168,7 +168,7 @@ def load_topic_file(path):
     """TSV `term<TAB>weight<TAB>class`; a blank weight falls back to the
     term's token count."""
     entries = []
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+    for lineno, line in read_lines(path):
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")
@@ -187,21 +187,17 @@ def load_topic_file(path):
 def parse_located_document(doc_id, text, path):
     """Sectioned text (of the file at path) with #title/#headings/#metadata/#body
     markers; plain text without markers is treated as all-body."""
+    markers = {"#" + loc: loc for loc in LOCATIONS}
+    # lines end at \n only, as errors.read_lines splits them
+    lines = [(lineno, line) for lineno, line in enumerate(text.split("\n"), 1) if line.strip()]
+    if not any(line.strip() in markers for _, line in lines):
+        return LocatedDocument(doc_id, {"body": [line for _, line in lines]})
     sections = {}
     current = None
-    has_marker = any(
-        line.strip() in ("#" + loc for loc in LOCATIONS) for line in text.splitlines()
-    )
-    if not has_marker:
-        body = [line for line in text.splitlines() if line.strip()]
-        return LocatedDocument(doc_id, {"body": body})
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if stripped in ("#" + loc for loc in LOCATIONS):
-            current = stripped[1:]
+    for lineno, line in lines:
+        if line.strip() in markers:
+            current = markers[line.strip()]
             sections.setdefault(current, [])
-            continue
-        if not stripped:
             continue
         if current is None:
             raise FormatError("%s line %d: content before the first section marker"

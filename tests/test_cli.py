@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from corpusmine import cli, lm, select
+from corpusmine import cli, corpus, lm, select
 
 
 def run_cli(*argv):
@@ -283,7 +283,7 @@ def test_preprocess_rejects_bad_tokens(work, capsys, fmt, line, message):
     assert run_cli("preprocess", "--input", str(src), "--output", str(work / "o.txt"),
                    "--format", fmt) == 1
     err = capsys.readouterr().err
-    assert "error: %s" % message in err and "Traceback" not in err
+    assert "error: %s line 2: %s" % (src, message) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("name, text, argv, message", [
@@ -343,6 +343,76 @@ def test_ml_score_via_lm_files(work, capsys):
     assert meta["direction"] == select.LOWER
     assert len(scores) == 5
     capsys.readouterr()
+
+
+def _assert_score_file(path, scores):
+    """The score file is format_scores of the scores, under the file's own header."""
+    _, meta = select.read_scores(path)
+    assert path.read_text(encoding="utf-8") == select.format_scores(scores, meta)
+
+
+def test_ce_score_via_lm_file(work, capsys):
+    in_lm = work / "in.lm"
+    lm.write_model(lm.train(corpus.load_corpus(work / "indomain.txt"), order=2), in_lm)
+    assert run_cli("score", "--criterion", "ce", "--general", str(work / "general.txt"),
+                   "--in-lm", str(in_lm), "--output", str(work / "ce.tsv")) == 0
+    general = corpus.load_corpus(work / "general.txt")
+    _assert_score_file(work / "ce.tsv", select.score_cross_entropy(general, lm.read_model(in_lm)))
+
+
+@pytest.fixture
+def bilingual(work):
+    def mirror(path):
+        return "".join("%s\t%s\n" % (line, line.upper())
+                       for line in path.read_text(encoding="utf-8").split("\n") if line)
+    (work / "general.tsv").write_text(mirror(work / "general.txt"), encoding="utf-8")
+    (work / "indomain.tsv").write_text(mirror(work / "indomain.txt"), encoding="utf-8")
+    return (corpus.load_corpus(work / "general.tsv", format="tsv-parallel"),
+            corpus.load_corpus(work / "indomain.tsv", format="tsv-parallel"))
+
+
+def test_mml_score_via_in_domain(work, capsys, bilingual):
+    assert run_cli("score", "--criterion", "mml", "--general", str(work / "general.tsv"),
+                   "--in-domain", str(work / "indomain.tsv"), "--order", "2", "--seed", "3",
+                   "--output", str(work / "mml.tsv")) == 0
+    general, in_domain = bilingual
+    models = [m for side in ("source_corpus", "target_corpus")
+              for m in select.train_selection_models(getattr(general, side)(),
+                                                     getattr(in_domain, side)(), order=2, seed=3)]
+    _assert_score_file(work / "mml.tsv", select.score_bilingual_ml(general, *models))
+
+
+def test_mml_score_via_lm_files(work, capsys, bilingual):
+    general, in_domain = bilingual
+    paths = []
+    for name, data in (("in_src", in_domain.source_corpus()), ("out_src", general.source_corpus()),
+                       ("in_tgt", in_domain.target_corpus()), ("out_tgt", general.target_corpus())):
+        paths.append(work / (name + ".lm"))
+        lm.write_model(lm.train(data, order=2, smoothing="witten-bell"), paths[-1])
+    flags = ["--in-src-lm", "--out-src-lm", "--in-tgt-lm", "--out-tgt-lm"]
+    argv = ["score", "--criterion", "mml", "--general", str(work / "general.tsv")]
+    assert run_cli(*argv, *(a for pair in zip(flags, map(str, paths)) for a in pair),
+                   "--output", str(work / "mml.tsv")) == 0
+    want = select.score_bilingual_ml(general, *map(lm.read_model, paths))
+    _assert_score_file(work / "mml.tsv", want)
+    capsys.readouterr()
+    # three of the four files: a usage error naming the missing one
+    assert run_cli(*argv, *(a for pair in zip(flags[:3], map(str, paths)) for a in pair),
+                   "--output", str(work / "mml3.tsv")) == 2
+    assert "--criterion mml is missing --out-tgt-lm" in capsys.readouterr().err
+    assert not (work / "mml3.tsv").exists()
+
+
+def test_retrieve_collection_line_keeps_a_unicode_line_separator(work, capsys):
+    coll = work / "c.tsv"
+    coll.write_text("d1\tfoo\u2028bar baz\nd2\tdogs bark\n", encoding="utf-8")
+    queries = work / "q.tsv"
+    queries.write_text("q1\tbar baz\n", encoding="utf-8")
+    assert run_cli("retrieve", "--collection", str(coll), "--queries", str(queries),
+                   "--lambda", "0.5", "--n-best", "1", "--output", str(work / "res.tsv")) == 0
+    assert "q1\t1\td1\t" in (work / "res.tsv").read_text(encoding="utf-8")
+    assert [text for _, text, _ in corpus.read_documents(coll)] == ["foo\u2028bar baz",
+                                                                    "dogs bark"]
 
 
 def test_combine_naive_rank_cli(work, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpusmine import corpus
-from corpusmine.errors import FormatError, MissingFactorError
+from corpusmine.errors import FormatError, MissingFactorError, read_lines
 
 
 def test_plain_round_trip(tmp_path):
@@ -74,6 +74,27 @@ def test_tsv_parallel_and_two_file(tmp_path):
     tgt.write_text("x y z\n", encoding="utf-8")
     with pytest.raises(FormatError):
         corpus.load_parallel(src, tgt)
+
+
+def test_token_errors_name_file_and_line(tmp_path):
+    tsv = tmp_path / "p.tsv"
+    tsv.write_text("a\tb\nc\t\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="p.tsv line 2: sentences must contain at least one token"):
+        corpus.load_corpus(tsv, format="tsv-parallel")
+    src, tgt = tmp_path / "s.txt", tmp_path / "t.txt"
+    src.write_text("a\nb\n", encoding="utf-8")
+    tgt.write_text("x\ny|z\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=r"t.txt line 2: token surface may not contain"):
+        corpus.load_parallel(src, tgt)
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\r"])
+def test_lines_end_at_newline_only(tmp_path, separator):
+    p = tmp_path / "f.txt"
+    p.write_bytes(("a%sb\nc\n" % separator).encode("utf-8"))
+    # a text read turns a lone \r into \n, as for every reader
+    want = [(1, "a"), (2, "b"), (3, "c")] if separator == "\r" else [(1, "a%sb" % separator), (2, "c")]
+    assert read_lines(p) == want
 
 
 def test_dedup_keeps_first_occurrence():

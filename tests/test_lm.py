@@ -399,6 +399,20 @@ def test_mixture_validation():
         lm.interpolate([model], corpus.Corpus.from_lines([]))  # empty dev
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_mle_zero_count_types_survive_write_and_read(tmp_path, order):
+    # "rallied" is in the shared vocabulary but not in the training corpus
+    vocab = lm.Vocabulary.from_corpus(corpus.Corpus.from_lines(["the market rallied"]))
+    model = lm.train(corpus.Corpus.from_lines(["the market fell", "the dog barked"]),
+                     order=order, smoothing="mle", vocab=vocab)
+    path = tmp_path / "m.lm"
+    lm.write_model(model, path)
+    assert "-99\trallied" in path.read_text(encoding="utf-8").split("\n")
+    loaded = lm.read_model(path)
+    test = corpus.Corpus.from_lines(["the market rallied", "rallied dog"])
+    assert lm.cross_entropy(loaded, test) == lm.cross_entropy(model, test)
+
+
 def test_model_file_round_trip(tmp_path):
     rng = random.Random(9)
     for smoothing in lm.SMOOTHING_MODES:
