@@ -1,9 +1,14 @@
 """Command-line entry point wiring all modules into reproducible pipelines.
 
 Every run that writes an output file also writes a `<output>.manifest`
-key-value file (subcommand, parameters, input digests, seed, version,
-duration) sufficient to reproduce the run.  Log messages go to stderr; data
-streams stay clean.
+key-value file sufficient to reproduce the run.  One rule over the step's
+options builds it: the subcommand and version; every option except the
+outputs and the inert `--threads`; an input file as `input.<name>=<path>
+sha256=<digest>`, its digest taken before the step runs; a directory as
+`parameter.<name>_dir=<path>`; any other set value as
+`parameter.<name>=<value>`; a repeatable option's values as `<name>0`,
+`<name>1`, ...; then the duration.  Log messages go to stderr; data streams
+stay clean.
 """
 
 import argparse
@@ -18,50 +23,75 @@ from .errors import FormatError, ToolkitError, finite, read_lines, write_text
 
 
 def _sha256(path):
+    """The SHA-256 of a file, or the OSError of reading it, which is raised
+    only after the step has made its usage checks."""
     h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 16), b""):
-            h.update(chunk)
+    try:
+        with open(path, "rb") as f:
+            for chunk in iter(lambda: f.read(1 << 16), b""):
+                h.update(chunk)
+    except OSError as exc:
+        return exc
     return h.hexdigest()
 
 
+def _input(path):  # type= of an option naming an input file: its digest is recorded
+    return path
+
+
+def _output(path):  # type= of an option naming an output file: a manifest goes beside it
+    return path
+
+
 class Run:
-    """Collects parameters and input digests, then writes the manifest."""
+    """One step's manifest, built by the manifest rule from its parser's options."""
 
-    def __init__(self, subcommand):
-        self.subcommand = subcommand
-        self.params = {}
-        self.inputs = {}
+    def __init__(self, parser, args):
+        self.subcommand = args.subcommand
+        self.params, self.inputs, self.outputs = {}, {}, []
         self.started = time.monotonic()
+        for action in {a.dest: a for a in parser._actions}.values():
+            value = getattr(args, action.dest, None)
+            if value is None or action.dest == "threads":
+                continue
+            for i, v in enumerate(value) if isinstance(value, list) else [("", value)]:
+                name = "%s%s" % (action.dest, i)
+                if action.type is _output:
+                    self.outputs.append(v)
+                elif action.type is not _input:
+                    self.params[name] = v
+                elif Path(v).is_dir():
+                    self.params[name + "_dir"] = v
+                else:
+                    self.inputs[name] = (v, _sha256(v))
 
-    def param(self, key, value):
-        if value is not None:
-            self.params[key] = value
-
-    def input(self, name, path):
-        if path is not None:
-            self.inputs[name] = (str(path), _sha256(path))
-
-    def manifest_name(self, output):
-        return Path(str(output) + ".manifest").name
-
-    def write(self, output):
+    def write(self):
+        """The manifest beside each output."""
         lines = ["subcommand=%s" % self.subcommand, "version=%s" % __version__]
         lines += ["parameter.%s=%s" % (k, self.params[k]) for k in sorted(self.params)]
-        lines += ["input.%s=%s sha256=%s" % (k, *self.inputs[k]) for k in sorted(self.inputs)]
+        for k in sorted(self.inputs):
+            path, digest = self.inputs[k]
+            if isinstance(digest, OSError):
+                raise digest
+            lines.append("input.%s=%s sha256=%s" % (k, path, digest))
         lines.append("duration_s=%.6f" % (time.monotonic() - self.started))
-        write_text(str(output) + ".manifest", "\n".join(lines) + "\n")
+        for output in self.outputs:
+            write_text(str(output) + ".manifest", "\n".join(lines) + "\n")
 
-    def report(self, output, rows, extra=None):
-        """Write `# key: value` header lines (the manifest's name first, then
-        extra's items) and the rows to output and its manifest, or to stdout."""
-        items = [("manifest", self.manifest_name(output or "stdout"))] + list((extra or {}).items())
-        text = "\n".join(["# %s: %s" % item for item in items] + list(rows)) + "\n"
-        if output is None:
-            sys.stdout.write(text)
-        else:
-            write_text(output, text)
-            self.write(output)
+
+def _manifest_name(output):
+    return Path(str(output) + ".manifest").name
+
+
+def _report(output, rows, extra=None):
+    """Write `# key: value` header lines (the manifest's name first, then
+    extra's items) and the rows to output, or to stdout."""
+    items = [("manifest", _manifest_name(output or "stdout"))] + list((extra or {}).items())
+    text = "\n".join(["# %s: %s" % item for item in items] + list(rows)) + "\n"
+    if output is None:
+        sys.stdout.write(text)
+    else:
+        write_text(output, text)
 
 
 def _log(msg):
@@ -72,21 +102,21 @@ def _log(msg):
 
 
 def _cmd_preprocess(args, parser):
-    run = Run("preprocess")
-    for key in ("format", "max_len", "dedup", "normalize_numbers",
-                "normalize_apostrophes", "hyphen_alt"):
-        run.param(key, getattr(args, key))
-    two_file = args.source is not None
+    pair_files = (args.source, args.target, args.output_source, args.output_target)
+    two_file = any(pair_files)
+    if two_file and (not all(pair_files) or args.input or args.output):
+        parser.error("two-file mode needs --source, --target, --output-source and "
+                     "--output-target, and no --input or --output")
+    if not two_file and (args.input is None or args.output is None):
+        parser.error("--input and --output are required (or use two-file flags)")
+    parallel = two_file or args.format == "tsv-parallel"
+    if args.hyphen_alt and parallel:
+        parser.error("--hyphen-alt needs a monolingual corpus, not sentence pairs")
+    if args.max_len is not None and not parallel:
+        parser.error("--max-len filters sentence pairs, not a monolingual corpus")
     if two_file:
-        if args.target is None or args.output_source is None or args.output_target is None:
-            parser.error("two-file mode needs --source, --target, --output-source and --output-target")
-        run.input("source", args.source)
-        run.input("target", args.target)
         data = corpus.load_parallel(args.source, args.target, format=args.format)
     else:
-        if args.input is None or args.output is None:
-            parser.error("--input and --output are required (or use two-file flags)")
-        run.input("input", args.input)
         data = corpus.load_corpus(args.input, format=args.format)
 
     def transform_sentence(s):
@@ -96,7 +126,7 @@ def _cmd_preprocess(args, parser):
             s = corpus.normalize_numbers(s)
         return s
 
-    if isinstance(data, corpus.ParallelCorpus):
+    if parallel:
         pairs = tuple(
             corpus.SentencePair(transform_sentence(p.source), transform_sentence(p.target))
             for p in data.pairs
@@ -109,27 +139,21 @@ def _cmd_preprocess(args, parser):
         if two_file:
             corpus.save_corpus(data.source_corpus(), args.output_source)
             corpus.save_corpus(data.target_corpus(), args.output_target)
-            run.write(args.output_source)
-            run.write(args.output_target)
         else:
             corpus.save_parallel(data, args.output)
-            run.write(args.output)
     else:
         sentences = tuple(transform_sentence(s) for s in data.sentences)
         data = corpus.Corpus(sentences, id=data.id)
         if args.dedup:
             data = corpus.dedup(data)
         if args.hyphen_alt:
-            run.input("lexicon", args.hyphen_alt)
             lexicon = corpus.Lexicon.load(args.hyphen_alt)
             write_text(args.output, "".join(
                 corpus.hyphen_alt_markup(s, lexicon) + "\n" for s in data.sentences
             ))
         else:
             corpus.save_corpus(data, args.output, format=args.format if args.format == "factored" else "plain")
-        run.write(args.output)
     _log("preprocess: wrote %d sentences" % len(data))
-    return 0
 
 
 def _load_view(path, fmt, view):
@@ -143,87 +167,68 @@ def _load_view(path, fmt, view):
 def _cmd_train_lm(args, parser):
     from . import lm
 
-    run = Run("train-lm")
-    for key in ("order", "smoothing", "format", "view"):
-        run.param(key, getattr(args, key))
-    run.input("input", args.input)
     data = _load_view(args.input, args.format, args.view)
-    vocab = None
-    if args.vocab_from:
-        run.input("vocab_from", args.vocab_from)
-        vocab = lm.Vocabulary.from_corpus(
-            _load_view(args.vocab_from, args.format, args.view)
-        )
+    vocab = (lm.Vocabulary.from_corpus(_load_view(args.vocab_from, args.format, args.view))
+             if args.vocab_from else None)
     model = lm.train(data, order=args.order, smoothing=args.smoothing, vocab=vocab)
     lm.write_model(model, args.output)
-    run.write(args.output)
     _log("train-lm: order %d %s model on %d sentences" % (args.order, model.smoothing, len(data)))
-    return 0
 
 
 def _cmd_perplexity(args, parser):
     from . import lm
 
-    run = Run("perplexity")
-    run.input("lm", args.lm)
-    run.input("input", args.input)
-    run.param("format", args.format)
     model = lm.read_model(args.lm)
     data = corpus.load_corpus(args.input, format=args.format)
     h = lm.cross_entropy(model, data)
-    run.report(args.output, ["cross_entropy_bits\t%s" % repr(h), "perplexity\t%s" % repr(2.0 ** h)],
-               {"units": "bits"})
-    return 0
+    _report(args.output, ["cross_entropy_bits\t%s" % repr(h), "perplexity\t%s" % repr(2.0 ** h)],
+            {"units": "bits"})
 
 
 def _cmd_score(args, parser):
     from . import lm, select
 
-    run = Run("score")
-    # --threads is accepted and has no effect, so it is not recorded
-    for key in ("criterion", "view", "order", "smoothing", "seed", "fms_cutoff"):
-        run.param(key, getattr(args, key))
     crit = args.criterion
+    if args.fms_cutoff is not None and crit != "fms":
+        parser.error("--fms-cutoff needs --criterion fms")
     # mml scores sentence pairs: source<TAB>target files, which carry no factors
+    if crit == "mml" and (args.view not in (None, "f") or args.general_format != "plain"):
+        parser.error("--criterion mml scores sentence pairs, which carry no factors for "
+                     "--view or --general-format")
     fmt, view = ("tsv-parallel", None) if crit == "mml" else (args.general_format, args.view)
-    run.input("general", args.general)
-    general = _load_view(args.general, fmt, view)
     files = {name: getattr(args, name) for name in select.LM_FILES.get(crit, ())}
     flags = ["--" + name.replace("_", "-") for name in files]
-    in_domain = models = None
+    unused = [n for names in select.LM_FILES.values() for n in names
+              if n not in files and getattr(args, n)]
+    if unused:
+        parser.error("--criterion %s does not use --%s" % (crit, unused[0].replace("_", "-")))
     if any(files.values()):
         missing = [flag for flag, path in zip(flags, files.values()) if not path]
         if missing:
             parser.error("--criterion %s is missing %s" % (crit, ", ".join(missing)))
         if view and view != "f":
             parser.error("--view needs corpus-based training, not LM files")
-        for name, path in files.items():
-            run.input(name, path)
-        models = [lm.read_model(path) for path in files.values()]
-    else:
-        if args.in_domain is None:
-            parser.error("--criterion %s needs --in-domain" % crit
-                         + (" or %s" % ", ".join(flags) if flags else ""))
-        run.input("in_domain", args.in_domain)
-        in_domain = _load_view(args.in_domain, fmt, view)
+        if args.in_domain is not None:
+            parser.error("--in-domain/--reference is not used with LM files")
+    elif args.in_domain is None:
+        parser.error("--criterion %s needs --in-domain" % crit
+                     + (" or %s" % ", ".join(flags) if flags else ""))
+    general = _load_view(args.general, fmt, view)
+    models = [lm.read_model(path) for path in files.values()] if any(files.values()) else None
+    in_domain = None if models else _load_view(args.in_domain, fmt, view)
     scores = select.score(crit, general, in_domain, models, order=args.order, seed=args.seed,
                           smoothing=args.smoothing, cutoff=args.fms_cutoff)
     meta = {"criterion": crit, "direction": select.CRITERION_DIRECTIONS[crit],
             "normalization": "per-word cross-entropy, bits", "seed": args.seed}
     if args.view:
         meta["view"] = args.view
-    run.report(args.output, select.index_rows(scores), meta)
+    _report(args.output, select.index_rows(scores), meta)
     _log("score: %s over %d sentences" % (crit, len(scores)))
-    return 0
 
 
 def _cmd_select(args, parser):
     from . import select
 
-    run = Run("select")
-    run.input("scores", args.scores)
-    run.param("k", args.k)
-    run.param("theta", args.theta)
     if (args.k is None) == (args.theta is None):
         parser.error("exactly one of --k and --theta is required")
     scores, meta = select.read_scores(args.scores)
@@ -237,14 +242,12 @@ def _cmd_select(args, parser):
     else:
         result = select.threshold_filter(scores, args.theta, direction, criterion)
         extra = {"theta": args.theta}
-    extra["manifest"] = run.manifest_name(args.output)
+    extra["manifest"] = _manifest_name(args.output)
     for key in ("seed", "view"):
         if key in meta:
             extra[key] = meta[key]
     select.write_selection(args.output, result, extra)
-    run.write(args.output)
     _log("select: kept %d of %d" % (len(result.indices), len(scores)))
-    return 0
 
 
 def _numbers(text, option):
@@ -255,83 +258,59 @@ def _numbers(text, option):
         raise ToolkitError("%s needs comma-separated numbers, got %r" % (option, text)) from None
 
 
+# the options each combine mode needs, then those it may also take
+_COMBINE_MODES = {
+    "corpus": (("selection", "corpus"), ("weights", "replicate")),
+    "naive-rank": (("selection", "target_size"), ()),
+    "tables": (("table",), ("weights",)),
+    "lm-interp": (("set", "dev"), ()),
+}
+
+
 def _cmd_combine(args, parser):
     from . import combine, lm, select
 
-    run = Run("combine")
-    run.param("mode", args.mode)
+    needs, takes = _COMBINE_MODES[args.mode]
+    given = [d for d in dict.fromkeys(d for n, t in _COMBINE_MODES.values() for d in n + t)
+             if getattr(args, d) is not None]
+    missing = [d for d in needs if d not in given]
+    stray = [d for d in given if d not in needs + takes]
+    if missing or stray:
+        parser.error("--mode %s %s --%s" % (args.mode, "needs" if missing else "does not take",
+                                             (missing or stray)[0].replace("_", "-")))
     weights = _numbers(args.weights, "--weights") if args.weights else None
     if args.mode == "corpus":
-        if not args.selection or args.corpus is None:
-            parser.error("--mode corpus needs --selection (repeatable) and --corpus")
         selections = [select.read_selection(p) for p in args.selection]
-        for i, p in enumerate(args.selection):
-            run.input("selection%d" % i, p)
-        run.input("corpus", args.corpus)
-        if weights is None:
-            weights = [1.0] * len(selections)
         data = corpus.load_corpus(args.corpus, format=args.format)
-        wc = combine.combine_corpus_weighted(selections, data, weights)
+        wc = combine.combine_corpus_weighted(selections, data, weights or [1.0] * len(selections))
         combine.write_weighted_corpus(wc, args.output, replicate=args.replicate)
-        run.write(args.output)
     elif args.mode == "naive-rank":
-        if not args.selection or args.target_size is None:
-            parser.error("--mode naive-rank needs --selection (repeatable) and --target-size")
         ranked = [select.read_selection(p).indices for p in args.selection]
-        for i, p in enumerate(args.selection):
-            run.input("selection%d" % i, p)
-        merged = combine.combine_naive_rank(ranked, args.target_size)
-        run.report(args.output, map(str, merged))
+        _report(args.output, map(str, combine.combine_naive_rank(ranked, args.target_size)))
     elif args.mode == "tables":
-        if not args.table:
-            parser.error("--mode tables needs --table (repeatable)")
         tables = [combine.read_table(p) for p in args.table]
-        for i, p in enumerate(args.table):
-            run.input("table%d" % i, p)
-        if weights is None:
-            weights = [1.0] * len(tables)
-        combine.write_table(combine.interpolate_tables(tables, weights), args.output)
-        run.write(args.output)
-    elif args.mode == "lm-interp":
-        if not args.set or args.dev is None:
-            parser.error("--mode lm-interp needs --set (repeatable) and --dev")
+        combine.write_table(combine.interpolate_tables(tables, weights or [1.0] * len(tables)),
+                            args.output)
+    else:
         sets = [corpus.load_corpus(p, format=args.format) for p in args.set]
-        for i, p in enumerate(args.set):
-            run.input("set%d" % i, p)
-        run.input("dev", args.dev)
         dev = corpus.load_corpus(args.dev, format=args.format)
-        mixture = combine.combine_advanced_lm(
-            sets, dev, order=args.order, smoothing=args.smoothing
-        )
+        mixture = combine.combine_advanced_lm(sets, dev, order=args.order, smoothing=args.smoothing)
         rows = []
         for i, (w, component) in enumerate(zip(mixture.weights, mixture.components)):
             component_path = "%s.%d.lm" % (args.output, i)
             lm.write_model(component, component_path)
             rows.append("%s\t%s" % (repr(w), Path(component_path).name))
-        run.report(args.output, rows)
-    else:
-        parser.error("unknown combine mode %r" % args.mode)
+        _report(args.output, rows)
     _log("combine: mode %s done" % args.mode)
-    return 0
 
 
 def _cmd_retrieve(args, parser):
     from . import retrieve
 
-    run = Run("retrieve")
-    for key in ("lambda_percent", "n_best", "delta", "multiplier"):
-        run.param(key, getattr(args, key))
-    run.input("collection", args.collection) if Path(args.collection).is_file() else run.param("collection_dir", args.collection)
-    run.input("queries", args.queries)
     index = retrieve.DocumentIndex(retrieve.load_collection(args.collection))
     queries = retrieve.load_collection(args.queries)
-    stopwords = frozenset()
-    if args.stopwords:
-        run.input("stopwords", args.stopwords)
-        stopwords = retrieve.load_stopwords(args.stopwords)
-    params = None
-    if args.delta is not None:
-        params = retrieve.LengthFilterParams(args.delta, args.multiplier)
+    stopwords = retrieve.load_stopwords(args.stopwords) if args.stopwords else frozenset()
+    params = None if args.delta is None else retrieve.LengthFilterParams(args.delta, args.multiplier)
     stats = Counter()
     results = {
         q.id: retrieve.retrieve(q, index, args.lambda_percent, args.n_best,
@@ -340,33 +319,26 @@ def _cmd_retrieve(args, parser):
     }
     extra = {}
     if args.gold:
-        run.input("gold", args.gold)
         gold = retrieve.load_gold(args.gold)
         ranked_ids = {src: [d for d, _ in r] for src, r in results.items()}
         prf = retrieve.evaluate_retrieval(ranked_ids, gold)
         extra = dict(zip(("precision", "recall", "f1"), map(repr, prf)))
-    run.report(args.output, retrieve.result_rows(results), extra)
+    _report(args.output, retrieve.result_rows(results), extra)
     _log("retrieve: %d queries against %d documents; %d postings visited of %d "
          "(query terms x candidates)" % (len(queries), index.n_docs, stats["postings"],
                                          stats["postings_base"]))
-    return 0
 
 
 def _cmd_estimate_delta(args, parser):
     from . import retrieve
 
-    run = Run("estimate-delta")
-    if args.input:
-        run.input("input", args.input)
+    if args.input and not (args.source or args.target):
         data = corpus.load_corpus(args.input, format="tsv-parallel")
-    elif args.source and args.target:
-        run.input("source", args.source)
-        run.input("target", args.target)
+    elif args.source and args.target and not args.input:
         data = corpus.load_parallel(args.source, args.target)
     else:
-        parser.error("need --input (TSV) or --source/--target")
-    run.report(args.output, ["delta\t%s" % repr(retrieve.estimate_delta(data))])
-    return 0
+        parser.error("need --input (TSV) or --source and --target, not both")
+    _report(args.output, ["delta\t%s" % repr(retrieve.estimate_delta(data))])
 
 
 def _location_weights(args, parser):
@@ -383,68 +355,52 @@ def _location_weights(args, parser):
 def _cmd_topic_filter(args, parser):
     from . import webfilter
 
-    run = Run("topic-filter")
-    run.param("k", args.k)
-    run.param("location_weights", args.location_weights)
-    run.input("topic", args.topic)
     docs = webfilter.load_located_collection(args.collection)
     topic = webfilter.load_topic_file(args.topic)
     weights = _location_weights(args, parser)
     scored = [(d.id, webfilter.topic_relevance(d, topic, weights)) for d in docs]
     kept = webfilter.filter_documents_topk(scored, args.k)
     by_id = dict(scored)
-    run.report(args.output, ["%s\t%s" % (doc_id, repr(by_id[doc_id])) for doc_id in kept], {
+    _report(args.output, ["%s\t%s" % (doc_id, repr(by_id[doc_id])) for doc_id in kept], {
         "k": args.k,
         "location-weights": "title=%g headings=%g metadata=%g body=%g"
         % (weights.title, weights.headings, weights.metadata, weights.body),
     })
     _log("topic-filter: kept %d of %d documents" % (len(kept), len(docs)))
-    return 0
 
 
 def _cmd_ppl_filter(args, parser):
     from . import lm, webfilter
 
-    run = Run("ppl-filter")
-    run.param("k", args.k)
-    run.param("n", args.n)
-    run.input("lm", args.lm)
     if args.topic is None and args.k < 100:
         parser.error("--topic is required when --k < 100")
     docs = webfilter.load_located_collection(args.collection)
-    if args.topic:
-        run.input("topic", args.topic)
-        topic = webfilter.load_topic_file(args.topic)
-    else:
-        topic = webfilter.TopicDefinition([])
+    topic = webfilter.load_topic_file(args.topic) if args.topic else webfilter.TopicDefinition([])
     model = lm.read_model(args.lm)
     weights = _location_weights(args, parser)
     kept = webfilter.combined_filter(docs, topic, args.k, args.n, model, weights)
-    run.report(args.output, ["%s\t%s" % row for row in kept], {"k": args.k, "n": args.n})
+    _report(args.output, ["%s\t%s" % row for row in kept], {"k": args.k, "n": args.n})
     _log("ppl-filter: kept %d sentences" % len(kept))
-    return 0
 
 
 def _cmd_diagnose(args, parser):
     from . import metrics, select
 
-    run = Run("diagnose")
+    if (args.train is None) != (args.test is None):
+        parser.error("--train and --test go together")
+    if args.selection and len(args.selection) < 2:
+        parser.error("--selection compares two or more selections")
     rows = []
     if args.corpus:
-        run.input("corpus", args.corpus)
         data = corpus.load_corpus(args.corpus, format=args.format)
         tokens, types, ratio = metrics.vocab_stats(data)
         rows += [("tokens", tokens), ("types", types), ("type_token_ratio", repr(ratio))]
-    if args.train and args.test:
-        run.input("train", args.train)
-        run.input("test", args.test)
+    if args.train:
         train_c = corpus.load_corpus(args.train, format=args.format)
         test_c = corpus.load_corpus(args.test, format=args.format)
         rows.append(("oov_ratio_tokens", repr(metrics.oov_ratio(train_c, test_c))))
         rows.append(("oov_ratio_types", repr(metrics.oov_ratio(train_c, test_c, by_type=True))))
-    if args.selection and len(args.selection) >= 2:
-        for i, p in enumerate(args.selection):
-            run.input("selection%d" % i, p)
+    if args.selection:
         subsets = [set(select.read_selection(p).indices) for p in args.selection]
         overlap, uniques = metrics.overlap_stats(subsets)
         rows.append(("overlap", repr(overlap)))
@@ -452,25 +408,19 @@ def _cmd_diagnose(args, parser):
             rows.append(("unique_%d" % i, repr(u)))
     if not rows:
         parser.error("nothing to diagnose: pass --corpus, --train/--test or >=2 --selection")
-    run.report(args.output, [metrics.format_table(("metric", "value"), rows)] if args.table
-               else ["%s\t%s" % row for row in rows])
-    return 0
+    _report(args.output, [metrics.format_table(("metric", "value"), rows)] if args.table
+            else ["%s\t%s" % row for row in rows])
 
 
 def _cmd_bleu(args, parser):
     from . import metrics
 
-    run = Run("bleu")
-    run.input("hypothesis", args.hypothesis)
-    run.input("reference", args.reference)
-    run.param("smooth", args.smooth)
     hyp = corpus.load_corpus(args.hypothesis)
     ref = corpus.load_corpus(args.reference)
     report = metrics.bleu(hyp, ref, smooth=args.smooth)
     rows = [("p%d" % n, p) for n, p in enumerate(report.precisions, 1)]
     rows += [("brevity_penalty", report.brevity_penalty), ("bleu", report.score)]
-    run.report(args.output, ["%s\t%r" % row for row in rows])
-    return 0
+    _report(args.output, ["%s\t%r" % row for row in rows])
 
 
 # --- parser ----------------------------------------------------------------------
@@ -490,135 +440,141 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("preprocess", help="dedup / length / number / hyphen / apostrophe transforms")
-    p.add_argument("--input")
-    p.add_argument("--output")
-    p.add_argument("--source")
-    p.add_argument("--target")
-    p.add_argument("--output-source")
-    p.add_argument("--output-target")
+    p.add_argument("--input", type=_input)
+    p.add_argument("--output", type=_output)
+    p.add_argument("--source", type=_input)
+    p.add_argument("--target", type=_input)
+    p.add_argument("--output-source", type=_output)
+    p.add_argument("--output-target", type=_output)
     p.add_argument("--format", default="plain", choices=["plain", "factored", "tsv-parallel"])
     p.add_argument("--dedup", action="store_true")
     p.add_argument("--max-len", type=int)
     p.add_argument("--normalize-numbers", action="store_true")
     p.add_argument("--normalize-apostrophes", action="store_true")
-    p.add_argument("--hyphen-alt", metavar="LEXICON")
+    p.add_argument("--hyphen-alt", metavar="LEXICON", type=_input)
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("train-lm", help="train an n-gram language model")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
+    p.add_argument("--input", required=True, type=_input)
+    p.add_argument("--output", required=True, type=_output)
     p.add_argument("--format", default="plain", choices=["plain", "factored"])
     p.add_argument("--view", choices=list(corpus.FACTOR_VIEWS))
-    p.add_argument("--vocab-from")
+    p.add_argument("--vocab-from", type=_input)
     _add_lm_opts(p)
     p.set_defaults(func=_cmd_train_lm)
 
     p = sub.add_parser("perplexity", help="cross-entropy and perplexity of a corpus under a model")
-    p.add_argument("--lm", required=True)
-    p.add_argument("--input", required=True)
+    p.add_argument("--lm", required=True, type=_input)
+    p.add_argument("--input", required=True, type=_input)
     p.add_argument("--format", default="plain", choices=["plain", "factored"])
-    p.add_argument("--output")
+    p.add_argument("--output", type=_output)
     p.set_defaults(func=_cmd_perplexity)
 
     p = sub.add_parser("score", help="score general-corpus sentences for domain relevance")
     p.add_argument("--criterion", required=True, choices=["cosine", "ce", "ml", "mml", "fms"])
-    p.add_argument("--general", required=True)
+    p.add_argument("--general", required=True, type=_input)
     p.add_argument("--general-format", default="plain", choices=["plain", "factored"])
-    p.add_argument("--in-domain")
-    p.add_argument("--reference", dest="in_domain", help="alias for --in-domain (FMS reference set)")
-    p.add_argument("--in-lm")
-    p.add_argument("--out-lm")
-    p.add_argument("--in-src-lm")
-    p.add_argument("--out-src-lm")
-    p.add_argument("--in-tgt-lm")
-    p.add_argument("--out-tgt-lm")
+    p.add_argument("--in-domain", type=_input)
+    p.add_argument("--reference", dest="in_domain", type=_input,
+                   help="alias for --in-domain (FMS reference set)")
+    p.add_argument("--in-lm", type=_input)
+    p.add_argument("--out-lm", type=_input)
+    p.add_argument("--in-src-lm", type=_input)
+    p.add_argument("--out-src-lm", type=_input)
+    p.add_argument("--in-tgt-lm", type=_input)
+    p.add_argument("--out-tgt-lm", type=_input)
     p.add_argument("--view", choices=list(corpus.FACTOR_VIEWS))
     p.add_argument("--fms-cutoff", type=finite)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; scoring runs on one thread")
-    p.add_argument("--output")
+    p.add_argument("--output", type=_output)
     _add_lm_opts(p)
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("select", help="top-K or threshold selection from a score file")
-    p.add_argument("--scores", required=True)
+    p.add_argument("--scores", required=True, type=_input)
     p.add_argument("--k", type=finite)
     p.add_argument("--theta", type=finite)
     p.add_argument("--direction", choices=["higher-is-better", "lower-is-better"])
-    p.add_argument("--output", required=True)
+    p.add_argument("--output", required=True, type=_output)
     p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("combine", help="combine selections, tables or LMs")
     p.add_argument("--mode", required=True, choices=["corpus", "naive-rank", "tables", "lm-interp"])
-    p.add_argument("--selection", action="append")
-    p.add_argument("--table", action="append")
-    p.add_argument("--set", action="append")
-    p.add_argument("--corpus")
-    p.add_argument("--dev")
+    p.add_argument("--selection", action="append", type=_input)
+    p.add_argument("--table", action="append", type=_input)
+    p.add_argument("--set", action="append", type=_input)
+    p.add_argument("--corpus", type=_input)
+    p.add_argument("--dev", type=_input)
     p.add_argument("--weights")
     p.add_argument("--target-size", type=int)
-    p.add_argument("--replicate", action="store_true")
+    p.add_argument("--replicate", action="store_true", default=None)  # None: not given
     p.add_argument("--format", default="plain", choices=["plain", "factored", "tsv-parallel"])
-    p.add_argument("--output", required=True)
+    p.add_argument("--output", required=True, type=_output)
     _add_lm_opts(p)
     p.set_defaults(func=_cmd_combine)
 
     p = sub.add_parser("retrieve", help="rank collection documents for each query document")
-    p.add_argument("--collection", required=True)
-    p.add_argument("--queries", required=True)
+    p.add_argument("--collection", required=True, type=_input)
+    p.add_argument("--queries", required=True, type=_input)
     p.add_argument("--lambda", dest="lambda_percent", type=finite, required=True)
     p.add_argument("--n-best", type=int, required=True)
     p.add_argument("--delta", type=finite)
     p.add_argument("--multiplier", type=finite, default=4.0)
-    p.add_argument("--stopwords")
-    p.add_argument("--gold")
-    p.add_argument("--output")
+    p.add_argument("--stopwords", type=_input)
+    p.add_argument("--gold", type=_input)
+    p.add_argument("--output", type=_output)
     p.set_defaults(func=_cmd_retrieve)
 
     p = sub.add_parser("estimate-delta", help="mean relative length deviation of a parallel corpus")
-    p.add_argument("--input")
-    p.add_argument("--source")
-    p.add_argument("--target")
-    p.add_argument("--output")
+    p.add_argument("--input", type=_input)
+    p.add_argument("--source", type=_input)
+    p.add_argument("--target", type=_input)
+    p.add_argument("--output", type=_output)
     p.set_defaults(func=_cmd_estimate_delta)
 
     p = sub.add_parser("topic-filter", help="top-K%% documents by topic relevance")
-    p.add_argument("--collection", required=True)
-    p.add_argument("--topic", required=True)
+    p.add_argument("--collection", required=True, type=_input)
+    p.add_argument("--topic", required=True, type=_input)
     p.add_argument("--k", type=finite, required=True)
     p.add_argument("--location-weights")
-    p.add_argument("--output")
+    p.add_argument("--output", type=_output)
     p.set_defaults(func=_cmd_topic_filter)
 
     p = sub.add_parser("ppl-filter", help="combined topic/perplexity K/N filter")
-    p.add_argument("--collection", required=True)
-    p.add_argument("--topic")
+    p.add_argument("--collection", required=True, type=_input)
+    p.add_argument("--topic", type=_input)
     p.add_argument("--k", type=finite, required=True)
     p.add_argument("--n", type=finite, required=True)
-    p.add_argument("--lm", required=True)
+    p.add_argument("--lm", required=True, type=_input)
     p.add_argument("--location-weights")
-    p.add_argument("--output")
+    p.add_argument("--output", type=_output)
     p.set_defaults(func=_cmd_ppl_filter)
 
     p = sub.add_parser("diagnose", help="corpus statistics, OOV and subset overlap")
-    p.add_argument("--corpus")
-    p.add_argument("--train")
-    p.add_argument("--test")
-    p.add_argument("--selection", action="append")
+    p.add_argument("--corpus", type=_input)
+    p.add_argument("--train", type=_input)
+    p.add_argument("--test", type=_input)
+    p.add_argument("--selection", action="append", type=_input)
     p.add_argument("--format", default="plain", choices=["plain", "factored"])
     p.add_argument("--table", action="store_true", help="aligned table instead of TSV")
-    p.add_argument("--output")
+    p.add_argument("--output", type=_output)
     p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("bleu", help="corpus BLEU of a hypothesis file against a reference file")
-    p.add_argument("--hypothesis", required=True)
-    p.add_argument("--reference", required=True)
+    p.add_argument("--hypothesis", required=True, type=_input)
+    p.add_argument("--reference", required=True, type=_input)
     p.add_argument("--smooth", action="store_true")
-    p.add_argument("--output")
+    p.add_argument("--output", type=_output)
     p.set_defaults(func=_cmd_bleu)
 
     return parser
+
+
+def _steps(parser):
+    """The subcommand parsers by name."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def _apply_config(argv, parser):
@@ -630,6 +586,7 @@ def _apply_config(argv, parser):
         parser.error("--config needs a file argument")
     path = argv[i + 1]
     defaults = {}
+    options = {a.dest for sub in _steps(parser).values() for a in sub._actions} - {"help"}
     for lineno, line in read_lines(path):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -642,14 +599,14 @@ def _apply_config(argv, parser):
         # option's type=, as it converts the same value given as a flag
         if value.lower() in ("true", "false"):
             value = value.lower() == "true"
-        defaults[key.strip().replace("-", "_")] = value
+        key = key.strip().replace("-", "_")
+        if key not in options:
+            raise FormatError("%s line %d: no option is named %r" % (path, lineno, key))
+        defaults[key] = value
     rest = argv[:i] + argv[i + 2 :]
-    parser.set_defaults(**defaults)
-    # subcommands parse into a fresh namespace, so they need the defaults too
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                sub.set_defaults(**defaults)
+    # each subcommand parses into a fresh namespace, which takes its defaults
+    for sub in _steps(parser).values():
+        sub.set_defaults(**defaults)
     return rest
 
 
@@ -658,7 +615,10 @@ def run(argv):
     try:
         argv = _apply_config(list(argv), parser)
         args = parser.parse_args(argv)
-        return args.func(args, parser)
+        step = Run(_steps(parser)[args.subcommand], args)
+        args.func(args, parser)
+        step.write()
+        return 0
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     except ToolkitError as exc:

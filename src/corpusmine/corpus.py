@@ -128,9 +128,9 @@ class ParallelCorpus:
 
 
 def words_of(item):
-    """The words of a Sentence, a whitespace-tokenized string or a token list."""
-    if hasattr(item, "words"):
-        return item.words
+    """The words of a Sentence (its surface tuple), a whitespace-tokenized string or a token list."""
+    if isinstance(item, Sentence):
+        return item.surface
     if isinstance(item, str):
         return item.split()
     return list(item)

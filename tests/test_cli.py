@@ -1,5 +1,6 @@
 """End-to-end command-line interface behavior: exit codes, files, manifests."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -553,6 +554,18 @@ def test_config_file_defaults(work, capsys):
     assert "argument --order: invalid int value: 'inf'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["subcommand", "func", "help", "ordre"])
+def test_config_key_must_name_an_option(work, capsys, key):
+    # a config default for the parser's own state would pick the step or
+    # its manifest; a misspelt key would be dropped without a word
+    cfg = work / "c.cfg"
+    cfg.write_text("order=2\n%s=bleu\n" % key, encoding="utf-8")
+    assert run_cli("train-lm", "--config", str(cfg), "--input", str(work / "indomain.txt"),
+                   "--output", str(work / "m.lm")) == 1
+    assert "error: %s line 2: no option is named %r" % (cfg, key) in capsys.readouterr().err
+    assert not (work / "m.lm").exists()
+
+
 @pytest.mark.parametrize("symbol", ["<s>", "</s>"])
 def test_train_lm_rejects_sentence_markers_with_shared_vocabulary(work, capsys, symbol):
     (work / "marked.txt").write_text("a %s b\n" % symbol, encoding="utf-8")
@@ -705,3 +718,112 @@ def test_non_utf8_input_is_an_error(work, capsys, argv):
     err = capsys.readouterr().err
     assert "error: %s is not valid UTF-8:" % bad in err
     assert "Traceback" not in err
+
+
+def test_mml_rejects_a_view_other_than_f(work, capsys, bilingual):
+    argv = ["score", "--criterion", "mml", "--general", str(work / "general.tsv"),
+            "--in-domain", str(work / "indomain.tsv"), "--order", "2"]
+    assert run_cli(*argv, "--view", "l", "--output", str(work / "l.tsv")) == 2
+    assert "--criterion mml" in capsys.readouterr().err
+    assert not list(work.glob("l.tsv*"))
+    # f is the surface itself: the same rows as no --view
+    assert run_cli(*argv, "--view", "f", "--output", str(work / "f.tsv")) == 0
+    assert run_cli(*argv, "--output", str(work / "none.tsv")) == 0
+    rows = [[l for l in (work / n).read_text(encoding="utf-8").splitlines()
+             if not l.startswith("#")] for n in ("f.tsv", "none.tsv")]
+    assert rows[0] == rows[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["score", "--criterion", "ml", "--general", "general.txt", "--in-lm", "in.lm",
+      "--out-lm", "out.lm", "--in-domain", "missing.txt"], "--in-domain"),
+    (["score", "--criterion", "cosine", "--general", "general.txt", "--in-domain",
+      "indomain.txt", "--in-lm", "in.lm"], "does not use --in-lm"),
+    (["score", "--criterion", "cosine", "--general", "general.txt", "--in-domain",
+      "indomain.txt", "--fms-cutoff", "0.5"], "--fms-cutoff"),
+    (["score", "--criterion", "mml", "--general", "pairs.tsv", "--in-domain", "pairs.tsv",
+      "--general-format", "factored"], "--general-format"),
+    (["preprocess", "--input", "general.txt", "--max-len", "3"], "--max-len"),
+    (["preprocess", "--input", "pairs.tsv", "--format", "tsv-parallel", "--hyphen-alt",
+      "lex.tsv"], "--hyphen-alt"),
+    (["preprocess", "--source", "general.txt", "--target", "general.txt", "--output-source",
+      "a.txt", "--output-target", "b.txt", "--hyphen-alt", "lex.tsv"], "--hyphen-alt"),
+    (["preprocess", "--input", "general.txt", "--source", "general.txt", "--target",
+      "general.txt", "--output-source", "a.txt", "--output-target", "b.txt"], "--input"),
+    (["preprocess", "--input", "general.txt", "--output-source", "a.txt"], "--source"),
+    (["diagnose", "--corpus", "general.txt", "--selection", "s.sel"], "--selection"),
+    (["diagnose", "--corpus", "general.txt", "--train", "indomain.txt"], "--test"),
+    (["diagnose", "--test", "indomain.txt"], "--train"),
+    (["combine", "--mode", "naive-rank", "--selection", "s.sel", "--target-size", "1",
+      "--weights", "2"], "does not take --weights"),
+    (["estimate-delta", "--input", "pairs.tsv", "--source", "general.txt"], "--source"),
+])
+def test_ignored_options_are_usage_errors(work, capsys, argv, message):
+    (work / "pairs.tsv").write_text("a b\tA B\n", encoding="utf-8")
+    (work / "lex.tsv").write_text("slow\tlento\n", encoding="utf-8")
+    select.write_selection(work / "s.sel", select.SelectionResult([0, 1], "cosine",
+                                                                   select.HIGHER, ""))
+    before = sorted(p.name for p in work.iterdir())
+    if "--output-source" not in argv:
+        argv = argv + ["--output", "out.txt"]
+    argv = [str(work / a) if a.endswith((".txt", ".tsv", ".lm", ".sel")) else a for a in argv]
+    assert run_cli(*argv) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in work.iterdir()) == before
+
+
+def _manifest(path):
+    text = Path(str(path) + ".manifest").read_text(encoding="utf-8")
+    return dict(line.split("=", 1) for line in text.splitlines())
+
+
+@pytest.mark.parametrize("name", sorted(cli._steps(cli.build_parser())))
+def test_manifest_records_every_option(tmp_path, name):
+    # the manifest rule holds for every option of every step: a new option
+    # is recorded without a line of its own
+    (tmp_path / "in.txt").write_text("a b\n", encoding="utf-8")
+    parser = cli.build_parser()
+    sub = cli._steps(parser)[name]
+    argv, recorded = [name], set()
+    for action in sub._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            argv.append(flag)
+        elif action.type is cli._output:
+            argv += [flag, str(tmp_path / action.dest)]
+        else:
+            value = tmp_path / "in.txt" if action.type is cli._input else "2"
+            argv += [flag, str(action.choices[0] if action.choices else value)]
+        if action.type is not cli._output and action.dest != "threads":
+            recorded.add(action.dest)
+    run = cli.Run(sub, parser.parse_args(argv))
+    run.write()
+    assert run.outputs
+    for out in run.outputs:
+        keys = {k.split(".", 1)[1] for k in _manifest(out) if "." in k}
+        assert {k.rstrip("0") for k in keys} == recorded
+
+
+def test_manifest_records_combine_weights(work, capsys):
+    s1, s2 = work / "s1.sel", work / "s2.sel"
+    select.write_selection(s1, select.SelectionResult([0, 1], "cosine", select.HIGHER, ""))
+    select.write_selection(s2, select.SelectionResult([1, 2], "ce", select.LOWER, ""))
+    out = work / "w.tsv"
+    assert run_cli("combine", "--mode", "corpus", "--selection", str(s1), "--selection",
+                   str(s2), "--corpus", str(work / "general.txt"), "--weights", "2,1",
+                   "--output", str(out)) == 0
+    manifest = _manifest(out)
+    assert manifest["parameter.weights"] == "2,1"
+    assert manifest["input.selection1"].startswith("%s sha256=" % s2)
+
+
+def test_manifest_digest_is_of_the_input_before_the_step(work, capsys):
+    path = work / "numbers.txt"
+    path.write_text("a 12\nb 7\n", encoding="utf-8")
+    before = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert run_cli("preprocess", "--input", str(path), "--output", str(path),
+                   "--normalize-numbers") == 0
+    assert path.read_text(encoding="utf-8") == "a @num@\nb @num@\n"
+    assert _manifest(path)["input.input"] == "%s sha256=%s" % (path, before)
