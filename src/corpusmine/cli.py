@@ -250,6 +250,12 @@ def _cmd_select(args, parser):
     _log("select: kept %d of %d" % (len(result.indices), len(scores)))
 
 
+def _given(args, *names):
+    """The options among names that were given, as keyword arguments; the
+    called function's defaults stand for the others."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _numbers(text, option):
     """The finite floats of a comma-separated option value."""
     try:
@@ -260,11 +266,22 @@ def _numbers(text, option):
 
 # the options each combine mode needs, then those it may also take
 _COMBINE_MODES = {
-    "corpus": (("selection", "corpus"), ("weights", "replicate")),
+    "corpus": (("selection", "corpus"), ("weights", "replicate", "format")),
     "naive-rank": (("selection", "target_size"), ()),
     "tables": (("table",), ("weights",)),
-    "lm-interp": (("set", "dev"), ()),
+    "lm-interp": (("set", "dev"), ("format", "order", "smoothing")),
 }
+
+
+def _unread(args):
+    """The options, none with a parser default, that the step does not read
+    with its other options as given."""
+    if args.subcommand == "combine":
+        needs, takes = _COMBINE_MODES[args.mode]
+        return [d for n, t in _COMBINE_MODES.values() for d in n + t if d not in needs + takes]
+    if args.subcommand == "retrieve" and args.delta is None:
+        return ["multiplier"]
+    return []
 
 
 def _cmd_combine(args, parser):
@@ -279,9 +296,10 @@ def _cmd_combine(args, parser):
         parser.error("--mode %s %s --%s" % (args.mode, "needs" if missing else "does not take",
                                              (missing or stray)[0].replace("_", "-")))
     weights = _numbers(args.weights, "--weights") if args.weights else None
+    fmt = _given(args, "format")
     if args.mode == "corpus":
         selections = [select.read_selection(p) for p in args.selection]
-        data = corpus.load_corpus(args.corpus, format=args.format)
+        data = corpus.load_corpus(args.corpus, **fmt)
         wc = combine.combine_corpus_weighted(selections, data, weights or [1.0] * len(selections))
         combine.write_weighted_corpus(wc, args.output, replicate=args.replicate)
     elif args.mode == "naive-rank":
@@ -292,9 +310,9 @@ def _cmd_combine(args, parser):
         combine.write_table(combine.interpolate_tables(tables, weights or [1.0] * len(tables)),
                             args.output)
     else:
-        sets = [corpus.load_corpus(p, format=args.format) for p in args.set]
-        dev = corpus.load_corpus(args.dev, format=args.format)
-        mixture = combine.combine_advanced_lm(sets, dev, order=args.order, smoothing=args.smoothing)
+        sets = [corpus.load_corpus(p, **fmt) for p in args.set]
+        dev = corpus.load_corpus(args.dev, **fmt)
+        mixture = combine.combine_advanced_lm(sets, dev, **_given(args, "order", "smoothing"))
         rows = []
         for i, (w, component) in enumerate(zip(mixture.weights, mixture.components)):
             component_path = "%s.%d.lm" % (args.output, i)
@@ -307,10 +325,13 @@ def _cmd_combine(args, parser):
 def _cmd_retrieve(args, parser):
     from . import retrieve
 
+    if args.multiplier is not None and args.delta is None:
+        parser.error("--multiplier scales --delta, which is not given")
     index = retrieve.DocumentIndex(retrieve.load_collection(args.collection))
     queries = retrieve.load_collection(args.queries)
     stopwords = retrieve.load_stopwords(args.stopwords) if args.stopwords else frozenset()
-    params = None if args.delta is None else retrieve.LengthFilterParams(args.delta, args.multiplier)
+    params = (None if args.delta is None
+              else retrieve.LengthFilterParams(args.delta, **_given(args, "multiplier")))
     stats = Counter()
     results = {
         q.id: retrieve.retrieve(q, index, args.lambda_percent, args.n_best,
@@ -510,9 +531,11 @@ def build_parser():
     p.add_argument("--weights")
     p.add_argument("--target-size", type=int)
     p.add_argument("--replicate", action="store_true", default=None)  # None: not given
-    p.add_argument("--format", default="plain", choices=["plain", "factored", "tsv-parallel"])
+    # no defaults, so that a mode which reads none of these can tell one was given
+    p.add_argument("--format", choices=["plain", "factored", "tsv-parallel"])
+    p.add_argument("--order", type=int)
+    p.add_argument("--smoothing")
     p.add_argument("--output", required=True, type=_output)
-    _add_lm_opts(p)
     p.set_defaults(func=_cmd_combine)
 
     p = sub.add_parser("retrieve", help="rank collection documents for each query document")
@@ -521,7 +544,7 @@ def build_parser():
     p.add_argument("--lambda", dest="lambda_percent", type=finite, required=True)
     p.add_argument("--n-best", type=int, required=True)
     p.add_argument("--delta", type=finite)
-    p.add_argument("--multiplier", type=finite, default=4.0)
+    p.add_argument("--multiplier", type=finite)
     p.add_argument("--stopwords", type=_input)
     p.add_argument("--gold", type=_input)
     p.add_argument("--output", type=_output)
@@ -615,6 +638,15 @@ def run(argv):
     try:
         argv = _apply_config(list(argv), parser)
         args = parser.parse_args(argv)
+        unread = _unread(args)
+        if unread:
+            # one config file serves every step, so a step drops the config's
+            # value of an option it does not read: its usage checks and its
+            # manifest see that option only when the command line gives it
+            bare = build_parser().parse_args(argv)
+            for name in unread:
+                if getattr(bare, name) is None:
+                    setattr(args, name, None)
         step = Run(_steps(parser)[args.subcommand], args)
         args.func(args, parser)
         step.write()

@@ -6,6 +6,7 @@ token (``surface|lemma|pos|ne``); trailing factors may be omitted.
 """
 
 import re
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -29,7 +30,8 @@ class Sentence:
     ``surface`` is a tuple of words.  ``lemma``, ``pos`` and ``ne`` hold one
     entry per token, None where that token lacks the factor, and are None
     themselves when no token carries the factor, so a factor-less factored
-    line equals (and hashes like) the plain line.
+    line equals (and hashes like) the plain line.  The readers intern every
+    token, so a loaded corpus holds one string object per type.
     """
 
     surface: tuple
@@ -54,7 +56,7 @@ class Sentence:
 
     @classmethod
     def from_plain(cls, line):
-        words = tuple(line.split())
+        words = tuple(map(sys.intern, line.split()))
         if FACTOR_SEP in line:
             bad = next(w for w in words if FACTOR_SEP in w)
             raise FormatError(
@@ -66,7 +68,7 @@ class Sentence:
     def from_factored(cls, line):
         columns = []
         for chunk in line.split():
-            parts = chunk.split(FACTOR_SEP)
+            parts = list(map(sys.intern, chunk.split(FACTOR_SEP)))
             if len(parts) > 4:
                 raise FormatError("too many factors in token %r" % chunk)
             if not parts[0]:

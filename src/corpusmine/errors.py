@@ -52,18 +52,19 @@ def read_text(path):
 
 
 def read_lines(path):
-    """(line number, line) for each line of a UTF-8 file.  Lines end at \\n
-    only: str.splitlines() would also end one at U+2028, U+0085, \\x0b, \\x0c
-    or \\x1c-\\x1e, and so shift every later line number."""
+    """(line number, line) for each line of a UTF-8 file, lazily, for one pass.
+    Lines end at \\n only: str.splitlines() would also end one at U+2028,
+    U+0085, \\x0b, \\x0c or \\x1c-\\x1e, and so shift every later line number."""
     lines = read_text(path).split("\n")
     if lines[-1] == "":
         lines.pop()
-    return list(enumerate(lines, 1))
+    return enumerate(lines, 1)
 
 
 def write_text(path, text):
-    """Replace path with text (UTF-8, \\n newlines) by way of `<path>.tmp`: a
-    write that fails leaves the old file and no temp, a killed one no torn file."""
+    """Replace path with text, a string or an iterable of strings (UTF-8, \\n
+    newlines), by way of `<path>.tmp`: a write that fails (or an iterable
+    that raises) leaves the old file and no temp, a killed one no torn file."""
     if os.path.exists(path) and not os.path.isfile(path):
         # a rename would put a regular file in place of a device or pipe
         raise ToolkitError("%s is not a regular file" % path)
@@ -71,7 +72,7 @@ def write_text(path, text):
     tmp = "%s.tmp" % path
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+            f.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)

@@ -11,6 +11,7 @@ order-(k-1) table.  numpy is imported lazily, by the functions that use it.
 
 import logging
 import math
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
@@ -228,6 +229,19 @@ def batch_event_probs(models, sentences):
     return out
 
 
+# Sentences per batch_event_probs call when a whole corpus is scored: bounds
+# the encoded ids, rank arrays and probability lists to one slice.
+_SCORE_CHUNK = 4096
+
+
+def sliced_event_probs(models, sentences):
+    """(slice, batch_event_probs(models, slice)) for each run of _SCORE_CHUNK
+    sentences (word lists), in order; reduce a slice before taking the next."""
+    for start in range(0, len(sentences), _SCORE_CHUNK):
+        part = sentences[start : start + _SCORE_CHUNK]
+        yield part, batch_event_probs(models, part)
+
+
 def _estimate_discounts(coc):
     """Modified Kneser-Ney discounts D1/D2/D3+ from one order's
     counts-of-counts (n1, n2, n3, n4).
@@ -335,13 +349,17 @@ def sentence_events(sentence):
 
 def cross_entropy(model, corpus):
     """Bits per event over word+EOS events of the corpus, the logs summed in
-    event order (a cumulative sum adds one value at a time)."""
+    event order (a cumulative sum adds one value at a time, and each slice's
+    sum starts from the last)."""
     import numpy as np
 
-    probs = model.corpus_event_probs([words_of(s) for s in corpus])
-    if not probs:
+    total, events = 0.0, 0
+    for _, (probs,) in sliced_event_probs([model], [words_of(s) for s in corpus]):
+        total = np.cumsum([total] + list(map(math.log2, probs)))[-1]
+        events += len(probs)
+    if not events:
         raise ToolkitError("cannot compute cross-entropy of an empty corpus")
-    return -float(np.cumsum(list(map(math.log2, probs)))[-1]) / len(probs)
+    return -float(total) / events
 
 
 def perplexity(model, corpus):
@@ -438,6 +456,17 @@ def _texts(values, convert=float):
 
 
 def write_model(model, path):
+    """Write the model file one section at a time."""
+    keeps = [t.has_prob | t.has_bow for t in model._tables[1:]]
+    # every type, so that a zero-count MLE type is read back as itself, not <unk>
+    keeps[0][len(_RESERVED) : len(model.vocab)] = True
+    header = ["\\smoothing: %s" % model.smoothing, "", "\\data\\"]
+    header += ["ngram %d=%d" % (n, keep.sum()) for n, keep in enumerate(keeps, 1)]
+    write_text(path, chain(["\n".join(header)], _sections(model, keeps), ["\n\n\\end\\\n"]))
+
+
+def _sections(model, keeps):
+    """The text of each n-gram section, from the blank line before its head."""
     import numpy as np
 
     size = len(model.vocab)
@@ -445,8 +474,7 @@ def write_model(model, path):
     place = np.empty(size, dtype=np.int64)  # each tuple's rank in symbol-string order
     place[sorted(range(size), key=symbols.__getitem__)] = np.arange(size)
     by_symbol, texts = place, symbols
-    header, body = ["\\smoothing: %s" % model.smoothing, "", "\\data\\"], []
-    for n, t in enumerate(model._tables[1:], 1):
+    for n, (t, keep) in enumerate(zip(model._tables[1:], keeps), 1):
         hist, last = np.divmod(t.keys[:-1], size)
         perm = np.lexsort((by_symbol[last], place[hist]))
         place = np.empty(len(perm), dtype=np.int64)
@@ -454,9 +482,6 @@ def write_model(model, path):
         if n > 1:
             texts = list(map(" ".join, zip(map(texts.__getitem__, hist.tolist()),
                                            map(symbols.__getitem__, last.tolist()))))
-        keep = t.has_prob | t.has_bow
-        if n == 1:  # every type, so a zero-count MLE type is read back as itself, not <unk>
-            keep[len(_RESERVED) : size] = True
         rows = perm[keep[perm]]
         probs, bows = np.full(len(rows), _BOW_ONLY, dtype=object), np.full(len(rows), "", dtype=object)
         has = t.has_prob[rows]
@@ -465,12 +490,8 @@ def write_model(model, path):
                       else _texts(model._log10[n][rows[has]]))
         has = t.has_bow[rows]
         bows[has] = list(map("\t".__add__, _texts(t.bow[rows[has]])))
-        lines = list(map("".join, zip(probs.tolist(), repeat("\t"),
-                                      map(texts.__getitem__, rows.tolist()), bows.tolist())))
-        header.append("ngram %d=%d" % (n, len(rows)))
-        body += ["", "\\%d-grams:" % n] + lines
-    lines = header + body + ["", "\\end\\", ""]
-    write_text(path, "\n".join(lines))
+        yield "\n".join(chain(["", "", "\\%d-grams:" % n], map("".join, zip(
+            probs.tolist(), repeat("\t"), map(texts.__getitem__, rows.tolist()), bows.tolist()))))
 
 
 def read_model(path):
@@ -495,7 +516,7 @@ def read_model(path):
              if lines[k].startswith("\\")]
     vocab = Vocabulary()
     blocks = [np.zeros((0, n), dtype=np.int64) for n in range(1, order + 1)]
-    columns, held, weight = [([], [], [])] * order, {}, {}
+    columns, held, weight = [(np.zeros(0),) * 3] * order, {}, {}
     # lines a+1 .. b-1 hold section n; "section" 0 is what precedes the first
     for n, (a, b) in enumerate(zip([i - 1] + heads, heads + [len(lines)])):
         if n and parse_field(int, lines[a][1:].split("-")[0], "section order", path, a + 1) != n:
@@ -503,7 +524,8 @@ def read_model(path):
         if n > order:
             raise FormatError("%s line %d: section %s above the declared order %d"
                               % (path, a + 1, lines[a], order))
-        texts, lps, weights = [], [], []  # nan: no such field (finite() rejects a nan one)
+        # lps and weights hold nan where a line has no such field (finite() rejects a nan one)
+        texts, lps, weights = [], array("d"), array("d")
         for lineno, line in enumerate(lines[a + 1 : b], a + 2):
             if not line or line == "\\end\\":
                 continue
@@ -523,11 +545,13 @@ def read_model(path):
         if n:
             for t in texts if n == 1 else ():  # 1-grams come first: later symbols resolve
                 vocab.add(t)
-            tokens = " ".join(texts).split(" ") if texts else []
-            ids = np.fromiter(map(vocab._ids.get, tokens, repeat(_UNK_ID)), np.int64, len(tokens))
-            blocks[n - 1] = ids.reshape(-1, n)
-            columns[n - 1] = (lps, list(map(pow, repeat(10.0), lps)), weights)
             held[n] = len(texts)
+            ids = np.fromiter(map(vocab._ids.get, " ".join(texts).split(" ") if texts else (),
+                                  repeat(_UNK_ID)), np.int64, n * len(texts))  # n per line
+            del texts  # or the last section's would stay through the table build below
+            blocks[n - 1] = ids.reshape(-1, n)
+            columns[n - 1] = (np.frombuffer(lps), np.fromiter(map(pow, repeat(10.0), lps), float,
+                                                              len(lps)), np.frombuffer(weights))
     for n, (size, lineno) in sorted(sizes.items()):
         if size != held.get(n, 0):
             raise FormatError("%s line %d: ngram %d=%d but its section holds %d n-grams"
@@ -543,5 +567,5 @@ def read_model(path):
             slot, last = np.unique(rank[::-1], return_index=True)  # a later line wins
             has[slot] = True
             for column, values in pairs:
-                column[slot] = np.array(values)[given][len(rank) - 1 - last]
+                column[slot] = values[given][len(rank) - 1 - last]
     return NGramModel(order, smoothing, vocab, tables, log10)

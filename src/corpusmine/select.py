@@ -90,12 +90,12 @@ def score_cosine(general, in_domain, threads=1):
 
 def sentence_cross_entropies(models, sentences):
     """Per-event cross-entropy (bits) of each sentence, word events plus EOS,
-    under each model; the models score every event in one batch."""
-    sentences = [words_of(s) for s in sentences]
-    scores = []
-    for probs in lm.batch_event_probs(models, sentences):
-        logs = map(math.log2, probs)
-        scores.append([-sum(islice(logs, len(w) + 1)) / (len(w) + 1) for w in sentences])
+    under each model; the models score each slice of sentences in one batch."""
+    scores = [[] for _ in models]
+    for part, columns in lm.sliced_event_probs(models, [words_of(s) for s in sentences]):
+        for out, probs in zip(scores, columns):
+            logs = map(math.log2, probs)
+            out += [-sum(islice(logs, len(w) + 1)) / (len(w) + 1) for w in part]
     return scores
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
+from . import lm
 from .corpus import read_documents, words_of
 from .errors import FormatError, ToolkitError, finite, parse_field, read_lines
 from .select import topk_count
@@ -150,13 +151,11 @@ def combined_filter(docs, topic, k, n, in_lm, loc_weights=None):
         for line in d.all_lines()
         if line.split()
     ]
-    words = [words_of(line) for _, line in sentences]
-    events = iter(in_lm.corpus_event_probs(words))
-    probs = [list(islice(events, len(w) + 1)) for w in words]
-    ranked = sorted(
-        range(len(sentences)),
-        key=lambda i: (ppl1(in_lm, sentences[i][1], probs[i]), i),
-    )
+    ppls = []
+    for part, (events,) in lm.sliced_event_probs([in_lm], [words_of(l) for _, l in sentences]):
+        events = iter(events)
+        ppls += [ppl1(in_lm, w, list(islice(events, len(w) + 1))) for w in part]
+    ranked = sorted(range(len(sentences)), key=lambda i: (ppls[i], i))
     keep = topk_count(n, len(sentences))
     return [sentences[i] for i in ranked[:keep]]
 

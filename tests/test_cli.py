@@ -566,6 +566,36 @@ def test_config_key_must_name_an_option(work, capsys, key):
     assert not (work / "m.lm").exists()
 
 
+def test_config_value_a_step_does_not_read_is_dropped(work, capsys):
+    # one config file serves every step: combine and retrieve drop its values
+    # for options they do not read, and the command line still may not give them
+    cfg = work / "run.cfg"
+    cfg.write_text("order=2\nsmoothing=witten-bell\nformat=plain\nmultiplier=9\n",
+                   encoding="utf-8")
+    select.write_selection(work / "s.sel", select.SelectionResult([0, 1], "cosine",
+                                                                   select.HIGHER, ""))
+    naive = ["combine", "--config", str(cfg), "--mode", "naive-rank", "--selection",
+             str(work / "s.sel"), "--target-size", "1", "--output"]
+    assert run_cli(*naive, str(work / "rank.txt")) == 0
+    assert not {"parameter.order", "parameter.smoothing", "parameter.format"} & set(
+        _manifest(work / "rank.txt"))
+    assert run_cli(*naive, str(work / "rank9.txt"), "--order", "2") == 2
+    assert "does not take --order" in capsys.readouterr().err
+    assert run_cli("combine", "--config", str(cfg), "--mode", "lm-interp", "--set",
+                   str(work / "general.txt"), "--dev", str(work / "indomain.txt"),
+                   "--output", str(work / "mix.txt")) == 0
+    assert lm.read_model(str(work / "mix.txt") + ".0.lm").order == 2
+    assert _manifest(work / "mix.txt")["parameter.smoothing"] == "witten-bell"
+    coll = work / "coll.tsv"
+    coll.write_text("d1\tthe market fell\nd2\tdogs bark\n", encoding="utf-8")
+    argv = ["retrieve", "--config", str(cfg), "--collection", str(coll), "--queries",
+            str(coll), "--lambda", "0.5", "--n-best", "1", "--output"]
+    assert run_cli(*argv, str(work / "res.tsv")) == 0
+    assert "parameter.multiplier" not in _manifest(work / "res.tsv")
+    assert run_cli(*argv, str(work / "res_delta.tsv"), "--delta", "0.5") == 0
+    assert _manifest(work / "res_delta.tsv")["parameter.multiplier"] == "9.0"
+
+
 @pytest.mark.parametrize("symbol", ["<s>", "</s>"])
 def test_train_lm_rejects_sentence_markers_with_shared_vocabulary(work, capsys, symbol):
     (work / "marked.txt").write_text("a %s b\n" % symbol, encoding="utf-8")
@@ -757,6 +787,14 @@ def test_mml_rejects_a_view_other_than_f(work, capsys, bilingual):
     (["combine", "--mode", "naive-rank", "--selection", "s.sel", "--target-size", "1",
       "--weights", "2"], "does not take --weights"),
     (["estimate-delta", "--input", "pairs.tsv", "--source", "general.txt"], "--source"),
+    (["combine", "--mode", "naive-rank", "--selection", "s.sel", "--target-size", "1",
+      "--format", "plain"], "does not take --format"),
+    (["combine", "--mode", "naive-rank", "--selection", "s.sel", "--target-size", "1",
+      "--order", "9"], "does not take --order"),
+    (["combine", "--mode", "corpus", "--selection", "s.sel", "--corpus", "general.txt",
+      "--smoothing", "mle"], "does not take --smoothing"),
+    (["retrieve", "--collection", "pairs.tsv", "--queries", "pairs.tsv", "--lambda", "50",
+      "--n-best", "1", "--multiplier", "9"], "--multiplier"),
 ])
 def test_ignored_options_are_usage_errors(work, capsys, argv, message):
     (work / "pairs.tsv").write_text("a b\tA B\n", encoding="utf-8")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpusmine import corpus
-from corpusmine.errors import FormatError, MissingFactorError, read_lines
+from corpusmine.errors import FormatError, MissingFactorError, read_lines, write_text
 
 
 def test_plain_round_trip(tmp_path):
@@ -94,7 +94,48 @@ def test_lines_end_at_newline_only(tmp_path, separator):
     p.write_bytes(("a%sb\nc\n" % separator).encode("utf-8"))
     # a text read turns a lone \r into \n, as for every reader
     want = [(1, "a"), (2, "b"), (3, "c")] if separator == "\r" else [(1, "a%sb" % separator), (2, "c")]
-    assert read_lines(p) == want
+    assert list(read_lines(p)) == want
+
+
+def test_write_text_that_fails_partway_leaves_the_old_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old\n")
+
+    def sections():
+        yield "new\n"
+        raise FormatError("broken section")
+
+    with pytest.raises(FormatError):
+        write_text(path, sections())
+    assert path.read_bytes() == b"old\n"
+    assert not list(tmp_path.glob("*.tmp"))
+    write_text(path, iter(["a\n", "b\n"]))
+    assert path.read_bytes() == b"a\nb\n"
+
+
+def test_loaded_tokens_are_interned(tmp_path):
+    # a corpus holds one string object per type, whichever reader loaded it
+    (tmp_path / "plain.txt").write_text("the market fell\nthe market rose\n", encoding="utf-8")
+    (tmp_path / "factored.txt").write_text("the|the|DT market|market|NN\n"
+                                           "market|market|NN\n", encoding="utf-8")
+    (tmp_path / "pairs.tsv").write_text("the market\tle march\u00e9\n"
+                                        "market\tmarch\u00e9\n", encoding="utf-8")
+    plain = corpus.load_corpus(tmp_path / "plain.txt")
+    factored = corpus.load_corpus(tmp_path / "factored.txt", format="factored")
+    pairs = corpus.load_corpus(tmp_path / "pairs.tsv", format="tsv-parallel")
+    two_file = corpus.load_parallel(tmp_path / "plain.txt", tmp_path / "plain.txt")
+    tokens = [t for s in plain for t in s.surface]
+    tokens += [t for s in factored for stream in (s.surface, s.lemma) for t in stream]
+    tokens += [t for p in list(pairs) + list(two_file) for t in p.source.surface + p.target.surface]
+    for word in ("the", "market"):
+        same = [t for t in tokens if t == word]
+        assert len(same) > 4 and all(t is same[0] for t in same)
+    assert factored.sentences[0].pos[1] is factored.sentences[1].pos[0]
+    # equality, hashing and dedup do not depend on object identity
+    built = corpus.Sentence(tuple("".join(w) for w in (["t", "he"], ["mar", "ket"], ["fell"])))
+    assert built == plain.sentences[0] and hash(built) == hash(plain.sentences[0])
+    doubled = corpus.Corpus(plain.sentences + (built,) + two_file.source_corpus().sentences)
+    assert corpus.dedup(doubled).sentences == plain.sentences
 
 
 def test_dedup_keeps_first_occurrence():

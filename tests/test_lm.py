@@ -391,6 +391,21 @@ def test_batch_scores_equal_backoff_walk(order, smoothing, lines, other_lines, s
         _file_tables(text, loaded.vocab), order, loaded.vocab, sentences))
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_cross_entropy_is_equal_for_any_slice_size(monkeypatch, chunk):
+    # the running sum carries across slices, one event at a time
+    rng = random.Random(chunk)
+    words = ["a", "b", "c", "d"]
+    model = lm.train(_random_corpus(rng, words, n_sents=12), order=3)
+    other = lm.train(_random_corpus(rng, words, n_sents=12), order=2, smoothing="witten-bell")
+    mixture = lm.MixtureModel([model, other], [0.3, 0.7])
+    test = _random_corpus(rng, words + ["zzz"], n_sents=7)
+    monkeypatch.setattr(lm, "_SCORE_CHUNK", len(test))
+    whole = [lm.cross_entropy(m, test) for m in (model, mixture)]
+    monkeypatch.setattr(lm, "_SCORE_CHUNK", chunk)
+    assert [lm.cross_entropy(m, test) for m in (model, mixture)] == whole
+
+
 def test_mixture_validation():
     model = lm.train(corpus.Corpus.from_lines(["a b"]), order=1, smoothing="witten-bell")
     with pytest.raises(ToolkitError):
@@ -415,10 +430,15 @@ def test_mle_zero_count_types_survive_write_and_read(tmp_path, order):
 
 def test_model_file_round_trip(tmp_path):
     rng = random.Random(9)
-    for smoothing in lm.SMOOTHING_MODES:
-        model = lm.train(_random_corpus(rng, ["a", "b", "c", "d"], n_sents=15),
-                         order=3, smoothing=smoothing)
-        p1 = tmp_path / ("m1." + smoothing)
+    models = [lm.train(_random_corpus(rng, ["a", "b", "c", "d"], n_sents=15),
+                       order=order, smoothing=smoothing)
+              for order in (1, 2, 3, 4) for smoothing in lm.SMOOTHING_MODES]
+    # an MLE model over a shared vocabulary (--vocab-from): "e" has no count
+    vocab = lm.Vocabulary.from_corpus(corpus.Corpus.from_lines(["e d c b a"]))
+    models.append(lm.train(corpus.Corpus.from_lines(["a b c d", "d c b"]), order=3,
+                           smoothing="mle", vocab=vocab))
+    for i, model in enumerate(models):
+        p1 = tmp_path / ("m1.%d" % i)
         lm.write_model(model, p1)
         loaded = lm.read_model(p1)
         assert loaded.order == model.order and loaded.smoothing == model.smoothing
@@ -428,7 +448,7 @@ def test_model_file_round_trip(tmp_path):
             hist = tuple(rng.choice(["a", "b"]) for _ in range(rng.randint(0, 3)))
             assert math.isclose(loaded.prob(w, hist), model.prob(w, hist), rel_tol=1e-9)
         # write(read(file)) is byte-identical
-        p2 = tmp_path / ("m2." + smoothing)
+        p2 = tmp_path / ("m2.%d" % i)
         lm.write_model(loaded, p2)
         assert p2.read_bytes() == p1.read_bytes()
 

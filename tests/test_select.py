@@ -193,6 +193,27 @@ def test_bilingual_ml_is_sum_of_sides():
         assert math.isclose(b, s + t, abs_tol=1e-12)
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_lm_scores_are_equal_for_any_slice_size(monkeypatch, chunk):
+    src_in = lm.train(corpus.Corpus.from_lines(["a b c", "b c a b"]), order=3)
+    src_out = lm.train(corpus.Corpus.from_lines(["c d", "d c a"]), order=3, vocab=src_in.vocab)
+    tgt = lm.train(corpus.Corpus.from_lines(["x y", "y x z"]), order=2, smoothing="witten-bell")
+    lines = ["a b", "c d a b", "a", "d d d", "b a c", "z a"]
+    general = corpus.Corpus.from_lines(lines)
+    pairs = corpus.ParallelCorpus(tuple(
+        corpus.SentencePair(s, corpus.Sentence.from_plain(t))
+        for s, t in zip(general, ["x", "y x", "z z", "x y z", "y", "q"])))
+
+    def scores():
+        return (select.sentence_cross_entropies([src_in, src_out, tgt], general),
+                select.score_bilingual_ml(pairs, src_in, src_out, tgt, tgt))
+
+    monkeypatch.setattr(lm, "_SCORE_CHUNK", len(lines))
+    whole = scores()
+    monkeypatch.setattr(lm, "_SCORE_CHUNK", chunk)
+    assert scores() == whole
+
+
 def test_sample_out_subset_is_seeded():
     general = corpus.Corpus.from_lines(["s%d" % i for i in range(50)])
     a = select.sample_out_subset(general, 10, seed=4)

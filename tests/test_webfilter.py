@@ -210,6 +210,17 @@ def test_combined_filter_k100_equals_pure_ppl_selection():
     assert len(webfilter.combined_filter(many, empty_topic, k=100, n=29, in_lm=model)) == 29
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_combined_filter_is_equal_for_any_slice_size(monkeypatch, chunk):
+    model = lm.train(corpus.Corpus.from_lines(["x y x y", "y x y x z"]), order=3)
+    docs = [_doc("a", body=["x y", "z q", "y y x"]), _doc("b", body=["y x y", "p", "x"])]
+    topic = webfilter.TopicDefinition([])
+    monkeypatch.setattr(lm, "_SCORE_CHUNK", 6)
+    whole = webfilter.combined_filter(docs, topic, k=100, n=50, in_lm=model)
+    monkeypatch.setattr(lm, "_SCORE_CHUNK", chunk)
+    assert webfilter.combined_filter(docs, topic, k=100, n=50, in_lm=model) == whole
+
+
 def test_topic_file_and_document_parsing(tmp_path):
     tf = tmp_path / "topic.tsv"
     tf.write_text("insulin\t\tMED\nblood sugar\t5\tMED\n", encoding="utf-8")
