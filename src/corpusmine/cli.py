@@ -9,6 +9,13 @@ sha256=<digest>`, its digest taken before the step runs; a directory as
 `parameter.<name>=<value>`; a repeatable option's values as `<name>0`,
 `<name>1`, ...; then the duration.  Log messages go to stderr; data streams
 stay clean.
+
+A `--config` file's `key=value` lines become tokens of the step's own
+options, put before the command line's, so argparse reads them as it reads
+flags and an explicit flag wins.  Each step makes its usage checks before
+its one `yield` and reads its inputs after it; a check that fails on a value
+from the config drops that value and runs again, so the step neither faults
+on it nor records it.
 """
 
 import argparse
@@ -23,15 +30,10 @@ from .errors import FormatError, ToolkitError, finite, read_lines, write_text
 
 
 def _sha256(path):
-    """The SHA-256 of a file, or the OSError of reading it, which is raised
-    only after the step has made its usage checks."""
     h = hashlib.sha256()
-    try:
-        with open(path, "rb") as f:
-            for chunk in iter(lambda: f.read(1 << 16), b""):
-                h.update(chunk)
-    except OSError as exc:
-        return exc
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 16), b""):
+            h.update(chunk)
     return h.hexdigest()
 
 
@@ -69,11 +71,7 @@ class Run:
         """The manifest beside each output."""
         lines = ["subcommand=%s" % self.subcommand, "version=%s" % __version__]
         lines += ["parameter.%s=%s" % (k, self.params[k]) for k in sorted(self.params)]
-        for k in sorted(self.inputs):
-            path, digest = self.inputs[k]
-            if isinstance(digest, OSError):
-                raise digest
-            lines.append("input.%s=%s sha256=%s" % (k, path, digest))
+        lines += ["input.%s=%s sha256=%s" % (k, *self.inputs[k]) for k in sorted(self.inputs)]
         lines.append("duration_s=%.6f" % (time.monotonic() - self.started))
         for output in self.outputs:
             write_text(str(output) + ".manifest", "\n".join(lines) + "\n")
@@ -98,22 +96,34 @@ def _log(msg):
     print(msg, file=sys.stderr)
 
 
+class UsageError(Exception):
+    """A usage fault of a step: its message, then the options (dests) it involves."""
+
+    def __init__(self, message, *options):
+        super().__init__(message)
+        self.options = options
+
+
 # --- subcommand implementations -------------------------------------------------
 
 
-def _cmd_preprocess(args, parser):
-    pair_files = (args.source, args.target, args.output_source, args.output_target)
-    two_file = any(pair_files)
-    if two_file and (not all(pair_files) or args.input or args.output):
-        parser.error("two-file mode needs --source, --target, --output-source and "
-                     "--output-target, and no --input or --output")
+def _cmd_preprocess(args):
+    pair = ("source", "target", "output_source", "output_target")
+    two_file = any(getattr(args, name) for name in pair)
+    if two_file and (not all(getattr(args, name) for name in pair) or args.input or args.output):
+        raise UsageError("two-file mode needs --source, --target, --output-source and "
+                         "--output-target, and no --input or --output", "input", "output", *pair)
     if not two_file and (args.input is None or args.output is None):
-        parser.error("--input and --output are required (or use two-file flags)")
+        raise UsageError("--input and --output are required (or use two-file flags)",
+                         "input", "output")
     parallel = two_file or args.format == "tsv-parallel"
     if args.hyphen_alt and parallel:
-        parser.error("--hyphen-alt needs a monolingual corpus, not sentence pairs")
+        raise UsageError("--hyphen-alt needs a monolingual corpus, not sentence pairs",
+                         "hyphen_alt", "format", *pair)
     if args.max_len is not None and not parallel:
-        parser.error("--max-len filters sentence pairs, not a monolingual corpus")
+        raise UsageError("--max-len filters sentence pairs, not a monolingual corpus",
+                         "max_len", "format")
+    yield
     if two_file:
         data = corpus.load_parallel(args.source, args.target, format=args.format)
     else:
@@ -164,9 +174,10 @@ def _load_view(path, fmt, view):
     return data
 
 
-def _cmd_train_lm(args, parser):
+def _cmd_train_lm(args):
     from . import lm
 
+    yield
     data = _load_view(args.input, args.format, args.view)
     vocab = (lm.Vocabulary.from_corpus(_load_view(args.vocab_from, args.format, args.view))
              if args.vocab_from else None)
@@ -175,9 +186,10 @@ def _cmd_train_lm(args, parser):
     _log("train-lm: order %d %s model on %d sentences" % (args.order, model.smoothing, len(data)))
 
 
-def _cmd_perplexity(args, parser):
+def _cmd_perplexity(args):
     from . import lm
 
+    yield
     model = lm.read_model(args.lm)
     data = corpus.load_corpus(args.input, format=args.format)
     h = lm.cross_entropy(model, data)
@@ -185,34 +197,37 @@ def _cmd_perplexity(args, parser):
             {"units": "bits"})
 
 
-def _cmd_score(args, parser):
+def _cmd_score(args):
     from . import lm, select
 
     crit = args.criterion
     if args.fms_cutoff is not None and crit != "fms":
-        parser.error("--fms-cutoff needs --criterion fms")
+        raise UsageError("--fms-cutoff needs --criterion fms", "fms_cutoff")
     # mml scores sentence pairs: source<TAB>target files, which carry no factors
     if crit == "mml" and (args.view not in (None, "f") or args.general_format != "plain"):
-        parser.error("--criterion mml scores sentence pairs, which carry no factors for "
-                     "--view or --general-format")
+        raise UsageError("--criterion mml scores sentence pairs, which carry no factors for "
+                         "--view or --general-format", "view", "general_format")
     fmt, view = ("tsv-parallel", None) if crit == "mml" else (args.general_format, args.view)
     files = {name: getattr(args, name) for name in select.LM_FILES.get(crit, ())}
     flags = ["--" + name.replace("_", "-") for name in files]
     unused = [n for names in select.LM_FILES.values() for n in names
               if n not in files and getattr(args, n)]
     if unused:
-        parser.error("--criterion %s does not use --%s" % (crit, unused[0].replace("_", "-")))
+        raise UsageError("--criterion %s does not use --%s"
+                         % (crit, unused[0].replace("_", "-")), *unused)
     if any(files.values()):
         missing = [flag for flag, path in zip(flags, files.values()) if not path]
         if missing:
-            parser.error("--criterion %s is missing %s" % (crit, ", ".join(missing)))
+            raise UsageError("--criterion %s is missing %s" % (crit, ", ".join(missing)), *files)
         if view and view != "f":
-            parser.error("--view needs corpus-based training, not LM files")
+            raise UsageError("--view needs corpus-based training, not LM files", "view", *files)
         if args.in_domain is not None:
-            parser.error("--in-domain/--reference is not used with LM files")
+            raise UsageError("--in-domain/--reference is not used with LM files",
+                             "in_domain", *files)
     elif args.in_domain is None:
-        parser.error("--criterion %s needs --in-domain" % crit
-                     + (" or %s" % ", ".join(flags) if flags else ""))
+        raise UsageError("--criterion %s needs --in-domain" % crit
+                         + (" or %s" % ", ".join(flags) if flags else ""), "in_domain", *files)
+    yield
     general = _load_view(args.general, fmt, view)
     models = [lm.read_model(path) for path in files.values()] if any(files.values()) else None
     in_domain = None if models else _load_view(args.in_domain, fmt, view)
@@ -226,15 +241,16 @@ def _cmd_score(args, parser):
     _log("score: %s over %d sentences" % (crit, len(scores)))
 
 
-def _cmd_select(args, parser):
+def _cmd_select(args):
     from . import select
 
     if (args.k is None) == (args.theta is None):
-        parser.error("exactly one of --k and --theta is required")
+        raise UsageError("exactly one of --k and --theta is required", "k", "theta")
+    yield
     scores, meta = select.read_scores(args.scores)
     direction = args.direction or meta.get("direction")
     if direction not in (select.HIGHER, select.LOWER):
-        parser.error("--direction is required (score file carries none)")
+        raise UsageError("--direction is required (score file carries none)", "direction")
     criterion = meta.get("criterion", "")
     if args.k is not None:
         result = select.select_top(scores, args.k, direction, criterion)
@@ -273,18 +289,7 @@ _COMBINE_MODES = {
 }
 
 
-def _unread(args):
-    """The options, none with a parser default, that the step does not read
-    with its other options as given."""
-    if args.subcommand == "combine":
-        needs, takes = _COMBINE_MODES[args.mode]
-        return [d for n, t in _COMBINE_MODES.values() for d in n + t if d not in needs + takes]
-    if args.subcommand == "retrieve" and args.delta is None:
-        return ["multiplier"]
-    return []
-
-
-def _cmd_combine(args, parser):
+def _cmd_combine(args):
     from . import combine, lm, select
 
     needs, takes = _COMBINE_MODES[args.mode]
@@ -293,8 +298,10 @@ def _cmd_combine(args, parser):
     missing = [d for d in needs if d not in given]
     stray = [d for d in given if d not in needs + takes]
     if missing or stray:
-        parser.error("--mode %s %s --%s" % (args.mode, "needs" if missing else "does not take",
-                                             (missing or stray)[0].replace("_", "-")))
+        raise UsageError("--mode %s %s --%s" % (args.mode, "needs" if missing else "does not take",
+                                                (missing or stray)[0].replace("_", "-")),
+                         *missing, *stray)
+    yield
     weights = _numbers(args.weights, "--weights") if args.weights else None
     fmt = _given(args, "format")
     if args.mode == "corpus":
@@ -322,11 +329,12 @@ def _cmd_combine(args, parser):
     _log("combine: mode %s done" % args.mode)
 
 
-def _cmd_retrieve(args, parser):
+def _cmd_retrieve(args):
     from . import retrieve
 
     if args.multiplier is not None and args.delta is None:
-        parser.error("--multiplier scales --delta, which is not given")
+        raise UsageError("--multiplier scales --delta, which is not given", "multiplier", "delta")
+    yield
     index = retrieve.DocumentIndex(retrieve.load_collection(args.collection))
     queries = retrieve.load_collection(args.queries)
     stopwords = retrieve.load_stopwords(args.stopwords) if args.stopwords else frozenset()
@@ -350,35 +358,38 @@ def _cmd_retrieve(args, parser):
                                          stats["postings_base"]))
 
 
-def _cmd_estimate_delta(args, parser):
+def _cmd_estimate_delta(args):
     from . import retrieve
 
-    if args.input and not (args.source or args.target):
-        data = corpus.load_corpus(args.input, format="tsv-parallel")
-    elif args.source and args.target and not args.input:
-        data = corpus.load_parallel(args.source, args.target)
-    else:
-        parser.error("need --input (TSV) or --source and --target, not both")
+    tsv = args.input and not (args.source or args.target)
+    if not tsv and not (args.source and args.target and not args.input):
+        raise UsageError("need --input (TSV) or --source and --target, not both",
+                         "input", "source", "target")
+    yield
+    data = (corpus.load_corpus(args.input, format="tsv-parallel") if tsv
+            else corpus.load_parallel(args.source, args.target))
     _report(args.output, ["delta\t%s" % repr(retrieve.estimate_delta(data))])
 
 
-def _location_weights(args, parser):
+def _location_weights(args):
     from . import webfilter
 
     if args.location_weights is None:
         return webfilter.LocationWeights()
     parts = _numbers(args.location_weights, "--location-weights")
     if len(parts) != 4:
-        parser.error("--location-weights needs title,headings,metadata,body")
+        raise UsageError("--location-weights needs title,headings,metadata,body",
+                         "location_weights")
     return webfilter.LocationWeights(*parts)
 
 
-def _cmd_topic_filter(args, parser):
+def _cmd_topic_filter(args):
     from . import webfilter
 
+    weights = _location_weights(args)
+    yield
     docs = webfilter.load_located_collection(args.collection)
     topic = webfilter.load_topic_file(args.topic)
-    weights = _location_weights(args, parser)
     scored = [(d.id, webfilter.topic_relevance(d, topic, weights)) for d in docs]
     kept = webfilter.filter_documents_topk(scored, args.k)
     by_id = dict(scored)
@@ -390,27 +401,31 @@ def _cmd_topic_filter(args, parser):
     _log("topic-filter: kept %d of %d documents" % (len(kept), len(docs)))
 
 
-def _cmd_ppl_filter(args, parser):
+def _cmd_ppl_filter(args):
     from . import lm, webfilter
 
     if args.topic is None and args.k < 100:
-        parser.error("--topic is required when --k < 100")
+        raise UsageError("--topic is required when --k < 100", "topic", "k")
+    weights = _location_weights(args)
+    yield
     docs = webfilter.load_located_collection(args.collection)
     topic = webfilter.load_topic_file(args.topic) if args.topic else webfilter.TopicDefinition([])
     model = lm.read_model(args.lm)
-    weights = _location_weights(args, parser)
     kept = webfilter.combined_filter(docs, topic, args.k, args.n, model, weights)
     _report(args.output, ["%s\t%s" % row for row in kept], {"k": args.k, "n": args.n})
     _log("ppl-filter: kept %d sentences" % len(kept))
 
 
-def _cmd_diagnose(args, parser):
+def _cmd_diagnose(args):
     from . import metrics, select
 
     if (args.train is None) != (args.test is None):
-        parser.error("--train and --test go together")
+        raise UsageError("--train and --test go together", "train", "test")
     if args.selection and len(args.selection) < 2:
-        parser.error("--selection compares two or more selections")
+        raise UsageError("--selection compares two or more selections", "selection")
+    if not (args.corpus or args.train or args.selection):
+        raise UsageError("nothing to diagnose: pass --corpus, --train/--test or >=2 --selection")
+    yield
     rows = []
     if args.corpus:
         data = corpus.load_corpus(args.corpus, format=args.format)
@@ -427,15 +442,14 @@ def _cmd_diagnose(args, parser):
         rows.append(("overlap", repr(overlap)))
         for i, u in enumerate(uniques):
             rows.append(("unique_%d" % i, repr(u)))
-    if not rows:
-        parser.error("nothing to diagnose: pass --corpus, --train/--test or >=2 --selection")
     _report(args.output, [metrics.format_table(("metric", "value"), rows)] if args.table
             else ["%s\t%s" % row for row in rows])
 
 
-def _cmd_bleu(args, parser):
+def _cmd_bleu(args):
     from . import metrics
 
+    yield
     hyp = corpus.load_corpus(args.hypothesis)
     ref = corpus.load_corpus(args.reference)
     report = metrics.bleu(hyp, ref, smooth=args.smooth)
@@ -600,63 +614,81 @@ def _steps(parser):
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
-def _apply_config(argv, parser):
-    """Read key=value defaults from an optional --config file; explicit flags win."""
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        parser.error("--config needs a file argument")
-    path = argv[i + 1]
-    defaults = {}
-    options = {a.dest for sub in _steps(parser).values() for a in sub._actions} - {"help"}
-    for lineno, line in read_lines(path):
+def _parse(argv, parser):
+    """The command line parsed alone (`bare`), then parsed with the key=value
+    lines of its --config file as tokens of the step's own options, put after
+    the step's name so that a command-line flag, coming later, wins.  A flag
+    option takes true (the flag) or false (no token); a repeatable option takes
+    the config's values only when the command line gives it none; a key that
+    names another step's option is skipped."""
+    path = None
+    if "--config" in argv:
+        i = argv.index("--config")
+        if i + 1 >= len(argv):
+            parser.error("--config needs a file argument")
+        path, argv = argv[i + 1], argv[:i] + argv[i + 2 :]
+    bare = parser.parse_args(argv)
+    steps = _steps(parser)
+    options = {a.dest for sub in steps.values() for a in sub._actions} - {"help"}
+    own = {a.dest: a for a in reversed(steps[bare.subcommand]._actions)}
+    tokens = []
+    for lineno, line in read_lines(path) if path else ():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise FormatError("%s line %d: config line without '=': %r" % (path, lineno, line))
         key, value = line.split("=", 1)
-        value = value.strip()
-        # other values stay text: argparse converts a text default with its
-        # option's type=, as it converts the same value given as a flag
-        if value.lower() in ("true", "false"):
-            value = value.lower() == "true"
-        key = key.strip().replace("-", "_")
+        key, value = key.strip().replace("-", "_"), value.strip()
         if key not in options:
             raise FormatError("%s line %d: no option is named %r" % (path, lineno, key))
-        defaults[key] = value
-    rest = argv[:i] + argv[i + 2 :]
-    # each subcommand parses into a fresh namespace, which takes its defaults
-    for sub in _steps(parser).values():
-        sub.set_defaults(**defaults)
-    return rest
+        if key not in own:
+            continue
+        flag = own[key].option_strings[0]
+        if own[key].nargs == 0:
+            if value.lower() not in ("true", "false"):
+                raise FormatError("%s line %d: %s takes true or false, got %r"
+                                  % (path, lineno, flag, value))
+            tokens += [flag] if value.lower() == "true" else []
+        elif not isinstance(own[key], argparse._AppendAction) or getattr(bare, key) is None:
+            tokens.append("%s=%s" % (flag, value))
+    i = argv.index(bare.subcommand) + 1
+    return bare, parser.parse_args(argv[:i] + tokens + argv[i:])
+
+
+def _checked(args, bare):
+    """The step, a generator, run through its usage checks to its one yield.
+    While a check fails on an option whose value came from the config (it
+    differs from `bare`), the option takes its `bare` value and the checks run
+    again: one config file serves every step."""
+    while True:
+        step = args.func(args)
+        try:
+            next(step)
+            return step
+        except UsageError as fault:
+            dropped = [o for o in fault.options if getattr(args, o) != getattr(bare, o)]
+            if not dropped:
+                raise
+            setattr(args, dropped[0], getattr(bare, dropped[0]))
 
 
 def run(argv):
     parser = build_parser()
     try:
-        argv = _apply_config(list(argv), parser)
-        args = parser.parse_args(argv)
-        unread = _unread(args)
-        if unread:
-            # one config file serves every step, so a step drops the config's
-            # value of an option it does not read: its usage checks and its
-            # manifest see that option only when the command line gives it
-            bare = build_parser().parse_args(argv)
-            for name in unread:
-                if getattr(bare, name) is None:
-                    setattr(args, name, None)
-        step = Run(_steps(parser)[args.subcommand], args)
-        args.func(args, parser)
-        step.write()
+        bare, args = _parse(list(argv), parser)
+        step = _checked(args, bare)
+        manifest = Run(_steps(parser)[args.subcommand], args)
+        next(step, None)  # the step reads its inputs and writes its outputs
+        manifest.write()
         return 0
+    except UsageError as fault:
+        parser.print_usage(sys.stderr)
+        print("%s: error: %s" % (parser.prog, fault), file=sys.stderr)
+        return 2
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    except ToolkitError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ToolkitError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

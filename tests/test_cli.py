@@ -596,6 +596,89 @@ def test_config_value_a_step_does_not_read_is_dropped(work, capsys):
     assert _manifest(work / "res_delta.tsv")["parameter.multiplier"] == "9.0"
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["score", "--criterion", "ml", "--general", "general.txt", "--in-domain", "indomain.txt",
+      "--order", "2"], "fms_cutoff=0.5"),
+    (["score", "--criterion", "cosine", "--general", "general.txt", "--in-domain",
+      "indomain.txt"], "in_lm=x.lm"),
+    (["score", "--criterion", "mml", "--general", "pairs.tsv", "--in-domain", "pairs.tsv",
+      "--order", "2"], "view=l"),
+    (["preprocess", "--input", "general.txt"], "max_len=80"),
+    (["preprocess", "--input", "pairs.tsv", "--format", "tsv-parallel"], "hyphen_alt=lex.tsv"),
+    (["select", "--scores", "scores.tsv", "--theta", "0.3"], "k=10"),
+])
+def test_config_value_a_usage_check_rejects_is_dropped(work, capsys, argv, line):
+    # the same values as flags are usage errors (test_ignored_options_are_usage_errors);
+    # from the config that serves every step, the step drops them and runs as without them
+    (work / "pairs.tsv").write_text("a b\tA B\nc d\tC D\n", encoding="utf-8")
+    (work / "lex.tsv").write_text("slow\tlento\n", encoding="utf-8")
+    (work / "scores.tsv").write_text("# direction: higher-is-better\n0\t0.5\n1\t0.1\n2\t0.4\n",
+                                     encoding="utf-8")
+    cfg = work / "c.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    argv = [str(work / a) if a.endswith((".txt", ".tsv")) else a for a in argv]
+    assert run_cli(*argv, "--output", str(work / "flags.out")) == 0
+    assert run_cli(*argv, "--config", str(cfg), "--output", str(work / "cfg.out")) == 0
+    rows = [[l for l in (work / n).read_text(encoding="utf-8").splitlines()
+             if not l.startswith("#")] for n in ("flags.out", "cfg.out")]
+    assert rows[0] == rows[1]
+    key = line.split("=")[0]
+    assert not {"parameter." + key, "input." + key} & set(_manifest(work / "cfg.out"))
+
+
+def test_config_values_of_a_repeatable_option(work, capsys):
+    sel = work / "a.sel"
+    select.write_selection(sel, select.SelectionResult([0, 1], "cosine", select.HIGHER, ""))
+    cfg = work / "c.cfg"
+    cfg.write_text("selection=%s\n" % sel, encoding="utf-8")
+    naive = ["combine", "--mode", "naive-rank", "--target-size", "2", "--output"]
+    assert run_cli(*naive, str(work / "flag.txt"), "--selection", str(sel)) == 0
+    assert run_cli(*naive, str(work / "cfg.txt"), "--config", str(cfg)) == 0
+    rows = [[l for l in (work / n).read_text(encoding="utf-8").splitlines()
+             if not l.startswith("#")] for n in ("flag.txt", "cfg.txt")]
+    assert rows[0] == rows[1] == ["0", "1"]
+    # the command line's values win: the config's value is not added to them
+    diag = ["diagnose", "--config", str(cfg), "--corpus", str(work / "general.txt"),
+            "--output", str(work / "d.tsv")]
+    assert run_cli(*diag, "--selection", str(sel), "--selection", str(sel)) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert {k for k in _manifest(work / "d.tsv") if k.startswith("input.selection")} == {
+        "input.selection0", "input.selection1"}
+    # each config line adds one value
+    cfg.write_text("selection=%s\nselection=%s\n" % (sel, sel), encoding="utf-8")
+    assert run_cli(*diag) == 0
+    text = (work / "d.tsv").read_text(encoding="utf-8")
+    assert "unique_1\t" in text and "unique_2" not in text
+
+
+@pytest.mark.parametrize("line, kept", [("dedup=true", 4), ("dedup=FALSE", 5)])
+def test_config_value_of_a_flag_is_true_or_false(work, capsys, line, kept):
+    cfg = work / "c.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    out = work / "out.txt"
+    assert run_cli("preprocess", "--config", str(cfg), "--input", str(work / "general.txt"),
+                   "--output", str(out)) == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == kept
+    assert _manifest(out)["parameter.dedup"] == str(kept == 4)
+
+
+@pytest.mark.parametrize("line, argv, code, message", [
+    ("dedup=no", ["preprocess", "--input", "general.txt"], 1,
+     "line 1: --dedup takes true or false, got 'no'"),
+    ("format=xml", ["preprocess", "--input", "general.txt"], 2,
+     "argument --format: invalid choice: 'xml'"),
+    ("direction=sideways", ["select", "--scores", "general.txt", "--k", "10"], 2,
+     "argument --direction: invalid choice: 'sideways'"),
+])
+def test_config_flag_and_choice_values_are_checked(work, capsys, line, argv, code, message):
+    cfg = work / "c.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    argv = [str(work / a) if a.endswith(".txt") else a for a in argv]
+    assert run_cli(*argv, "--config", str(cfg), "--output", str(work / "out.txt")) == code
+    assert message in capsys.readouterr().err
+    assert not list(work.glob("out.txt*"))
+
+
 @pytest.mark.parametrize("symbol", ["<s>", "</s>"])
 def test_train_lm_rejects_sentence_markers_with_shared_vocabulary(work, capsys, symbol):
     (work / "marked.txt").write_text("a %s b\n" % symbol, encoding="utf-8")
@@ -795,6 +878,11 @@ def test_mml_rejects_a_view_other_than_f(work, capsys, bilingual):
       "--smoothing", "mle"], "does not take --smoothing"),
     (["retrieve", "--collection", "pairs.tsv", "--queries", "pairs.tsv", "--lambda", "50",
       "--n-best", "1", "--multiplier", "9"], "--multiplier"),
+    # a usage error before any input is read: the collection and model do not exist
+    (["ppl-filter", "--collection", "missing.tsv", "--k", "100", "--n", "50", "--lm",
+      "missing.lm", "--location-weights", "1,2"], "--location-weights needs"),
+    (["topic-filter", "--collection", "missing.tsv", "--topic", "missing.tsv", "--k", "50",
+      "--location-weights", "1,2"], "--location-weights needs"),
 ])
 def test_ignored_options_are_usage_errors(work, capsys, argv, message):
     (work / "pairs.tsv").write_text("a b\tA B\n", encoding="utf-8")
