@@ -100,7 +100,7 @@ class ProbTable:
 def interpolate_tables(tables, weights):
     """Weighted sum of tables over the union of keys; missing rows count 0.
 
-    Weights are normalized to sum to 1."""
+    Weights must be non-negative and are normalized to sum to 1."""
     if not tables:
         raise ToolkitError("need at least one table")
     arity = tables[0].arity
@@ -108,6 +108,8 @@ def interpolate_tables(tables, weights):
         raise FormatError("tables have mismatched score arity")
     if len(weights) != len(tables):
         raise ToolkitError("weight count does not match table count")
+    if any(w < 0 for w in weights):
+        raise ToolkitError("table weights must be non-negative")
     total = float(sum(weights))
     if total <= 0:
         raise ToolkitError("weights must have positive sum")

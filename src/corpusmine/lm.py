@@ -14,7 +14,7 @@ import math
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 
 from .corpus import words_of
 from .errors import (FormatError, ToolkitError, finite, log10_prob, parse_field, read_text,
@@ -147,9 +147,6 @@ class NGramModel:
     def corpus_event_probs(self, sentences):
         return batch_event_probs([self], sentences)[0]
 
-    def event_probs(self, words):
-        return self.corpus_event_probs([words])
-
     def prob(self, word, history=()):
         """Conditional probability of one event given its history (strings):
         the last order-1 history words, padded on the left with BOS."""
@@ -234,12 +231,17 @@ def batch_event_probs(models, sentences):
 _SCORE_CHUNK = 4096
 
 
-def sliced_event_probs(models, sentences):
-    """(slice, batch_event_probs(models, slice)) for each run of _SCORE_CHUNK
-    sentences (word lists), in order; reduce a slice before taking the next."""
-    for start in range(0, len(sentences), _SCORE_CHUNK):
-        part = sentences[start : start + _SCORE_CHUNK]
-        yield part, batch_event_probs(models, part)
+def sentence_probs(models, sentences):
+    """For each sentence (a Sentence, word sequence or text), in order, a tuple
+    of each model's event probabilities: the sentence's words, then EOS.  The
+    sentences are read once, _SCORE_CHUNK at a time, and the models score each
+    slice in one batch_event_probs call."""
+    sentences = iter(sentences)
+    while part := [words_of(s) for s in islice(sentences, _SCORE_CHUNK)]:
+        ends = list(accumulate(len(words) + 1 for words in part))
+        cuts = list(map(slice, [0] + ends[:-1], ends))
+        columns = batch_event_probs(models, part)
+        yield from zip(*(map(probs.__getitem__, cuts) for probs in columns))
 
 
 def _estimate_discounts(coc):
@@ -348,18 +350,16 @@ def sentence_events(sentence):
 
 
 def cross_entropy(model, corpus):
-    """Bits per event over word+EOS events of the corpus, the logs summed in
-    event order (a cumulative sum adds one value at a time, and each slice's
-    sum starts from the last)."""
-    import numpy as np
-
+    """Bits per event over word+EOS events of the corpus, the logs summed one
+    at a time in event order."""
     total, events = 0.0, 0
-    for _, (probs,) in sliced_event_probs([model], [words_of(s) for s in corpus]):
-        total = np.cumsum([total] + list(map(math.log2, probs)))[-1]
+    for (probs,) in sentence_probs([model], corpus):
+        for lp in map(math.log2, probs):
+            total += lp
         events += len(probs)
     if not events:
         raise ToolkitError("cannot compute cross-entropy of an empty corpus")
-    return -float(total) / events
+    return -total / events
 
 
 def perplexity(model, corpus):
@@ -384,10 +384,6 @@ class MixtureModel:
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ToolkitError("mixture weights must sum to 1")
 
-    @property
-    def order(self):
-        return max(c.order for c in self.components)
-
     def prob(self, word, history=()):
         return sum(
             w * c.prob(word, history) for w, c in zip(self.weights, self.components)
@@ -397,9 +393,6 @@ class MixtureModel:
         """The mixture's prob(w, h) of every event of the sentences."""
         columns = zip(*batch_event_probs(self.components, sentences))
         return [sum(w * p for w, p in zip(self.weights, probs)) for probs in columns]
-
-    def event_probs(self, words):
-        return self.corpus_event_probs([words])
 
 
 def interpolate(models, dev_corpus, tol=1e-6, max_iter=100):
@@ -412,11 +405,13 @@ def interpolate(models, dev_corpus, tol=1e-6, max_iter=100):
 
     if not models:
         raise ToolkitError("need at least one model to interpolate")
-    sentences = [words_of(s) for s in dev_corpus]
-    if not sentences:
+    columns = [array("d") for _ in models]
+    for probs in sentence_probs(models, dev_corpus):
+        for column, events in zip(columns, probs):
+            column.extend(events)
+    if not columns[0]:
         raise ToolkitError("dev corpus is empty")
-    columns = batch_event_probs(models, sentences)
-    p = np.array(list(zip(*columns)), dtype=float)
+    p = np.stack([np.frombuffer(column) for column in columns], axis=1)  # (events, models)
     k = len(models)
     weights = np.full(k, 1.0 / k)
     history = []

@@ -65,6 +65,8 @@ class LengthFilterParams:
     def __post_init__(self):
         if self.delta < 0:
             raise ToolkitError("delta must be >= 0")
+        if self.multiplier < 0:
+            raise ToolkitError("multiplier must be >= 0")
 
 
 def estimate_delta(parallel_corpus):

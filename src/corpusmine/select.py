@@ -16,7 +16,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from . import lm
 from .corpus import Corpus, factor_view, words_of
@@ -90,12 +89,11 @@ def score_cosine(general, in_domain, threads=1):
 
 def sentence_cross_entropies(models, sentences):
     """Per-event cross-entropy (bits) of each sentence, word events plus EOS,
-    under each model; the models score each slice of sentences in one batch."""
+    under each model."""
     scores = [[] for _ in models]
-    for part, columns in lm.sliced_event_probs(models, [words_of(s) for s in sentences]):
-        for out, probs in zip(scores, columns):
-            logs = map(math.log2, probs)
-            out += [-sum(islice(logs, len(w) + 1)) / (len(w) + 1) for w in part]
+    for probs in lm.sentence_probs(models, sentences):
+        for out, p in zip(scores, probs):
+            out.append(-sum(map(math.log2, p)) / len(p))
     return scores
 
 

@@ -8,7 +8,6 @@ filtering, and the combined document-then-sentence K/N filter.
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 from . import lm
@@ -130,7 +129,9 @@ def ppl1(model, sentence, probs=None):
     words = words_of(sentence)
     if not words:
         raise ToolkitError("ppl1 of an empty sentence is undefined")
-    log10p = sum(math.log10(p) for p in (model.event_probs(words) if probs is None else probs))
+    if probs is None:
+        (probs,) = next(lm.sentence_probs([model], [words]))
+    log10p = sum(math.log10(p) for p in probs)
     return 10.0 ** (-log10p / len(words))
 
 
@@ -151,10 +152,8 @@ def combined_filter(docs, topic, k, n, in_lm, loc_weights=None):
         for line in d.all_lines()
         if line.split()
     ]
-    ppls = []
-    for part, (events,) in lm.sliced_event_probs([in_lm], [words_of(l) for _, l in sentences]):
-        events = iter(events)
-        ppls += [ppl1(in_lm, w, list(islice(events, len(w) + 1))) for w in part]
+    ppls = [ppl1(in_lm, line, probs) for (_, line), (probs,)
+            in zip(sentences, lm.sentence_probs([in_lm], (line for _, line in sentences)))]
     ranked = sorted(range(len(sentences)), key=lambda i: (ppls[i], i))
     keep = topk_count(n, len(sentences))
     return [sentences[i] for i in ranked[:keep]]

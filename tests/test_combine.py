@@ -109,6 +109,14 @@ def test_interpolate_tables_is_linear():
         assert abs(nested.rows[k][0] - flat.rows[k][0]) < 1e-12
 
 
+def test_interpolate_tables_rejects_a_negative_weight():
+    t1 = _table({("a", "x"): (0.5, 0.4)})
+    t2 = _table({("a", "x"): (0.2, 0.1)})
+    for weights in ([2.0, -1.0], [-1.0, 2.0]):  # an extrapolation, or a negative row
+        with pytest.raises(ToolkitError, match="non-negative"):
+            combine.interpolate_tables([t1, t2], weights)
+
+
 def test_interpolate_tables_arity_mismatch():
     with pytest.raises(FormatError):
         combine.interpolate_tables(

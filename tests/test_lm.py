@@ -4,6 +4,7 @@ import math
 import random
 import tempfile
 from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -186,7 +187,7 @@ def test_event_probs_equal_prob_over_sentence_events(order, smoothing, lines, ot
                          smoothing=smoothing, vocab=model.vocab)
         model = lm.MixtureModel([model, other], [1 / 3, 2 / 3])
     want = [model.prob(w, h) for w, h in lm.sentence_events(words)]
-    assert model.event_probs(words) == want
+    assert model.corpus_event_probs([words]) == want
 
 
 def _formula_model(lines, order, smoothing, vocab):
@@ -400,10 +401,44 @@ def test_cross_entropy_is_equal_for_any_slice_size(monkeypatch, chunk):
     other = lm.train(_random_corpus(rng, words, n_sents=12), order=2, smoothing="witten-bell")
     mixture = lm.MixtureModel([model, other], [0.3, 0.7])
     test = _random_corpus(rng, words + ["zzz"], n_sents=7)
+
+    def scores():
+        fit = lm.interpolate([model, other, mixture], test)
+        return [lm.cross_entropy(m, test) for m in (model, mixture)], fit.weights, \
+            fit.dev_loglik_history
+
     monkeypatch.setattr(lm, "_SCORE_CHUNK", len(test))
-    whole = [lm.cross_entropy(m, test) for m in (model, mixture)]
+    whole = scores()
     monkeypatch.setattr(lm, "_SCORE_CHUNK", chunk)
-    assert [lm.cross_entropy(m, test) for m in (model, mixture)] == whole
+    assert scores() == whole
+
+
+def test_sentence_probs_reads_a_stream_one_slice_ahead(monkeypatch):
+    rng = random.Random(3)
+    words = ["a", "b", "c", "d"]
+    model = lm.train(_random_corpus(rng, words, n_sents=12), order=3)
+    other = lm.train(_random_corpus(rng, words, n_sents=12), order=2, smoothing="witten-bell",
+                     vocab=model.vocab)
+    mixture = lm.MixtureModel([model, other], [0.3, 0.7])
+    test = list(_random_corpus(rng, words + ["zzz"], n_sents=7))
+    read = []
+
+    def stream():
+        for sentence in test:
+            read.append(sentence)
+            yield sentence
+
+    monkeypatch.setattr(lm, "_SCORE_CHUNK", 3)
+    rows = lm.sentence_probs([model, mixture], stream())
+    first = next(rows)
+    assert len(read) <= lm._SCORE_CHUNK
+    rows = [first, *rows]
+    assert len(read) == len(rows) == len(test)
+    sentences = [corpus.words_of(s) for s in test]
+    ends = list(accumulate(len(w) + 1 for w in sentences))
+    for k, m in enumerate((model, mixture)):
+        flat = m.corpus_event_probs(sentences)
+        assert [row[k] for row in rows] == [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 def test_mixture_validation():

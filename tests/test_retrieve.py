@@ -90,6 +90,13 @@ def test_length_filter_candidates():
         retrieve.LengthFilterParams(-0.1)
 
 
+def test_length_filter_rejects_a_negative_multiplier():
+    # a negative window would drop every candidate
+    with pytest.raises(ToolkitError, match="multiplier"):
+        retrieve.LengthFilterParams(0.5, multiplier=-1.0)
+    assert retrieve.LengthFilterParams(0.5, multiplier=0.0).multiplier == 0.0
+
+
 def test_retrieve_ranks_the_source_copy_first():
     texts = ["a b c d e", "f g h i j", "k l m n o"]
     idx = retrieve.DocumentIndex(_docs(texts))
