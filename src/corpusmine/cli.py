@@ -229,12 +229,16 @@ def _cmd_score(args):
                          + (" or %s" % ", ".join(flags) if flags else ""), "in_domain", *files)
     yield
     general = _load_view(args.general, fmt, view)
+    if not len(general):
+        raise ToolkitError("%s holds no sentences to score" % args.general)
     models = [lm.read_model(path) for path in files.values()] if any(files.values()) else None
     in_domain = None if models else _load_view(args.in_domain, fmt, view)
     scores = select.score(crit, general, in_domain, models, order=args.order, seed=args.seed,
                           smoothing=args.smoothing, cutoff=args.fms_cutoff)
-    meta = {"criterion": crit, "direction": select.CRITERION_DIRECTIONS[crit],
-            "normalization": "per-word cross-entropy, bits", "seed": args.seed}
+    meta = {"criterion": crit, "direction": select.CRITERION_DIRECTIONS[crit]}
+    if crit in select.LM_FILES:
+        meta["normalization"] = "per-word cross-entropy, bits"
+    meta["seed"] = args.seed
     if args.view:
         meta["view"] = args.view
     _report(args.output, select.index_rows(scores), meta)

@@ -213,33 +213,31 @@ _PARSERS = {"plain": Sentence.from_plain, "factored": Sentence.from_factored,
             "tsv-parallel": _pair}
 
 
-def load_corpus(path, format="plain", id=None):
+def load_corpus(path, format="plain"):
     """Load a corpus file.
 
     format: 'plain' (one sentence per line), 'factored'
     (``surface|lemma|pos|ne`` tokens) or 'tsv-parallel'
     (``source<TAB>target``).  Two-file parallel input goes through
-    :func:`load_parallel`.
+    :func:`load_parallel`.  The corpus id is the file name.
     """
-    if id is None:
-        id = Path(path).name
     if format not in _PARSERS:
         raise FormatError("unknown corpus format %r" % format)
     items = _parse_lines(_PARSERS[format], path)
-    return (ParallelCorpus if format == "tsv-parallel" else Corpus)(items, id=id)
+    return (ParallelCorpus if format == "tsv-parallel" else Corpus)(items, id=Path(path).name)
 
 
-def load_parallel(source_path, target_path, format="plain", id=None):
-    """Load a two-file parallel corpus; the files must have equal line counts."""
-    if id is None:
-        id = "%s-%s" % (Path(source_path).name, Path(target_path).name)
+def load_parallel(source_path, target_path, format="plain"):
+    """Load a two-file parallel corpus; the files must have equal line counts.
+    The corpus id is the two file names."""
     parse = Sentence.from_factored if format == "factored" else Sentence.from_plain
     src = _parse_lines(parse, source_path)
     tgt = _parse_lines(parse, target_path)
     if len(src) != len(tgt):
         raise FormatError("line-count mismatch: %s has %d lines, %s has %d"
                           % (source_path, len(src), target_path, len(tgt)))
-    return ParallelCorpus(tuple(map(SentencePair, src, tgt)), id=id)
+    return ParallelCorpus(tuple(map(SentencePair, src, tgt)),
+                          id="%s-%s" % (Path(source_path).name, Path(target_path).name))
 
 
 def save_corpus(corpus, path, format="plain"):

@@ -52,7 +52,8 @@ def read_text(path):
 
 
 def read_lines(path):
-    """(line number, line) for each line of a UTF-8 file, lazily, for one pass.
+    """(line number, line) for each line of a UTF-8 file.  The call reads the
+    whole file and splits it into a list of lines; the lines are not streamed.
     Lines end at \\n only: str.splitlines() would also end one at U+2028,
     U+0085, \\x0b, \\x0c or \\x1c-\\x1e, and so shift every later line number."""
     lines = read_text(path).split("\n")

@@ -54,7 +54,6 @@ class Query:
     """Weighted query terms, sorted by weight descending."""
 
     terms: list
-    size: int
 
 
 @dataclass
@@ -95,7 +94,7 @@ def generate_query(doc, lambda_percent, index, stopwords=frozenset()):
         weighted.append((term, weight))
     weighted.sort(key=lambda tw: (-tw[1], tw[0]))
     size = max(1, math.ceil(lambda_percent * len(doc)))
-    return Query(weighted[:size], size)
+    return Query(weighted[:size])
 
 
 def _accumulate_scores(query, candidates, index):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lm
-from .corpus import Corpus, factor_view, words_of
+from .corpus import Corpus, words_of
 from .errors import FormatError, ToolkitError, finite, parse_field, read_lines, write_text
 
 HIGHER = "higher-is-better"
@@ -38,7 +38,6 @@ class SelectionResult:
     indices: list
     criterion: str
     direction: str
-    note: str = ""
 
 
 # --- cosine tf-idf ------------------------------------------------------------
@@ -95,10 +94,6 @@ def sentence_cross_entropies(models, sentences):
         for out, p in zip(scores, probs):
             out.append(-sum(map(math.log2, p)) / len(p))
     return scores
-
-
-def sentence_cross_entropy(model, sentence):
-    return sentence_cross_entropies([model], [sentence])[0][0]
 
 
 def score_cross_entropy(general, in_lm, threads=1):
@@ -391,7 +386,7 @@ def topk_count(k, n):
     return Fraction(str(k)) * n // 100
 
 
-def select_top(scores, k, direction, criterion="", note=""):
+def select_top(scores, k, direction, criterion=""):
     """Keep the best floor(k/100 * |corpus|) sentences; ties break by index."""
     if not 0 < k <= 100:
         raise ToolkitError("K must be in (0, 100]")
@@ -399,33 +394,16 @@ def select_top(scores, k, direction, criterion="", note=""):
     if n == 0:
         raise ToolkitError("K=%g keeps zero sentences of %d" % (k, len(scores)))
     ranked = _ranked_indices(scores, direction)
-    return SelectionResult(ranked[:n], criterion, direction, note=note)
+    return SelectionResult(ranked[:n], criterion, direction)
 
 
-def threshold_filter(scores, theta, direction, criterion="", note=""):
+def threshold_filter(scores, theta, direction, criterion=""):
     """Keep sentences scoring strictly better than theta."""
     if direction == HIGHER:
         keep = [i for i in _ranked_indices(scores, direction) if scores[i] > theta]
     else:
         keep = [i for i in _ranked_indices(scores, direction) if scores[i] < theta]
-    return SelectionResult(keep, criterion, direction, note=note)
-
-
-def factored_select(general, in_domain, view, criterion, k=None, theta=None,
-                    order=4, seed=0, smoothing="modified-kneser-ney"):
-    """Score through a linguistic factor view, select over original sentences.
-
-    Both corpora are projected with the chosen view, scored with the chosen
-    criterion, and the resulting ranking indexes the original corpus."""
-    direction = CRITERION_DIRECTIONS.get(criterion)
-    if direction is None or criterion == "mml":
-        raise ToolkitError("unsupported factored criterion %r" % criterion)
-    scores = score(criterion, factor_view(general, view), factor_view(in_domain, view),
-                   order=order, seed=seed, smoothing=smoothing)
-    note = "view=%s seed=%d" % (view, seed)
-    if theta is not None:
-        return threshold_filter(scores, theta, direction, criterion, note=note)
-    return select_top(scores, 100 if k is None else k, direction, criterion, note=note)
+    return SelectionResult(keep, criterion, direction)
 
 
 # --- score and selection files ------------------------------------------------
@@ -496,10 +474,7 @@ def read_scores(path):
 
 
 def write_selection(path, result, meta=None):
-    header = {"criterion": result.criterion, "direction": result.direction}
-    if result.note:
-        header["note"] = result.note
-    header.update(meta or {})
+    header = {"criterion": result.criterion, "direction": result.direction, **(meta or {})}
     lines = ["# %s: %s" % (k, v) for k, v in header.items()]
     lines += [str(i) for i in result.indices]
     write_text(path, "\n".join(lines) + "\n")
@@ -511,9 +486,4 @@ def _selection_row(line, path, lineno):
 
 def read_selection(path):
     meta, indices = _read_annotated(path, _selection_row)
-    return SelectionResult(
-        indices,
-        meta.get("criterion", ""),
-        meta.get("direction", HIGHER),
-        note=meta.get("note", ""),
-    )
+    return SelectionResult(indices, meta.get("criterion", ""), meta.get("direction", HIGHER))

@@ -114,6 +114,7 @@ def test_score_select_round_trip(work, capsys):
     scores, meta = select.read_scores(scores_path)
     assert len(scores) == 5
     assert meta["direction"] == select.HIGHER
+    assert "normalization" not in meta  # cosine scores are not cross-entropies
     sel_path = work / "sel.txt"
     assert run_cli("select", "--scores", str(scores_path), "--k", "40",
                    "--output", str(sel_path)) == 0
@@ -342,6 +343,7 @@ def test_ml_score_via_lm_files(work, capsys):
                    "--output", str(scores_path)) == 0
     scores, meta = select.read_scores(scores_path)
     assert meta["direction"] == select.LOWER
+    assert meta["normalization"] == "per-word cross-entropy, bits"
     assert len(scores) == 5
     capsys.readouterr()
 
@@ -419,8 +421,8 @@ def test_retrieve_collection_line_keeps_a_unicode_line_separator(work, capsys):
 def test_combine_naive_rank_cli(work, capsys):
     s1 = work / "s1.txt"
     s2 = work / "s2.txt"
-    select.write_selection(s1, select.SelectionResult([0, 1, 2], "cosine", select.HIGHER, ""))
-    select.write_selection(s2, select.SelectionResult([1, 3, 2], "ce", select.LOWER, ""))
+    select.write_selection(s1, select.SelectionResult([0, 1, 2], "cosine", select.HIGHER))
+    select.write_selection(s2, select.SelectionResult([1, 3, 2], "ce", select.LOWER))
     out = work / "merged.txt"
     assert run_cli("combine", "--mode", "naive-rank",
                    "--selection", str(s1), "--selection", str(s2),
@@ -573,7 +575,7 @@ def test_config_value_a_step_does_not_read_is_dropped(work, capsys):
     cfg.write_text("order=2\nsmoothing=witten-bell\nformat=plain\nmultiplier=9\n",
                    encoding="utf-8")
     select.write_selection(work / "s.sel", select.SelectionResult([0, 1], "cosine",
-                                                                   select.HIGHER, ""))
+                                                                   select.HIGHER))
     naive = ["combine", "--config", str(cfg), "--mode", "naive-rank", "--selection",
              str(work / "s.sel"), "--target-size", "1", "--output"]
     assert run_cli(*naive, str(work / "rank.txt")) == 0
@@ -628,7 +630,7 @@ def test_config_value_a_usage_check_rejects_is_dropped(work, capsys, argv, line)
 
 def test_config_values_of_a_repeatable_option(work, capsys):
     sel = work / "a.sel"
-    select.write_selection(sel, select.SelectionResult([0, 1], "cosine", select.HIGHER, ""))
+    select.write_selection(sel, select.SelectionResult([0, 1], "cosine", select.HIGHER))
     cfg = work / "c.cfg"
     cfg.write_text("selection=%s\n" % sel, encoding="utf-8")
     naive = ["combine", "--mode", "naive-rank", "--target-size", "2", "--output"]
@@ -847,6 +849,67 @@ def test_mml_rejects_a_view_other_than_f(work, capsys, bilingual):
     assert rows[0] == rows[1]
 
 
+@pytest.fixture
+def factored(work):
+    (work / "general.fac").write_text("America|america|NNP|NP00G00 fell|fall|VBD .|.|Fp\n"
+                                      "rates|rate|NNS fell|fall|VBD .|.|Fp\n"
+                                      "dogs|dog|NNS bark|bark|VBP .|.|Fp\n", encoding="utf-8")
+    (work / "indomain.fac").write_text("Europe|europe|NNP|NP00G00 fell|fall|VBD .|.|Fp\n",
+                                       encoding="utf-8")
+    return work
+
+
+def _header(path):
+    return dict(l[2:].split(": ", 1) for l in path.read_text(encoding="utf-8").splitlines()
+                if l.startswith("# "))
+
+
+def test_score_through_a_factor_view_then_select(factored, capsys):
+    scores_path = factored / "tn.tsv"
+    assert run_cli("score", "--criterion", "cosine", "--general-format", "factored",
+                   "--view", "tn", "--general", str(factored / "general.fac"),
+                   "--in-domain", str(factored / "indomain.fac"), "--seed", "7",
+                   "--output", str(scores_path)) == 0
+    scores, _ = select.read_scores(scores_path)
+    assert scores[0] == 1.0 and scores[2] == 0.0
+    assert scores[1] == pytest.approx(0.2448, abs=1e-4)
+    sel = factored / "tn.sel"
+    assert run_cli("select", "--scores", str(scores_path), "--k", "34", "--output", str(sel)) == 0
+    assert select.read_selection(sel).indices == [0]  # NE substitution makes sentence 0 the match
+    # the selection header is the record of the view and seed it was scored with
+    assert _header(sel)["view"] == "tn" and _header(sel)["seed"] == "7"
+    assert run_cli("select", "--scores", str(scores_path), "--theta", "0.5",
+                   "--output", str(sel)) == 0
+    assert _header(sel)["view"] == "tn" and _header(sel)["seed"] == "7"
+    capsys.readouterr()
+
+
+def test_view_needing_ne_factors_on_a_plain_file_is_an_error(factored, capsys):
+    general = factored / "general.txt"
+    assert run_cli("score", "--criterion", "cosine", "--view", "ln", "--general", str(general),
+                   "--in-domain", str(factored / "indomain.fac"),
+                   "--output", str(factored / "ln.tsv")) == 1
+    assert ("error: view 'ln' requires NE factors but no token in '%s' carries one"
+            % general.name) in capsys.readouterr().err
+    assert not (factored / "ln.tsv").exists()
+
+
+@pytest.mark.parametrize("criterion", ["cosine", "ce", "ml", "mml", "fms"])
+def test_empty_general_is_an_error_under_every_criterion(work, capsys, bilingual, criterion):
+    ext = ".tsv" if criterion == "mml" else ".txt"
+    argv = ["score", "--criterion", criterion, "--in-domain", str(work / ("indomain" + ext)),
+            "--order", "2", "--general"]
+    assert run_cli(*argv, str(work / ("general" + ext)), "--output", str(work / "s.tsv")) == 0
+    assert ("normalization" in _header(work / "s.tsv")) == (criterion in ("ce", "ml", "mml"))
+    empty = work / ("empty" + ext)
+    empty.write_text("", encoding="utf-8")
+    capsys.readouterr()
+    # found before any model is trained: no smoothing warnings precede it
+    assert run_cli(*argv, str(empty), "--output", str(work / "e.tsv")) == 1
+    assert capsys.readouterr().err == "error: %s holds no sentences to score\n" % empty
+    assert not list(work.glob("e.tsv*"))
+
+
 @pytest.mark.parametrize("argv, message", [
     (["score", "--criterion", "ml", "--general", "general.txt", "--in-lm", "in.lm",
       "--out-lm", "out.lm", "--in-domain", "missing.txt"], "--in-domain"),
@@ -888,7 +951,7 @@ def test_ignored_options_are_usage_errors(work, capsys, argv, message):
     (work / "pairs.tsv").write_text("a b\tA B\n", encoding="utf-8")
     (work / "lex.tsv").write_text("slow\tlento\n", encoding="utf-8")
     select.write_selection(work / "s.sel", select.SelectionResult([0, 1], "cosine",
-                                                                   select.HIGHER, ""))
+                                                                   select.HIGHER))
     before = sorted(p.name for p in work.iterdir())
     if "--output-source" not in argv:
         argv = argv + ["--output", "out.txt"]
@@ -934,8 +997,8 @@ def test_manifest_records_every_option(tmp_path, name):
 
 def test_manifest_records_combine_weights(work, capsys):
     s1, s2 = work / "s1.sel", work / "s2.sel"
-    select.write_selection(s1, select.SelectionResult([0, 1], "cosine", select.HIGHER, ""))
-    select.write_selection(s2, select.SelectionResult([1, 2], "ce", select.LOWER, ""))
+    select.write_selection(s1, select.SelectionResult([0, 1], "cosine", select.HIGHER))
+    select.write_selection(s2, select.SelectionResult([1, 2], "ce", select.LOWER))
     out = work / "w.tsv"
     assert run_cli("combine", "--mode", "corpus", "--selection", str(s1), "--selection",
                    str(s2), "--corpus", str(work / "general.txt"), "--weights", "2,1",

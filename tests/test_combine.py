@@ -10,7 +10,7 @@ from corpusmine.errors import FormatError, ToolkitError
 
 
 def _selection(indices, criterion):
-    return select.SelectionResult(list(indices), criterion, select.HIGHER, "")
+    return select.SelectionResult(list(indices), criterion, select.HIGHER)
 
 
 GENERAL = corpus.Corpus.from_lines(["s%d" % i for i in range(10)])

@@ -50,7 +50,7 @@ def test_query_generation():
     idx = retrieve.DocumentIndex(_docs(["a b c", "a a x", "y z w q"]))
     src = retrieve.Document("q", ("a", "b", "b", "c", "the"))
     q = retrieve.generate_query(src, 0.5, idx, stopwords=frozenset(["the"]))
-    assert q.size == 3  # ceil(0.5 * 5)
+    assert len(q.terms) == 3  # ceil(0.5 * 5)
     terms = dict(q.terms)
     # tf * log(|D|/df): b appears twice in the source, a is too common
     assert terms["b"] == pytest.approx(2 * math.log(3 / 1))
@@ -62,13 +62,13 @@ def test_query_generation():
     src2 = retrieve.Document("q2", ("novel",))
     q2 = retrieve.generate_query(src2, 1.0, idx)
     assert dict(q2.terms)["novel"] == pytest.approx(1.0)
-    assert retrieve.generate_query(retrieve.Document("q3", ("a",)), 0.01, idx).size == 1
+    assert len(retrieve.generate_query(retrieve.Document("q3", ("a",)), 0.01, idx).terms) == 1
 
 
 def test_score_document_oracle():
     texts = ["a b c", "a a x", "y z w q"]
     idx = retrieve.DocumentIndex(_docs(texts))
-    q = retrieve.Query([("a", 2.0), ("b", 1.0)], 2)
+    q = retrieve.Query([("a", 2.0), ("b", 1.0)])
     for doc_id, text in zip(("d0", "d1", "d2"), texts):
         tf = Counter(text.split())
         present = sum(1 for t, _ in q.terms if tf[t] > 0)

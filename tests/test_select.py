@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpusmine import corpus, lm, select
-from corpusmine.errors import MissingFactorError, ToolkitError
+from corpusmine.errors import ToolkitError
 
 
 def _oracle_edit_distance(a, b):
@@ -160,8 +160,8 @@ def test_cosine_scores():
 
 def test_cross_entropy_is_length_normalized():
     model = lm.train(corpus.Corpus.from_lines(["a a a a", "a a"]), order=1, smoothing="witten-bell")
-    short = select.sentence_cross_entropy(model, corpus.Sentence.from_plain("a a"))
-    long = select.sentence_cross_entropy(model, corpus.Sentence.from_plain("a a a a a a"))
+    [[short, long]] = select.sentence_cross_entropies(
+        [model], [corpus.Sentence.from_plain("a a"), corpus.Sentence.from_plain("a a a a a a")])
     # same per-word cost regime: values stay comparable instead of scaling with length
     assert abs(short - long) < 1.0
 
@@ -262,24 +262,6 @@ def test_threshold_filter_is_strict():
     scores = [0.2, 0.5, 0.8]
     assert select.threshold_filter(scores, 0.5, select.HIGHER).indices == [2]
     assert select.threshold_filter(scores, 0.5, select.LOWER).indices == [0]
-
-
-def test_factored_select_views():
-    lines_general = [
-        "America|america|NNP|NP00G00 fell|fall|VBD .|.|Fp",
-        "rates|rate|NNS fell|fall|VBD .|.|Fp",
-        "dogs|dog|NNS bark|bark|VBP .|.|Fp",
-    ]
-    lines_in = ["Europe|europe|NNP|NP00G00 fell|fall|VBD .|.|Fp"]
-    general = corpus.Corpus(tuple(corpus.Sentence.from_factored(l) for l in lines_general), id="g")
-    in_domain = corpus.Corpus(tuple(corpus.Sentence.from_factored(l) for l in lines_in), id="i")
-    res = select.factored_select(general, in_domain, "tn", "cosine", k=34)
-    assert res.indices == [0]  # NE substitution makes sentence 0 the match
-    with pytest.raises(ToolkitError):
-        select.factored_select(general, in_domain, "f", "mml", k=50)
-    plain = corpus.Corpus.from_lines(["a b"], id="plain")
-    with pytest.raises(MissingFactorError):
-        select.factored_select(plain, in_domain, "ln", "cosine", k=50)
 
 
 def test_sharded_scoring_is_order_preserving():
