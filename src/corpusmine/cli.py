@@ -26,7 +26,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import __version__, corpus
-from .errors import FormatError, ToolkitError, finite, read_lines, write_text
+from .errors import FormatError, ToolkitError, finite, read_lines, write_headed, write_text
 
 
 def _sha256(path):
@@ -84,12 +84,7 @@ def _manifest_name(output):
 def _report(output, rows, extra=None):
     """Write `# key: value` header lines (the manifest's name first, then
     extra's items) and the rows to output, or to stdout."""
-    items = [("manifest", _manifest_name(output or "stdout"))] + list((extra or {}).items())
-    text = "\n".join(["# %s: %s" % item for item in items] + list(rows)) + "\n"
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        write_text(output, text)
+    write_headed(output, {"manifest": _manifest_name(output or "stdout"), **(extra or {})}, rows)
 
 
 def _log(msg):
@@ -233,6 +228,8 @@ def _cmd_score(args):
         raise ToolkitError("%s holds no sentences to score" % args.general)
     models = [lm.read_model(path) for path in files.values()] if any(files.values()) else None
     in_domain = None if models else _load_view(args.in_domain, fmt, view)
+    if in_domain is not None and not len(in_domain):
+        raise ToolkitError("%s holds no sentences to score against" % args.in_domain)
     scores = select.score(crit, general, in_domain, models, order=args.order, seed=args.seed,
                           smoothing=args.smoothing, cutoff=args.fms_cutoff)
     meta = {"criterion": crit, "direction": select.CRITERION_DIRECTIONS[crit]}

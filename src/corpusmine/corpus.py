@@ -11,8 +11,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .errors import (FormatError, MissingFactorError, ToolkitError, read_lines, read_text,
-                     write_text)
+from .errors import FormatError, MissingFactorError, ToolkitError, read_lines, write_text
 
 FACTOR_SEP = "|"
 NUMBER_PLACEHOLDER = "@num@"
@@ -166,12 +165,13 @@ class Lexicon:
 
 
 def read_documents(path):
-    """(id, text, where) for each document of a collection: a directory of
-    UTF-8 files (file name = id) or a TSV of `doc_id<TAB>text` lines, whose
-    ids must differ.  `where` names the file, and for a TSV row its line."""
+    """(id, lines, where) for each document of a collection: a directory of
+    UTF-8 files (file name = id) or a TSV of `doc_id<TAB>text` lines, whose ids
+    must differ.  lines are (line number, line) pairs: a file's read_lines, or
+    the TSV row's one line.  `where` names the file, and for a TSV row its line."""
     path = Path(path)
     if path.is_dir():
-        return [(child.name, read_text(child), str(child))
+        return [(child.name, read_lines(child), str(child))
                 for child in sorted(path.iterdir()) if child.is_file()]
     docs, first_line = [], {}
     for lineno, line in read_lines(path):
@@ -184,7 +184,7 @@ def read_documents(path):
             raise FormatError("%s line %d: duplicate document id %r (first on line %d)"
                               % (path, lineno, fields[0], first_line[fields[0]]))
         first_line[fields[0]] = lineno
-        docs.append((fields[0], fields[1], "%s line %d" % (path, lineno)))
+        docs.append((fields[0], [(lineno, fields[1])], "%s line %d" % (path, lineno)))
     return docs
 
 

@@ -3,6 +3,8 @@ every file reader and writer goes through."""
 
 import math
 import os
+import sys
+from itertools import chain, repeat
 from pathlib import Path
 
 
@@ -43,23 +45,20 @@ def log10_prob(text):
     return lp
 
 
-def read_text(path):
-    """The text of a UTF-8 file, or a FormatError naming the file."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError("%s is not valid UTF-8: %s" % (path, exc)) from exc
-
-
 def read_lines(path):
-    """(line number, line) for each line of a UTF-8 file.  The call reads the
-    whole file and splits it into a list of lines; the lines are not streamed.
-    Lines end at \\n only: str.splitlines() would also end one at U+2028,
-    U+0085, \\x0b, \\x0c or \\x1c-\\x1e, and so shift every later line number."""
-    lines = read_text(path).split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return enumerate(lines, 1)
+    """(line number, line) for each line of a UTF-8 file, read a block at a
+    time as they are iterated.  A line ends at \\n, \\r\\n or a lone \\r; not at
+    U+2028, U+0085, \\x0b, \\x0c or \\x1c-\\x1e, as in str.splitlines(), which
+    would shift every later line number."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield from enumerate(map(str.rstrip, f, repeat("\n")), 1)
+        except UnicodeDecodeError as exc:
+            try:  # exc counts from the start of the block being decoded, not of the file
+                Path(path).read_bytes().decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
+            raise FormatError("%s is not valid UTF-8: %s" % (path, exc)) from exc
 
 
 def write_text(path, text):
@@ -78,3 +77,13 @@ def write_text(path, text):
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
         raise
+
+
+def write_headed(path, header, rows):
+    """Write a `# key: value` line for each item of header, then each row as
+    a line, to path by way of write_text, or to stdout when path is None."""
+    text = chain(map("# %s: %s\n".__mod__, header.items()), map("%s\n".__mod__, rows))
+    if path is None:
+        sys.stdout.writelines(text)
+    else:
+        write_text(path, text)

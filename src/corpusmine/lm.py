@@ -14,10 +14,10 @@ import math
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 
 from .corpus import words_of
-from .errors import (FormatError, ToolkitError, finite, log10_prob, parse_field, read_text,
+from .errors import (FormatError, ToolkitError, finite, log10_prob, parse_field, read_lines,
                      write_text)
 
 logger = logging.getLogger("corpusmine.lm")
@@ -490,38 +490,38 @@ def _sections(model, keeps):
 
 
 def read_model(path):
+    """The model of a file, parsed in one pass over its streamed lines."""
     import numpy as np
 
-    lines = read_text(path).split("\n")
-    if "\\data\\" not in lines:
+    lines, smoothing = read_lines(path), "unknown"
+    for lineno, line in lines:
+        if line == "\\data\\":
+            break
+        if line.startswith("\\smoothing:"):
+            smoothing = line.split(":", 1)[1].strip()
+    else:
         raise FormatError("%s: missing \\data\\ header" % path)
-    i = lines.index("\\data\\") + 1
-    smoothing = next((line.split(":", 1)[1].strip() for line in reversed(lines[: i - 1])
-                      if line.startswith("\\smoothing:")), "unknown")
-    sizes = {}
-    while i < len(lines) and lines[i].startswith("ngram "):
-        n, _, size = lines[i][len("ngram ") :].partition("=")
-        n = parse_field(int, n, "n-gram order", path, i + 1)
-        sizes[n] = (parse_field(int, size, "n-gram count", path, i + 1), i + 1)
-        i += 1
+    sizes, first = {}, []
+    for lineno, line in lines:
+        if not line.startswith("ngram "):
+            first = [(lineno, line)]
+            break
+        n, _, size = line[len("ngram ") :].partition("=")
+        n = parse_field(int, n, "n-gram order", path, lineno)
+        sizes[n] = (parse_field(int, size, "n-gram count", path, lineno), lineno)
     order = max(sizes) if sizes else 0
     if order < 1:
         raise FormatError("%s: no n-gram sections declared" % path)
-    heads = [k for k in compress(count(i), map(str.endswith, lines[i:], repeat("-grams:")))
-             if lines[k].startswith("\\")]
-    vocab = Vocabulary()
+    lines, n, vocab = chain(first, lines), 0, Vocabulary()
     blocks = [np.zeros((0, n), dtype=np.int64) for n in range(1, order + 1)]
     columns, held, weight = [(np.zeros(0),) * 3] * order, {}, {}
-    # lines a+1 .. b-1 hold section n; "section" 0 is what precedes the first
-    for n, (a, b) in enumerate(zip([i - 1] + heads, heads + [len(lines)])):
-        if n and parse_field(int, lines[a][1:].split("-")[0], "section order", path, a + 1) != n:
-            raise FormatError("%s line %d: section %s out of order" % (path, a + 1, lines[a]))
-        if n > order:
-            raise FormatError("%s line %d: section %s above the declared order %d"
-                              % (path, a + 1, lines[a], order))
+    while True:  # section n runs to the next head; "section" 0 is what precedes the first
         # lps and weights hold nan where a line has no such field (finite() rejects a nan one)
-        texts, lps, weights = [], array("d"), array("d")
-        for lineno, line in enumerate(lines[a + 1 : b], a + 2):
+        texts, lps, weights, head = [], array("d"), array("d"), None
+        for lineno, line in lines:
+            if line.startswith("\\") and line.endswith("-grams:"):
+                head = lineno, line
+                break
             if not line or line == "\\end\\":
                 continue
             fields = line.split("\t")
@@ -547,6 +547,14 @@ def read_model(path):
             blocks[n - 1] = ids.reshape(-1, n)
             columns[n - 1] = (np.frombuffer(lps), np.fromiter(map(pow, repeat(10.0), lps), float,
                                                               len(lps)), np.frombuffer(weights))
+        if not head:
+            break
+        n, (lineno, line) = n + 1, head
+        if parse_field(int, line[1:].split("-")[0], "section order", path, lineno) != n:
+            raise FormatError("%s line %d: section %s out of order" % (path, lineno, line))
+        if n > order:
+            raise FormatError("%s line %d: section %s above the declared order %d"
+                              % (path, lineno, line, order))
     for n, (size, lineno) in sorted(sizes.items()):
         if size != held.get(n, 0):
             raise FormatError("%s line %d: ngram %d=%d but its section holds %d n-grams"

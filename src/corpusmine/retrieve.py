@@ -187,8 +187,8 @@ def load_collection(path):
     """Load documents from a TSV of `doc_id<TAB>text` or a directory of
     UTF-8 token files (file name = document id)."""
     docs = []
-    for doc_id, text, where in read_documents(path):
-        tokens = tuple(text.split())
+    for doc_id, lines, where in read_documents(path):
+        tokens = tuple(word for _, line in lines for word in line.split())
         if not tokens:
             raise FormatError("%s: document %r is empty" % (where, doc_id))
         docs.append(Document(doc_id, tokens))
@@ -220,6 +220,5 @@ def result_rows(results):
     ]
 
 
-def write_results(results, path, header_lines=()):
-    lines = list(header_lines) + result_rows(results)
-    write_text(path, "\n".join(lines) + "\n")
+def write_results(results, path):
+    write_text(path, "\n".join(result_rows(results)) + "\n")

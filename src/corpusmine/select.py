@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import lm
 from .corpus import Corpus, words_of
-from .errors import FormatError, ToolkitError, finite, parse_field, read_lines, write_text
+from .errors import FormatError, ToolkitError, finite, parse_field, read_lines, write_headed
 
 HIGHER = "higher-is-better"
 LOWER = "lower-is-better"
@@ -203,7 +203,7 @@ def _length_bound(src_len, ref_lens):
     return 1.0 - np.abs(ref_lens - src_len) / np.maximum(ref_lens, src_len)
 
 
-def _edit_distance_blocks(pats, texts, n_symbols, cutoff=None):
+def _edit_distance_blocks(pats, texts, n_symbols, cutoff):
     """Exact Levenshtein distance of every pattern against every text, by
     Myers' bit-vector algorithm (Myers 1999) in Hyyro's global-distance form
     (Hyyro 2003), vectorized over blocks of (pattern, text) pairs.
@@ -216,9 +216,9 @@ def _edit_distance_blocks(pats, texts, n_symbols, cutoff=None):
     flow upward and so rows above m cannot change row m.  Texts are stepped
     column by column, longest first, and a pair's vectors are frozen when its
     text ends: D[m][n] = n + (+1 vertical deltas) - (-1 vertical deltas).
-    With a cutoff, a block steps only the texts from the longest to the
-    shortest whose length bound reaches the cutoff for some pattern of the
-    block; every other pair reads -1.
+    A block steps only the texts from the longest to the shortest whose
+    length bound reaches the cutoff for some pattern of the block; every
+    other pair reads -1.
     """
     import numpy as np
 
@@ -233,16 +233,12 @@ def _edit_distance_blocks(pats, texts, n_symbols, cutoff=None):
         block = [pats[g] for g in idx]
         n_pats = len(block)
         out = np.full((n_pats, len(texts)), -1, dtype=np.int64)
-        first, stop = 0, len(texts)
-        if cutoff is not None:
-            reach = np.zeros(len(texts), dtype=bool)
-            for m in {len(p) for p in block}:
-                reach |= _length_bound(m, lens) >= cutoff
-            reached = np.nonzero(reach)[0]
-            if reached.size == 0:
-                yield idx, out
-                continue
-            first, stop = reached[0], reached[-1] + 1
+        bounds = _length_bound(np.unique([len(p) for p in block])[:, None], lens)
+        reached = np.nonzero((bounds >= cutoff).any(axis=0))[0]
+        if reached.size == 0:
+            yield idx, out
+            continue
+        first, stop = int(reached[0]), int(reached[-1]) + 1
         n_texts = stop - first
         t_lens = lens[first:stop]
         max_len = t_lens[0]
@@ -303,10 +299,11 @@ def _edit_distance_blocks(pats, texts, n_symbols, cutoff=None):
 def score_fms(general, reference, cutoff=None, threads=1):
     """Mean FMS of each general sentence against every reference sentence.
 
-    Exact bit-parallel edit distance.  With a cutoff, pairs whose length
-    bound 1 - |len difference| / max length falls below it contribute 0 to
+    Exact bit-parallel edit distance.  Pairs whose length bound
+    1 - |len difference| / max length falls below the cutoff contribute 0 to
     the average (approximate fast mode), and the kernel skips references
-    outside each block's length window."""
+    outside each block's length window.  No cutoff is cutoff 0, which keeps
+    every pair of non-empty sentences."""
     import numpy as np
 
     table = {}
@@ -316,22 +313,17 @@ def score_fms(general, reference, cutoff=None, threads=1):
         raise ToolkitError("reference corpus must be non-empty")
     n_refs = len(refs)
     ref_lens = np.array([len(r) for r in refs])
-
-    def one(src_len, led):
-        maxes = np.maximum(ref_lens, src_len)
-        if cutoff is not None:
-            live = np.nonzero(_length_bound(src_len, ref_lens) >= cutoff)[0]
-            if live.size == 0:
-                return 0.0
-            scores = np.clip(1.0 - led[live] / maxes[live], 0.0, 1.0)
-            return float(scores.sum() / n_refs)
-        scores = np.clip(1.0 - led / maxes, 0.0, 1.0)
-        return float(scores.mean())
-
+    cutoff = cutoff or 0.0
     out = [0.0] * len(gen)
+    window = {}  # sentence length -> the references its length bound keeps, their max lengths
     for idx, led in _edit_distance_blocks(gen, refs, len(table), cutoff):
         for g, row in zip(idx, led):
-            out[g] = one(len(gen[g]), row)
+            m = len(gen[g])
+            if m not in window:
+                live = np.nonzero(_length_bound(m, ref_lens) >= cutoff)[0]
+                window[m] = live, np.maximum(ref_lens[live], m)
+            live, maxes = window[m]
+            out[g] = float(np.clip(1.0 - row[live] / maxes, 0.0, 1.0).sum() / n_refs)
     return out
 
 
@@ -414,14 +406,8 @@ def index_rows(scores):
     return ["%d\t%s" % (i, repr(float(s))) for i, s in enumerate(scores)]
 
 
-def format_scores(scores, meta=None):
-    """Score file text: ``# key: value`` header lines, then the score rows."""
-    lines = ["# %s: %s" % item for item in (meta or {}).items()]
-    return "\n".join(lines + index_rows(scores)) + "\n"
-
-
 def write_scores(path, scores, meta=None):
-    write_text(path, format_scores(scores, meta))
+    write_headed(path, meta or {}, index_rows(scores))
 
 
 def _read_annotated(path, parse_row):
@@ -475,9 +461,7 @@ def read_scores(path):
 
 def write_selection(path, result, meta=None):
     header = {"criterion": result.criterion, "direction": result.direction, **(meta or {})}
-    lines = ["# %s: %s" % (k, v) for k, v in header.items()]
-    lines += [str(i) for i in result.indices]
-    write_text(path, "\n".join(lines) + "\n")
+    write_headed(path, header, map(str, result.indices))
 
 
 def _selection_row(line, path, lineno):

@@ -182,12 +182,11 @@ def load_topic_file(path):
     return TopicDefinition(entries)
 
 
-def parse_located_document(doc_id, text, path):
-    """Sectioned text (of the file at path) with #title/#headings/#metadata/#body
-    markers; plain text without markers is treated as all-body."""
+def parse_located_document(doc_id, lines, path):
+    """(line number, line) pairs of the file at path, sectioned by #title/#headings/
+    #metadata/#body markers; lines without markers are treated as all-body."""
     markers = {"#" + loc: loc for loc in LOCATIONS}
-    # lines end at \n only, as errors.read_lines splits them
-    lines = [(lineno, line) for lineno, line in enumerate(text.split("\n"), 1) if line.strip()]
+    lines = [(lineno, line) for lineno, line in lines if line.strip()]
     if not any(line.strip() in markers for _, line in lines):
         return LocatedDocument(doc_id, {"body": [line for _, line in lines]})
     sections = {}
@@ -208,6 +207,6 @@ def load_located_collection(path):
     """Directory of sectioned/plain document files, or a TSV of
     `doc_id<TAB>text` treated as all-body documents."""
     pages = Path(path).is_dir()
-    return [parse_located_document(doc_id, text, where) if pages
-            else LocatedDocument(doc_id, {"body": [text]})
-            for doc_id, text, where in read_documents(path)]
+    return [parse_located_document(doc_id, lines, where) if pages
+            else LocatedDocument(doc_id, {"body": [line for _, line in lines]})
+            for doc_id, lines, where in read_documents(path)]

@@ -349,9 +349,10 @@ def test_ml_score_via_lm_files(work, capsys):
 
 
 def _assert_score_file(path, scores):
-    """The score file is format_scores of the scores, under the file's own header."""
+    """The score file is the index rows of the scores, under the file's own header."""
     _, meta = select.read_scores(path)
-    assert path.read_text(encoding="utf-8") == select.format_scores(scores, meta)
+    lines = ["# %s: %s" % item for item in meta.items()] + select.index_rows(scores)
+    assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
 
 
 def test_ce_score_via_lm_file(work, capsys):
@@ -414,8 +415,8 @@ def test_retrieve_collection_line_keeps_a_unicode_line_separator(work, capsys):
     assert run_cli("retrieve", "--collection", str(coll), "--queries", str(queries),
                    "--lambda", "0.5", "--n-best", "1", "--output", str(work / "res.tsv")) == 0
     assert "q1\t1\td1\t" in (work / "res.tsv").read_text(encoding="utf-8")
-    assert [text for _, text, _ in corpus.read_documents(coll)] == ["foo\u2028bar baz",
-                                                                    "dogs bark"]
+    assert [lines for _, lines, _ in corpus.read_documents(coll)] == [[(1, "foo\u2028bar baz")],
+                                                                      [(2, "dogs bark")]]
 
 
 def test_combine_naive_rank_cli(work, capsys):
@@ -907,6 +908,11 @@ def test_empty_general_is_an_error_under_every_criterion(work, capsys, bilingual
     # found before any model is trained: no smoothing warnings precede it
     assert run_cli(*argv, str(empty), "--output", str(work / "e.tsv")) == 1
     assert capsys.readouterr().err == "error: %s holds no sentences to score\n" % empty
+    assert not list(work.glob("e.tsv*"))
+    # an empty in-domain file: one message under every criterion, naming the file
+    argv[argv.index("--in-domain") + 1] = str(empty)
+    assert run_cli(*argv, str(work / ("general" + ext)), "--output", str(work / "e.tsv")) == 1
+    assert capsys.readouterr().err == "error: %s holds no sentences to score against\n" % empty
     assert not list(work.glob("e.tsv*"))
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusmine import corpus
+from corpusmine import corpus, lm, webfilter
 from corpusmine.errors import FormatError, MissingFactorError, read_lines, write_text
 
 
@@ -95,6 +95,29 @@ def test_lines_end_at_newline_only(tmp_path, separator):
     # a text read turns a lone \r into \n, as for every reader
     want = [(1, "a"), (2, "b"), (3, "c")] if separator == "\r" else [(1, "a%sb" % separator), (2, "c")]
     assert list(read_lines(p)) == want
+    assert len(corpus.load_corpus(p)) == len(want)
+    (tmp_path / "pages").mkdir()
+    (tmp_path / "pages" / "p1").write_bytes(b"#body\n" + p.read_bytes())
+    page, = webfilter.load_located_collection(tmp_path / "pages")
+    assert page.lines("body") == [line for _, line in want]
+    # a model file whose lines end at the separator: one line, unless it is \r
+    model = tmp_path / "m.lm"
+    lm.write_model(lm.train(corpus.load_corpus(p), order=2, smoothing="witten-bell"), model)
+    text = model.read_bytes()
+    model.write_bytes(text.replace(b"\n", separator.encode("utf-8")))
+    if separator != "\r":
+        with pytest.raises(FormatError, match=r"missing \\data\\ header"):
+            lm.read_model(model)
+        return
+    lm.write_model(lm.read_model(model), model)
+    assert model.read_bytes() == text
+
+
+def test_non_utf8_byte_past_the_first_block_names_its_position_in_the_file(tmp_path):
+    p = tmp_path / "f.txt"
+    p.write_bytes(b"good line\n" * 2000 + b"a \xff b\n")
+    with pytest.raises(FormatError, match="f.txt is not valid UTF-8: .* in position 20002:"):
+        corpus.load_corpus(p)
 
 
 def test_write_text_that_fails_partway_leaves_the_old_file(tmp_path):

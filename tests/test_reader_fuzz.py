@@ -36,6 +36,8 @@ FILES = {
     "stop.txt": "the\non\n",
     "lexicon.tsv": "market\tmarché\nfell\ttomba\n",
     "run.cfg": "# defaults\norder=2\nsmoothing=witten-bell\n",
+    "pages/p1": "#title\nthe market\n#body\nthe market fell again\nrain fell today\n",
+    "pages/p2": "dogs bark loudly\n",
 }
 # (the file to mutate, the step that reads it)
 CASES = [
@@ -54,6 +56,8 @@ CASES = [
                    "--k", "50"]),
     ("web.tsv", ["ppl-filter", "--collection", "web.tsv", "--topic", "topic.tsv",
                  "--k", "50", "--n", "50", "--lm", "model.lm"]),
+    ("pages/p1", ["ppl-filter", "--collection", "pages", "--topic", "topic.tsv",
+                  "--k", "50", "--n", "50", "--lm", "model.lm"]),
     ("coll.tsv", ["retrieve", "--collection", "coll.tsv", "--queries", "queries.tsv",
                   "--lambda", "50", "--n-best", "2"]),
     ("gold.tsv", ["retrieve", "--collection", "coll.tsv", "--queries", "queries.tsv",
@@ -113,10 +117,12 @@ def mutated_cases(draw):
 def test_mutated_inputs_end_in_error_or_success(case):
     name, argv, data = case
     with tempfile.TemporaryDirectory() as d:
+        Path(d, "pages").mkdir()
         for file, text in FILES.items():
             Path(d, file).write_text(text, encoding="utf-8")
         Path(d, name).write_bytes(data)
-        argv = [str(Path(d, a)) if a in FILES or a.startswith("o.") else a for a in argv]
+        argv = [str(Path(d, a)) if a in FILES or a.startswith("o.") or a == "pages" else a
+                for a in argv]
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = cli.run(argv)

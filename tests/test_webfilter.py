@@ -231,10 +231,10 @@ def test_topic_file_and_document_parsing(tmp_path):
     assert topic.entries[1].weight == 5.0
 
     doc = webfilter.parse_located_document(
-        "d1", "#title\nmy page\n#body\nline one\nline two\n", "pages/d1"
+        "d1", enumerate(["#title", "my page", "#body", "line one", "line two"], 1), "pages/d1"
     )
     assert doc.lines("title") == ["my page"]
     assert doc.lines("body") == ["line one", "line two"]
-    bare = webfilter.parse_located_document("d2", "just text\n", "pages/d2")
+    bare = webfilter.parse_located_document("d2", [(1, "just text")], "pages/d2")
     assert bare.lines("body") == ["just text"]
     assert bare.lines("title") == []
