@@ -193,7 +193,7 @@ def _cmd_perplexity(args):
 
 
 def _cmd_score(args):
-    from . import lm, select
+    from . import select
 
     crit = args.criterion
     if args.fms_cutoff is not None and crit != "fms":
@@ -226,7 +226,10 @@ def _cmd_score(args):
     general = _load_view(args.general, fmt, view)
     if not len(general):
         raise ToolkitError("%s holds no sentences to score" % args.general)
-    models = [lm.read_model(path) for path in files.values()] if any(files.values()) else None
+    models = None
+    if any(files.values()):
+        from . import lm
+        models = [lm.read_model(path) for path in files.values()]
     in_domain = None if models else _load_view(args.in_domain, fmt, view)
     if in_domain is not None and not len(in_domain):
         raise ToolkitError("%s holds no sentences to score against" % args.in_domain)
@@ -291,7 +294,7 @@ _COMBINE_MODES = {
 
 
 def _cmd_combine(args):
-    from . import combine, lm, select
+    from . import combine, select
 
     needs, takes = _COMBINE_MODES[args.mode]
     given = [d for d in dict.fromkeys(d for n, t in _COMBINE_MODES.values() for d in n + t)
@@ -318,6 +321,7 @@ def _cmd_combine(args):
         combine.write_table(combine.interpolate_tables(tables, weights or [1.0] * len(tables)),
                             args.output)
     else:
+        from . import lm
         sets = [corpus.load_corpus(p, **fmt) for p in args.set]
         dev = corpus.load_corpus(args.dev, **fmt)
         mixture = combine.combine_advanced_lm(sets, dev, **_given(args, "order", "smoothing"))

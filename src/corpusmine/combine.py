@@ -8,7 +8,6 @@ trained per selection source.
 from dataclasses import dataclass
 from itertools import chain
 
-from . import lm
 from .errors import FormatError, ToolkitError, finite, parse_field, read_lines, write_text
 
 
@@ -181,6 +180,8 @@ def combine_advanced_lm(per_source_sets, dev_corpus, order=4,
     so EM mixes distributions over one event set."""
     if not per_source_sets:
         raise ToolkitError("need at least one source set")
+    from . import lm
+
     vocab = lm.Vocabulary.from_corpus(chain.from_iterable(per_source_sets))
     models = [lm.train(c, order=order, smoothing=smoothing, vocab=vocab)
               for c in per_source_sets]

@@ -9,7 +9,6 @@ have the key rank(a1..a_{k-1}) * |V| + a_k, with the prefix's rank in the
 order-(k-1) table.  numpy is imported lazily, by the functions that use it.
 """
 
-import logging
 import math
 from array import array
 from collections import namedtuple
@@ -19,8 +18,6 @@ from itertools import accumulate, chain, compress, islice, repeat
 from .corpus import words_of
 from .errors import (FormatError, ToolkitError, finite, log10_prob, parse_field, read_lines,
                      write_text)
-
-logger = logging.getLogger("corpusmine.lm")
 
 BOS = "<s>"
 EOS = "</s>"
@@ -108,19 +105,23 @@ _ABSENT = 2 ** 63 - 1
 
 def _tables(size, blocks):
     """Empty tables of orders 0..len(blocks) holding the id tuples of each
-    block, blocks[n - 1] an (rows, n) array, and all their prefixes (order 1
-    holds every id), ranked by one np.unique per order; and the slot of each
-    row of each block."""
+    block, blocks[n - 1] an (rows, n) array, and all their prefixes, ranked
+    by one sort per order above 1 (order 1 holds every id, ranked by itself);
+    and the slot of each row of each block."""
     import numpy as np
 
-    slots = [np.zeros(len(ids), dtype=np.int64) for ids in blocks]  # each row's prefix so far
+    slots = [ids[:, 0].astype(np.int64) for ids in blocks]  # each row's prefix so far
     keys, tables = np.zeros(1, dtype=np.int64), []
     for n in range(len(blocks) + 1):
-        if n:
-            parts = [slots[j] * size + blocks[j][:, n - 1] for j in range(n - 1, len(blocks))]
-            keys, inv = np.unique(np.concatenate(parts + [np.arange(size)] * (n == 1)),
-                                  return_inverse=True)
-            slots[n - 1 :] = np.split(inv, np.cumsum([len(p) for p in parts]))[: len(parts)]
+        if n == 1:
+            keys = np.arange(size, dtype=np.int64)
+        elif n:  # each row's key, then its rank, searched block by block: no inverse of all
+            for j in range(n - 1, len(blocks)):
+                slots[j] = slots[j] * size + blocks[j][:, n - 1]
+            keys = np.concatenate(slots[n - 1 :])
+            keys.sort()
+            keys = keys[np.diff(keys, prepend=-1) != 0]
+            slots[n - 1 :] = [np.searchsorted(keys, s) for s in slots[n - 1 :]]
         k = len(keys) + 1
         tables.append(_Table(np.append(keys, _ABSENT), np.full(k, np.nan), np.zeros(k, bool),
                              np.zeros(k), np.zeros(k, bool), np.zeros(k, bool)))
@@ -228,7 +229,7 @@ def batch_event_probs(models, sentences):
 
 # Sentences per batch_event_probs call when a whole corpus is scored: bounds
 # the encoded ids, rank arrays and probability lists to one slice.
-_SCORE_CHUNK = 4096
+_SCORE_CHUNK = 1024
 
 
 def sentence_probs(models, sentences):
@@ -292,25 +293,30 @@ def train(corpus, order=4, smoothing="modified-kneser-ney", vocab=None):
         raise FormatError("corpus contains reserved symbol %r" % min(reserved))
     seq, pos = _encode(sentences, vocab, order - 1)
     size = len(vocab)
-    # at[n - 1]: the slot of the n-gram at each event; counted[n - 1]: the
-    # distinct n-grams' slots, first events and counts
+    # at[n - 1]: the slot of the n-gram at each event; ahead: the distinct
+    # n-grams' slots, first events and counts, one order ahead of the loop
     tables, at = _tables(size, [seq[(pos - n + 1)[:, None] + np.arange(n)] for n in range(1, order + 1)])
-    counted = [np.unique(a, return_index=True, return_counts=True) for a in at]
-    for n, (t, (grams, first, c)) in enumerate(zip(tables[1:], counted), 1):
+    ahead = np.unique(at[0], return_index=True, return_counts=True)
+    for n, t in enumerate(tables[1:], 1):
+        grams, first, c = ahead
+        if n < order:
+            ahead = np.unique(at[n], return_index=True, return_counts=True)
         hist = t.keys[grams] // size  # the histories' slots in the order n-1 table
         starts = np.flatnonzero(np.diff(hist, prepend=-1))
         width = np.diff(np.append(starts, len(hist)))
         row = np.repeat(np.arange(len(starts)), width)
         if smoothing == "modified-kneser-ney" and n < order:  # continuation counts
-            preceded = np.unique(at[n - 1][counted[n][1]], return_counts=True)[1]
+            preceded = np.unique(at[n - 1][ahead[1]], return_counts=True)[1]
             c = np.where(seq[pos[first] - n + 1] == _BOS_ID, c, preceded) if n > 1 else preceded
         total = np.add.reduceat(c, starts)
         discounts = None
         if smoothing == "modified-kneser-ney":
             discounts = _estimate_discounts(np.bincount(c, minlength=5)[1:5].tolist())
             if discounts is None:
-                logger.warning("modified Kneser-Ney counts-of-counts degenerate at order %d; "
-                               "falling back to Witten-Bell for that order", n)
+                import logging
+                logging.getLogger("corpusmine.lm").warning(
+                    "modified Kneser-Ney counts-of-counts degenerate at order %d; "
+                    "falling back to Witten-Bell for that order", n)
         if smoothing == "mle":  # exact count ratios of seen words, no backoff weights
             num, denom, gamma = c, total, np.zeros(len(starts))
         elif discounts is None:
@@ -321,9 +327,9 @@ def train(corpus, order=4, smoothing="modified-kneser-ney", vocab=None):
             denom = total
             by_first = num[np.lexsort((first, row))]
             sums = by_first[starts]  # sum([x]) is x: only longer rows need adding up
-            values, lo, hi = by_first.tolist(), starts.tolist(), (starts + width).tolist()
-            for r in np.flatnonzero(width > 1).tolist():
-                sums[r] = sum(values[lo[r] : hi[r]])
+            wide = width > 1
+            values = iter(by_first[np.repeat(wide, width)].tolist())
+            sums[wide] = [sum(islice(values, w)) for w in width[wide].tolist()]
             gamma = (total - sums) / total
         if n == 1 and smoothing != "mle":  # unigrams span every symbol but BOS
             x = np.zeros(size)
@@ -440,18 +446,17 @@ def interpolate(models, dev_corpus, tol=1e-6, max_iter=100):
 _BOW_ONLY = "-99"
 
 
-def _texts(values, convert=float):
-    """repr(convert(x)) for each float of an array, formatted once per
-    distinct bit pattern (so -0.0 stays apart from 0.0)."""
+def _texts(values, text):
+    """text(x) for each float of an array, as an object array, each text made
+    once per distinct bit pattern (so -0.0 stays apart from 0.0)."""
     import numpy as np
 
     bits, inv = np.unique(values.view(np.int64), return_inverse=True)
-    text = [repr(convert(x)) for x in bits.view(np.float64).tolist()]
-    return list(map(text.__getitem__, inv.tolist()))
+    return np.array([text(x) for x in bits.view(np.float64).tolist()], dtype=object)[inv]
 
 
 def write_model(model, path):
-    """Write the model file one section at a time."""
+    """Write the model file a line at a time."""
     keeps = [t.has_prob | t.has_bow for t in model._tables[1:]]
     # every type, so that a zero-count MLE type is read back as itself, not <unk>
     keeps[0][len(_RESERVED) : len(model.vocab)] = True
@@ -461,32 +466,31 @@ def write_model(model, path):
 
 
 def _sections(model, keeps):
-    """The text of each n-gram section, from the blank line before its head."""
+    """Each n-gram section's head, then its lines, each from the newline before it."""
     import numpy as np
 
     size = len(model.vocab)
-    symbols = [model.vocab.symbol(i) for i in range(size)]
+    symbols = np.array(model.vocab._symbols, dtype=object)
     place = np.empty(size, dtype=np.int64)  # each tuple's rank in symbol-string order
-    place[sorted(range(size), key=symbols.__getitem__)] = np.arange(size)
-    by_symbol, texts = place, symbols
+    place[sorted(range(size), key=model.vocab._symbols.__getitem__)] = np.arange(size)
+    by_symbol, ids = place, []
     for n, (t, keep) in enumerate(zip(model._tables[1:], keeps), 1):
         hist, last = np.divmod(t.keys[:-1], size)
         perm = np.lexsort((by_symbol[last], place[hist]))
         place = np.empty(len(perm), dtype=np.int64)
         place[perm] = np.arange(len(perm))
-        if n > 1:
-            texts = list(map(" ".join, zip(map(texts.__getitem__, hist.tolist()),
-                                           map(symbols.__getitem__, last.tolist()))))
+        ids = [column[hist] for column in ids] + [last]  # each tuple's ids, first to last
         rows = perm[keep[perm]]
         probs, bows = np.full(len(rows), _BOW_ONLY, dtype=object), np.full(len(rows), "", dtype=object)
         has = t.has_prob[rows]
         # a model read from a file writes back the log10 values it was read with
-        probs[has] = (_texts(t.prob[rows[has]], math.log10) if model._log10 is None
-                      else _texts(model._log10[n][rows[has]]))
+        probs[has] = (_texts(t.prob[rows[has]], lambda p: repr(math.log10(p)))
+                      if model._log10 is None else _texts(model._log10[n][rows[has]], repr))
         has = t.has_bow[rows]
-        bows[has] = list(map("\t".__add__, _texts(t.bow[rows[has]])))
-        yield "\n".join(chain(["", "", "\\%d-grams:" % n], map("".join, zip(
-            probs.tolist(), repeat("\t"), map(texts.__getitem__, rows.tolist()), bows.tolist()))))
+        bows[has] = _texts(t.bow[rows[has]], "\t%r".__mod__)
+        yield "\n\n\\%d-grams:" % n
+        grams = map(" ".join, zip(*(symbols[column[rows]] for column in ids)))
+        yield from map("\n%s\t%s%s".__mod__, zip(probs, grams, bows))
 
 
 def read_model(path):
@@ -541,9 +545,9 @@ def read_model(path):
             for t in texts if n == 1 else ():  # 1-grams come first: later symbols resolve
                 vocab.add(t)
             held[n] = len(texts)
-            ids = np.fromiter(map(vocab._ids.get, " ".join(texts).split(" ") if texts else (),
-                                  repeat(_UNK_ID)), np.int64, n * len(texts))  # n per line
-            del texts  # or the last section's would stay through the table build below
+            words = chain.from_iterable(map(str.split, texts, repeat(" ")))  # n per line
+            ids = np.fromiter(map(vocab._ids.get, words, repeat(_UNK_ID)), np.int64, n * len(texts))
+            del texts, words  # or the last section's would stay through the table build below
             blocks[n - 1] = ids.reshape(-1, n)
             columns[n - 1] = (np.frombuffer(lps), np.fromiter(map(pow, repeat(10.0), lps), float,
                                                               len(lps)), np.frombuffer(weights))

@@ -7,6 +7,7 @@ source length, and micro-averaged P/R/F1 evaluation.
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ class Document:
 
 class DocumentIndex:
     """Postings (term -> [(doc_id, count)]), document frequencies, lengths
-    and length norms for a fixed collection."""
+    and length norms for a fixed collection, and its ids sorted by length."""
 
     def __init__(self, documents):
         docs = list(documents)
@@ -42,6 +43,8 @@ class DocumentIndex:
         self.n_docs = len(docs)
         self.lengths = {d.id: len(d.tokens) for d in docs}
         self.norms = {d.id: 1.0 / math.sqrt(len(d.tokens)) for d in docs}
+        self.by_length = sorted(self.lengths, key=self.lengths.get)
+        self.sorted_lengths = list(map(self.lengths.get, self.by_length))
         self.postings = {}
         for d in docs:
             for term, f in Counter(d.tokens).items():
@@ -62,9 +65,9 @@ class LengthFilterParams:
     multiplier: float = 4.0
 
     def __post_init__(self):
-        if self.delta < 0:
+        if not self.delta >= 0:  # nan too, which would make the window's ends nan
             raise ToolkitError("delta must be >= 0")
-        if self.multiplier < 0:
+        if not self.multiplier >= 0:
             raise ToolkitError("multiplier must be >= 0")
 
 
@@ -131,7 +134,8 @@ def length_filter_candidates(source_len, index, params):
     spread = params.multiplier * params.delta
     lo = source_len * (1.0 - spread)
     hi = source_len * (1.0 + spread)
-    return {d for d, n in index.lengths.items() if lo <= n <= hi}
+    lengths = index.sorted_lengths  # int against float compares exactly
+    return set(index.by_length[bisect_left(lengths, lo) : bisect_right(lengths, hi)])
 
 
 def retrieve(source_doc, index, lambda_percent, n_best, params=None,

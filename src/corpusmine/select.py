@@ -17,7 +17,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import lm
 from .corpus import Corpus, words_of
 from .errors import FormatError, ToolkitError, finite, parse_field, read_lines, write_headed
 
@@ -57,14 +56,11 @@ def score_cosine(general, in_domain, threads=1):
     df = Counter()
     for words in gen_sents:
         df.update(set(words))
-
-    def idf(term):
-        return math.log(n_docs / max(df[term], 1))
-
     query_tf = Counter()
     for s in in_domain:
         query_tf.update(words_of(s))
-    query = {t: c * idf(t) for t, c in query_tf.items()}
+    idf = {t: math.log(n_docs / max(df[t], 1)) for t in df.keys() | query_tf.keys()}
+    query = {t: c * idf[t] for t, c in query_tf.items()}
     query_norm = math.sqrt(sum(v * v for v in query.values()))
 
     def one(words):
@@ -72,7 +68,7 @@ def score_cosine(general, in_domain, threads=1):
         dot = 0.0
         norm = 0.0
         for t, c in tf.items():
-            w = c * idf(t)
+            w = c * idf[t]
             norm += w * w
             qv = query.get(t)
             if qv is not None:
@@ -89,6 +85,8 @@ def score_cosine(general, in_domain, threads=1):
 def sentence_cross_entropies(models, sentences):
     """Per-event cross-entropy (bits) of each sentence, word events plus EOS,
     under each model."""
+    from . import lm
+
     scores = [[] for _ in models]
     for probs in lm.sentence_probs(models, sentences):
         for out, p in zip(scores, probs):
@@ -130,6 +128,8 @@ def train_selection_models(general, in_domain, order=4, seed=0,
     Both models share the in-domain vocabulary; the out-domain model is
     trained on a seeded random general subset equal in size to the in-domain
     corpus."""
+    from . import lm
+
     in_lm = lm.train(in_domain, order=order, smoothing=smoothing)
     out_subset = sample_out_subset(general, len(in_domain), seed)
     out_lm = lm.train(out_subset, order=order, smoothing=smoothing, vocab=in_lm.vocab)
@@ -351,6 +351,7 @@ def score(criterion, general, in_domain, models=None, order=4, seed=0,
     if criterion == "fms":
         return score_fms(general, in_domain, cutoff=cutoff)
     if models is None:
+        from . import lm
         if criterion == "ce":
             models = [lm.train(in_domain, order=order, smoothing=smoothing)]
         elif criterion == "ml":

@@ -38,10 +38,12 @@ def test_version_and_usage_exit_codes(capsys):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy is imported by the steps that need it (FMS and the n-gram LM);
-    # every other step should start without paying for its import
+    # numpy is imported by the steps that need it (FMS and the n-gram LM), and
+    # the LM by the functions that run one; every other step should start
+    # without paying for either import
     src = Path(cli.__file__).resolve().parents[1]
-    probe = "import sys, corpusmine.cli; sys.exit('numpy' in sys.modules)"
+    probe = ("import sys, corpusmine.cli, corpusmine.select, corpusmine.combine, "
+             "corpusmine.retrieve; sys.exit(bool({'numpy', 'corpusmine.lm'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", probe], env=env)
     assert done.returncode == 0

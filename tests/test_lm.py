@@ -495,3 +495,38 @@ def test_model_file_header(tmp_path):
     text = path.read_text(encoding="utf-8")
     assert text.startswith("\\smoothing: witten-bell\n")
     assert "\\data\\" in text and "\\1-grams:" in text and "\\2-grams:" in text
+
+
+def test_lm_temporaries_stay_within_a_heap_budget(tmp_path):
+    # tracemalloc peaks, numpy's buffers included, in units of the model's own
+    # table bytes; each budget sits between the peak of code that holds whole
+    # orders as Python lists and scores 2,048 sentences in one slice (about
+    # 7.1, 5.2, 6.2 and 7.8) and the lean code's (about 3.9, 3.4, 4.5 and 4.9)
+    import tracemalloc
+
+    import numpy  # noqa: F401  (loaded before tracing, as in every LM step)
+
+    rng = random.Random(18)
+    words = ["w%d" % i for i in range(800)]
+    zipf = [1.0 / (i + 1) for i in range(800)]
+    lines = [" ".join(rng.choices(words, zipf, k=rng.randint(3, 30))) for _ in range(2548)]
+    data, test = corpus.Corpus.from_lines(lines[:500]), corpus.Corpus.from_lines(lines[500:])
+    # a small run first, so that no lazy import lands inside a measured peak
+    lm.write_model(lm.train(_random_corpus(rng, words[:5], n_sents=20), order=2), tmp_path / "w.lm")
+
+    def peak(f, *args):
+        tracemalloc.start()
+        try:
+            return f(*args), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    model, train_peak = peak(lm.train, data, 4)
+    size = sum(a.nbytes for t in model._tables for a in t)
+    write_peak = peak(lm.write_model, model, tmp_path / "m.lm")[1]
+    read_peak = peak(lm.read_model, tmp_path / "m.lm")[1]
+    score_peak = peak(lambda: sum(1 for _ in lm.sentence_probs([model], test)))[1]
+    ratios = {"train": train_peak / size, "write_model": write_peak / size,
+              "read_model": read_peak / size, "sentence_probs": score_peak / size}
+    budget = {"train": 5.5, "write_model": 4.5, "read_model": 5.3, "sentence_probs": 6.3}
+    assert all(ratios[k] <= budget[k] for k in budget), ratios

@@ -212,3 +212,19 @@ def test_retrieve_brute_force_edge_cases():
     # length filter with stopwords, n_best above the number of candidates
     query, got = _check_against_brute_force(texts, "a b c", frozenset("a"), 1.0, 5, 0.1)
     assert len(got) == 3
+    # lengths 3, 4, 2, 5, 1; a source of 4 with spread 4 * 0.0625 keeps [3.0, 5.0], both ends
+    query, got = _check_against_brute_force(texts, "a b c d", frozenset(), 1.0, 5, 0.0625)
+    assert sorted(d for d, _ in got) == ["d0", "d1", "d3"]
+    idx = retrieve.DocumentIndex(_docs(texts))
+    for source_len, delta, multiplier, kept in [
+            (3, 0.5, 0.0, {"d0"}),  # multiplier 0: the source length alone
+            (2, 0.25, 4.0, {"d0", "d1", "d2", "d4"}),  # spread 1: lo is 0, hi is 4
+            (2, 0.5, 4.0, {"d0", "d1", "d2", "d3", "d4"}),  # spread 2: lo is below 0
+            (7, 1.0, 0.0, set())]:
+        params = retrieve.LengthFilterParams(delta, multiplier=multiplier)
+        assert retrieve.length_filter_candidates(source_len, idx, params) == kept
+    for bad in (math.nan, -0.0625):
+        with pytest.raises(ToolkitError):
+            retrieve.LengthFilterParams(bad)
+        with pytest.raises(ToolkitError):
+            retrieve.LengthFilterParams(0.1, multiplier=bad)

@@ -158,6 +158,26 @@ def test_cosine_scores():
     assert 0.0 < scores[2] < 1.0
 
 
+def test_cosine_scores_equal_the_written_out_formula():
+    # 4 general sentences; df: a 2, b 2, c 1, d 1, and the in-domain e 0, clamped to 1
+    general = corpus.Corpus.from_lines(["a b a", "b c", "d d", "a"])
+    in_domain = corpus.Corpus.from_lines(["a e", "b a e"])
+    half, quarter = math.log(4 / 2), math.log(4 / 1)  # idf at df 2, and at df 1 or 0
+    qa, qe, qb = 2 * half, 2 * quarter, 1 * half  # the query's tf * idf, by first use
+    qnorm = math.sqrt(sum([qa * qa, qe * qe, qb * qb]))
+
+    def cos(dot, norm):  # dot and norm summed from 0.0 in the sentence's first-use order
+        return dot / (math.sqrt(norm) * qnorm)
+
+    wa = 2 * half
+    assert select.score_cosine(general, in_domain) == [
+        cos(0.0 + wa * qa + half * qb, 0.0 + wa * wa + half * half),  # "a b a"
+        cos(0.0 + half * qb, 0.0 + half * half + quarter * quarter),  # "b c": c not in the query
+        0.0,  # "d d" shares no term
+        cos(0.0 + half * qa, 0.0 + half * half),  # "a"
+    ]
+
+
 def test_cross_entropy_is_length_normalized():
     model = lm.train(corpus.Corpus.from_lines(["a a a a", "a a"]), order=1, smoothing="witten-bell")
     [[short, long]] = select.sentence_cross_entropies(
