@@ -80,7 +80,8 @@ class Vocabulary:
 
 def _encode(sentences, vocab, pad):
     """One flat id array of the sentences, each after `pad` BOS ids and before
-    EOS, and the positions of their events (every id but the padding)."""
+    EOS, and the positions of their events (every id but the padding).  A
+    sentence that holds BOS or EOS is an error, in training and scoring alike."""
     import numpy as np
 
     tokens = []
@@ -92,6 +93,9 @@ def _encode(sentences, vocab, pad):
     ends = np.cumsum([len(words) + pad + 1 for words in sentences])
     events[((ends - np.diff(ends, prepend=0))[:, None] + np.arange(pad)).ravel()] = False
     seq = np.fromiter(map(vocab._ids.get, tokens, repeat(_UNK_ID)), np.int32, len(tokens))
+    for symbol, i, n in ((EOS, _EOS_ID, len(sentences)), (BOS, _BOS_ID, pad * len(sentences))):
+        if np.count_nonzero(seq == i) > n:
+            raise FormatError("corpus contains reserved symbol %r" % symbol)
     return seq, np.flatnonzero(events)
 
 
@@ -288,9 +292,6 @@ def train(corpus, order=4, smoothing="modified-kneser-ney", vocab=None):
     sentences = [words_of(s) for s in corpus]
     if not sentences:
         raise ToolkitError("cannot train a model on an empty corpus")
-    reserved = {BOS, EOS}.intersection(chain.from_iterable(sentences))  # in a shared vocabulary
-    if reserved:
-        raise FormatError("corpus contains reserved symbol %r" % min(reserved))
     seq, pos = _encode(sentences, vocab, order - 1)
     size = len(vocab)
     # at[n - 1]: the slot of the n-gram at each event; ahead: the distinct

@@ -174,15 +174,6 @@ def _encode(sentences, table):
 _FMS_BLOCK = 32
 
 
-def _uint64_words_array(values, n_words):
-    """Python ints as a (n_words, len(values)) uint64 array, least
-    significant word first."""
-    import numpy as np
-
-    return np.array([[(v >> 64 * w) & 0xFFFFFFFFFFFFFFFF for v in values]
-                     for w in range(n_words)], dtype=np.uint64)
-
-
 def _set_bits(words):
     """Set bits per (text, pattern) of a (words, texts, patterns) uint64
     array, by a SWAR popcount: numpy before 2.0 has no bitwise_count."""
@@ -216,9 +207,9 @@ def _edit_distance_blocks(pats, texts, n_symbols, cutoff):
     flow upward and so rows above m cannot change row m.  Texts are stepped
     column by column, longest first, and a pair's vectors are frozen when its
     text ends: D[m][n] = n + (+1 vertical deltas) - (-1 vertical deltas).
-    A block steps only the texts from the longest to the shortest whose
-    length bound reaches the cutoff for some pattern of the block; every
-    other pair reads -1.
+    A block decides each pair's length bound once: it steps only the texts
+    from the longest to the shortest that some pattern's bound keeps, and every
+    pair whose bound falls below the cutoff reads -1.
     """
     import numpy as np
 
@@ -233,8 +224,10 @@ def _edit_distance_blocks(pats, texts, n_symbols, cutoff):
         block = [pats[g] for g in idx]
         n_pats = len(block)
         out = np.full((n_pats, len(texts)), -1, dtype=np.int64)
-        bounds = _length_bound(np.unique([len(p) for p in block])[:, None], lens)
-        reached = np.nonzero((bounds >= cutoff).any(axis=0))[0]
+        m = np.array([len(p) for p in block], dtype=np.intp)
+        m_set, m_row = np.unique(m, return_inverse=True)
+        keep = (_length_bound(m_set[:, None], lens) >= cutoff)[m_row]  # texts longest first
+        reached = np.nonzero(keep.any(axis=0))[0]
         if reached.size == 0:
             yield idx, out
             continue
@@ -243,20 +236,16 @@ def _edit_distance_blocks(pats, texts, n_symbols, cutoff):
         t_lens = lens[first:stop]
         max_len = t_lens[0]
         n_words = max(1, -(-len(block[-1]) // 64))
-        # Peq over the block's own symbols; every other symbol maps to row 0
-        syms = sorted({s for p in block for s in p})
+        # Peq over the block's own symbols; every other symbol maps to row 0.
+        # Position i of a pattern is bit i % 64 of word i // 64.
+        syms, sym_row = np.unique(np.array([s for p in block for s in p], dtype=np.intp),
+                                  return_inverse=True)
         local = np.zeros(n_symbols + 1, dtype=np.intp)
         local[syms] = np.arange(1, len(syms) + 1)
-        peq_rows = []  # (symbol, pattern, bit mask of the symbol's positions)
-        for g, p in enumerate(block):
-            masks = {}
-            for i, s in enumerate(p):
-                masks[s] = masks.get(s, 0) | 1 << i
-            peq_rows += [(s, g, bits) for s, bits in masks.items()]
+        i = np.arange(len(sym_row)) - np.repeat(np.cumsum(m) - m, m)
         peq = np.zeros((n_words, len(syms) + 1, n_pats), dtype=np.uint64)
-        if peq_rows:
-            s, g, bits = zip(*peq_rows)
-            peq[:, local[list(s)], list(g)] = _uint64_words_array(bits, n_words)
+        np.bitwise_or.at(peq, (i // 64, sym_row + 1, np.repeat(np.arange(n_pats), m)),
+                         np.uint64(1) << (i % 64).astype(np.uint64))
         text_syms = local[cols[:max_len, first:stop]]
         pv = np.full((n_words, n_texts, n_pats), 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
         mv = np.zeros_like(pv)
@@ -289,10 +278,10 @@ def _edit_distance_blocks(pats, texts, n_symbols, cutoff):
             np.invert(xv | ph, out=p_v)
             p_v |= mh
             np.bitwise_and(ph, xv, out=m_v)
-        # rows 1..m of each pattern hold its vertical deltas
-        low = _uint64_words_array([(1 << len(p)) - 1 for p in block], n_words)[:, None, :]
+        # rows 1..m of each pattern hold its vertical deltas: its Peq rows' union
+        low = np.bitwise_or.reduce(peq, axis=1, keepdims=True)
         dist = t_lens[:, None] + _set_bits(pv & low) - _set_bits(mv & low)
-        out[:, by_len[first:stop]] = dist.T
+        out[:, by_len[first:stop]] = np.where(keep[:, first:stop], dist.T, -1)
         yield idx, out
 
 
@@ -301,9 +290,9 @@ def score_fms(general, reference, cutoff=None, threads=1):
 
     Exact bit-parallel edit distance.  Pairs whose length bound
     1 - |len difference| / max length falls below the cutoff contribute 0 to
-    the average (approximate fast mode), and the kernel skips references
-    outside each block's length window.  No cutoff is cutoff 0, which keeps
-    every pair of non-empty sentences."""
+    the average (approximate fast mode); the kernel drops them, and skips
+    references outside each block's length window.  No cutoff is cutoff 0,
+    which keeps every pair of non-empty sentences."""
     import numpy as np
 
     table = {}
@@ -313,17 +302,12 @@ def score_fms(general, reference, cutoff=None, threads=1):
         raise ToolkitError("reference corpus must be non-empty")
     n_refs = len(refs)
     ref_lens = np.array([len(r) for r in refs])
-    cutoff = cutoff or 0.0
     out = [0.0] * len(gen)
-    window = {}  # sentence length -> the references its length bound keeps, their max lengths
-    for idx, led in _edit_distance_blocks(gen, refs, len(table), cutoff):
+    for idx, led in _edit_distance_blocks(gen, refs, len(table), cutoff or 0.0):
         for g, row in zip(idx, led):
-            m = len(gen[g])
-            if m not in window:
-                live = np.nonzero(_length_bound(m, ref_lens) >= cutoff)[0]
-                window[m] = live, np.maximum(ref_lens[live], m)
-            live, maxes = window[m]
-            out[g] = float(np.clip(1.0 - row[live] / maxes, 0.0, 1.0).sum() / n_refs)
+            kept = row >= 0
+            maxes = np.maximum(ref_lens[kept], len(gen[g]))
+            out[g] = float(np.clip(1.0 - row[kept] / maxes, 0.0, 1.0).sum() / n_refs)
     return out
 
 

@@ -10,7 +10,6 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import lm
 from .corpus import read_documents, words_of
 from .errors import FormatError, ToolkitError, finite, parse_field, read_lines
 from .select import topk_count
@@ -126,6 +125,8 @@ def ppl1(model, sentence, probs=None):
     10 ** (-log10 P / W) with P over word events plus EOS and W the number
     of words only.  probs: the sentence's event probabilities under the
     model, when a batch has already scored them."""
+    from . import lm
+
     words = words_of(sentence)
     if not words:
         raise ToolkitError("ppl1 of an empty sentence is undefined")
@@ -141,6 +142,8 @@ def combined_filter(docs, topic, k, n, in_lm, loc_weights=None):
     Keeps the top K% of documents by topic relevance, splits the survivors
     into sentences (lines), ranks them ascending by ppl1 under the in-domain
     LM and keeps the top N%.  Returns (doc_id, sentence) pairs."""
+    from . import lm
+
     if not 0 < n <= 100:
         raise ToolkitError("N must be in (0, 100]")
     scored = [(d.id, topic_relevance(d, topic, loc_weights)) for d in docs]

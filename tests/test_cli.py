@@ -43,7 +43,7 @@ def test_cli_import_leaves_numpy_unloaded():
     # without paying for either import
     src = Path(cli.__file__).resolve().parents[1]
     probe = ("import sys, corpusmine.cli, corpusmine.select, corpusmine.combine, "
-             "corpusmine.retrieve; sys.exit(bool({'numpy', 'corpusmine.lm'} & set(sys.modules)))")
+             "corpusmine.retrieve, corpusmine.webfilter; sys.exit(bool({'numpy', 'corpusmine.lm'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", probe], env=env)
     assert done.returncode == 0
@@ -88,6 +88,41 @@ def test_preprocess_dedup(work, capsys):
     manifest = (out.parent / (out.name + ".manifest")).read_text(encoding="utf-8")
     assert "subcommand=preprocess" in manifest
     assert "sha256=" in manifest
+    capsys.readouterr()
+
+
+def test_preprocess_pairs_dedup_then_max_len(work, capsys):
+    pairs = work / "pairs.tsv"
+    pairs.write_text("the cat\tle chat\nthe cat\tle chat\nthe cat\tle chat noir\n"
+                     "a very long source line\tcourt\nshort\tune phrase trop longue\n"
+                     "the dog\tle chien\n", encoding="utf-8")
+    digest = hashlib.sha256(pairs.read_bytes()).hexdigest()
+    out = work / "clean.tsv"
+    assert run_cli("preprocess", "--input", str(pairs), "--format", "tsv-parallel",
+                   "--dedup", "--max-len", "3", "--output", str(out)) == 0
+    assert out.read_text(encoding="utf-8") == (
+        "the cat\tle chat\nthe cat\tle chat noir\nthe dog\tle chien\n")
+    manifest = _manifest(out)
+    assert manifest["input.input"] == "%s sha256=%s" % (pairs, digest)
+    assert (manifest["parameter.dedup"], manifest["parameter.max_len"]) == ("True", "3")
+    capsys.readouterr()
+
+
+def test_preprocess_two_files_normalized(work, capsys):
+    src, tgt = work / "src.txt", work / "tgt.txt"
+    src.write_text("it’s 42 cats\nroom 7b\n", encoding="utf-8")
+    tgt.write_text("c’est 42 chats\nsalle 7b\n", encoding="utf-8")
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (src, tgt)]
+    out_src, out_tgt = work / "out.src.txt", work / "out.tgt.txt"
+    assert run_cli("preprocess", "--source", str(src), "--target", str(tgt),
+                   "--output-source", str(out_src), "--output-target", str(out_tgt),
+                   "--normalize-apostrophes", "--normalize-numbers") == 0
+    assert out_src.read_text(encoding="utf-8") == "it's @num@ cats\nroom @num@b\n"
+    assert out_tgt.read_text(encoding="utf-8") == "c'est @num@ chats\nsalle @num@b\n"
+    for out in (out_src, out_tgt):
+        manifest = _manifest(out)
+        assert manifest["input.source"] == "%s sha256=%s" % (src, digests[0])
+        assert manifest["input.target"] == "%s sha256=%s" % (tgt, digests[1])
     capsys.readouterr()
 
 
@@ -689,6 +724,27 @@ def test_train_lm_rejects_sentence_markers_with_shared_vocabulary(work, capsys, 
     (work / "marked.txt").write_text("a %s b\n" % symbol, encoding="utf-8")
     assert run_cli("train-lm", "--input", str(work / "marked.txt"), "--vocab-from",
                    str(work / "indomain.txt"), "--output", str(work / "m.lm")) == 1
+    err = capsys.readouterr().err
+    assert "error: corpus contains reserved symbol %r" % symbol in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("symbol", ["<s>", "</s>"])
+@pytest.mark.parametrize("step", [["score", "--criterion", "ce"], ["perplexity"]]
+                         + [["score", "--criterion", "ml", "--seed", str(s)] for s in range(6)],
+                         ids=" ".join)
+def test_scored_sentence_with_a_sentence_marker_is_exit_1(work, capsys, symbol, step):
+    # a scored sentence may hold neither marker, whichever general lines the
+    # seed trains ml's out-domain model on (seed 2 picks the marked line)
+    marked = work / "marked.txt"
+    marked.write_text("a b c a\n" * 30 + "a %s b\n" % symbol, encoding="utf-8")
+    if step == ["perplexity"]:
+        assert run_cli("train-lm", "--input", str(work / "indomain.txt"),
+                       "--output", str(work / "in.lm")) == 0
+        step = step + ["--lm", str(work / "in.lm"), "--input", str(marked)]
+    else:
+        step = step + ["--general", str(marked), "--in-domain", str(work / "indomain.txt")]
+    assert run_cli(*step, "--output", str(work / "out.txt")) == 1
     err = capsys.readouterr().err
     assert "error: corpus contains reserved symbol %r" % symbol in err
     assert "Traceback" not in err

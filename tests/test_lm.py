@@ -50,6 +50,15 @@ def test_vocabulary_reserved_symbols():
         lm.Vocabulary.from_corpus(corpus.Corpus.from_lines(["a <unk> b"]))
 
 
+def test_scored_sentence_may_hold_unk_but_no_marker():
+    model = lm.train(corpus.Corpus.from_lines(["a b", "b a"]), order=2)
+    (probs,) = next(lm.sentence_probs([model], [["a", lm.UNK]]))
+    assert probs[1] == model.prob(lm.UNK, ["a"])
+    for marker in (lm.BOS, lm.EOS):
+        with pytest.raises(ToolkitError, match="reserved symbol '%s'" % marker):
+            next(lm.sentence_probs([model], [["a", marker]]))
+
+
 def test_mle_matches_count_ratios():
     lines = ["a b a", "b a", "a a b"]
     model = lm.train(corpus.Corpus.from_lines(lines), order=2, smoothing="mle")

@@ -1,7 +1,11 @@
 """Data-selection criteria, ranking, thresholds and score-file I/O."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +139,7 @@ _CARRY_THROUGH = ["a"] + ["b"] * 128 + ["a"]
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_fms_cases(), st.sampled_from([None, 0.0, 0.5, 0.9]))
 @example(([_CARRY_THROUGH, _CARRY_THROUGH + ["b"]], [["a"], ["a", "b"], ["a"] * 3]), None)
+@example(([["a"] * 40], [["a"], ["a", "b"]]), 0.9)  # a block no reference's bound reaches
 def test_score_fms_equals_per_pair_edit_distance(case, cutoff):
     gen, refs = case
     assert select.score_fms(gen, refs, cutoff=cutoff) == list(_fms_formula(gen, refs, cutoff))
@@ -147,6 +152,15 @@ def test_score_fms_needs_no_numpy2_popcount(monkeypatch):
     refs = [["a"], ["a", "b"], ["b"] * 65, _CARRY_THROUGH, []]
     for cutoff in (None, 0.5):
         assert select.score_fms(gen, refs, cutoff=cutoff) == list(_fms_formula(gen, refs, cutoff))
+
+
+def test_score_fms_leaves_numpy_ma_unloaded():
+    # a plain np.unique takes a hash path on numpy 2.3+ that imports numpy.ma
+    src = Path(select.__file__).resolve().parents[1]
+    probe = ("import sys; from corpusmine import select; select.score_fms(['a b'], ['a c']); "
+             "sys.exit('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 def test_cosine_scores():
