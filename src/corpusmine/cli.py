@@ -20,6 +20,7 @@ on it nor records it.
 
 import argparse
 import hashlib
+import os
 import sys
 import time
 from collections import Counter
@@ -124,40 +125,30 @@ def _cmd_preprocess(args):
     else:
         data = corpus.load_corpus(args.input, format=args.format)
 
-    def transform_sentence(s):
+    def transform(s):  # a sentence, or a pair's two sides
+        if isinstance(s, corpus.SentencePair):
+            return corpus.SentencePair(transform(s.source), transform(s.target))
         if args.normalize_apostrophes:
             s = corpus.normalize_apostrophes(s)
         if args.normalize_numbers:
             s = corpus.normalize_numbers(s)
         return s
 
-    if parallel:
-        pairs = tuple(
-            corpus.SentencePair(transform_sentence(p.source), transform_sentence(p.target))
-            for p in data.pairs
-        )
-        data = corpus.ParallelCorpus(pairs, id=data.id)
-        if args.dedup:
-            data = corpus.dedup(data)
-        if args.max_len is not None:
-            data = corpus.length_filter(data, args.max_len)
-        if two_file:
-            corpus.save_corpus(data.source_corpus(), args.output_source)
-            corpus.save_corpus(data.target_corpus(), args.output_target)
-        else:
-            corpus.save_parallel(data, args.output)
+    data = type(data)(tuple(map(transform, data)), id=data.id)
+    if args.dedup:
+        data = corpus.dedup(data)
+    if args.max_len is not None:
+        data = corpus.length_filter(data, args.max_len)
+    if two_file:
+        corpus.save_corpus(data.source_corpus(), args.output_source)
+        corpus.save_corpus(data.target_corpus(), args.output_target)
+    elif parallel:
+        corpus.save_parallel(data, args.output)
+    elif args.hyphen_alt:
+        lexicon = corpus.Lexicon.load(args.hyphen_alt)
+        write_text(args.output, "".join(corpus.hyphen_alt_markup(s, lexicon) + "\n" for s in data))
     else:
-        sentences = tuple(transform_sentence(s) for s in data.sentences)
-        data = corpus.Corpus(sentences, id=data.id)
-        if args.dedup:
-            data = corpus.dedup(data)
-        if args.hyphen_alt:
-            lexicon = corpus.Lexicon.load(args.hyphen_alt)
-            write_text(args.output, "".join(
-                corpus.hyphen_alt_markup(s, lexicon) + "\n" for s in data.sentences
-            ))
-        else:
-            corpus.save_corpus(data, args.output, format=args.format if args.format == "factored" else "plain")
+        corpus.save_corpus(data, args.output, format=args.format)
     _log("preprocess: wrote %d sentences" % len(data))
 
 
@@ -699,6 +690,8 @@ def run(argv):
 
 
 def main():
+    # no step gains from a BLAS thread pool: set before any step imports numpy
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run(sys.argv[1:]))
 
 

@@ -6,7 +6,7 @@ trained per selection source.
 """
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, zip_longest
 
 from .errors import FormatError, ToolkitError, finite, parse_field, read_lines, write_text
 
@@ -51,6 +51,9 @@ def combine_corpus_weighted(selections, corpus, weights):
     return WeightedCorpus(entries)
 
 
+_GAP = object()  # fills the tiers past a shorter list's end
+
+
 def combine_naive_rank(ranked_lists, target_size):
     """Round-robin merge of ranked lists, keeping first occurrences only.
 
@@ -59,25 +62,14 @@ def combine_naive_rank(ranked_lists, target_size):
     items are kept."""
     if target_size < 1:
         raise ToolkitError("target_size must be >= 1")
-    union = set()
-    for lst in ranked_lists:
-        union.update(lst)
-    if target_size > len(union):
+    merged = dict.fromkeys(chain.from_iterable(zip_longest(*ranked_lists, fillvalue=_GAP)))
+    merged.pop(_GAP, None)
+    if target_size > len(merged):
         raise ToolkitError(
             "target_size %d exceeds the union of all lists (%d)"
-            % (target_size, len(union))
+            % (target_size, len(merged))
         )
-    seen = set()
-    out = []
-    depth = max(len(lst) for lst in ranked_lists)
-    for rank in range(depth):
-        for lst in ranked_lists:
-            if rank < len(lst) and lst[rank] not in seen:
-                seen.add(lst[rank])
-                out.append(lst[rank])
-                if len(out) == target_size:
-                    return out
-    return out
+    return list(merged)[:target_size]
 
 
 @dataclass

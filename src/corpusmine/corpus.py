@@ -157,6 +157,9 @@ class Lexicon:
                 raise FormatError("%s line %d: lexicon line needs source<TAB>target: %r"
                                   % (path, lineno, line))
             src, tgt = fields[0], fields[1]
+            if not src.strip() or not tgt.strip():
+                raise FormatError("%s line %d: lexicon source and target must be non-empty: %r"
+                                  % (path, lineno, line))
             if " " in src:
                 raise FormatError("%s line %d: lexicon keys must be single tokens: %r"
                                   % (path, lineno, src))

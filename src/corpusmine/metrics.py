@@ -73,26 +73,13 @@ def vocab_stats(corpus):
 def oov_ratio(train_corpus, test_corpus, by_type=False):
     """Fraction of test tokens (or types, with by_type) absent from the
     training vocabulary."""
-    train_vocab = set()
-    for s in train_corpus:
-        train_vocab.update(words_of(s))
+    train_vocab = {w for s in train_corpus for w in words_of(s)}
+    test = [w for s in test_corpus for w in words_of(s)]
     if by_type:
-        test_types = set()
-        for s in test_corpus:
-            test_types.update(words_of(s))
-        if not test_types:
-            raise ToolkitError("test corpus is empty")
-        return sum(1 for t in test_types if t not in train_vocab) / len(test_types)
-    total = 0
-    oov = 0
-    for s in test_corpus:
-        for w in words_of(s):
-            total += 1
-            if w not in train_vocab:
-                oov += 1
-    if total == 0:
+        test = set(test)
+    if not test:
         raise ToolkitError("test corpus is empty")
-    return oov / total
+    return sum(w not in train_vocab for w in test) / len(test)
 
 
 def overlap_stats(subsets):

@@ -191,7 +191,8 @@ def _length_bound(src_len, ref_lens):
     """The FMS no pair can exceed: 1 - |len difference| / max length."""
     import numpy as np
 
-    return 1.0 - np.abs(ref_lens - src_len) / np.maximum(ref_lens, src_len)
+    with np.errstate(invalid="ignore"):  # two empty sentences: a nan bound, which no cutoff keeps
+        return 1.0 - np.abs(ref_lens - src_len) / np.maximum(ref_lens, src_len)
 
 
 def _edit_distance_blocks(pats, texts, n_symbols, cutoff):
@@ -292,9 +293,11 @@ def score_fms(general, reference, cutoff=None, threads=1):
     1 - |len difference| / max length falls below the cutoff contribute 0 to
     the average (approximate fast mode); the kernel drops them, and skips
     references outside each block's length window.  No cutoff is cutoff 0,
-    which keeps every pair of non-empty sentences."""
+    which keeps every pair of non-empty sentences; a cutoff lies in [0, 1]."""
     import numpy as np
 
+    if cutoff is not None and not 0 <= cutoff <= 1:
+        raise ToolkitError("cutoff must be in [0, 1]")
     table = {}
     gen = _encode([words_of(s) for s in general], table)
     refs = _encode([words_of(s) for s in reference], table)

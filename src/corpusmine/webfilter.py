@@ -190,10 +190,8 @@ def parse_located_document(doc_id, lines, path):
     #metadata/#body markers; lines without markers are treated as all-body."""
     markers = {"#" + loc: loc for loc in LOCATIONS}
     lines = [(lineno, line) for lineno, line in lines if line.strip()]
-    if not any(line.strip() in markers for _, line in lines):
-        return LocatedDocument(doc_id, {"body": [line for _, line in lines]})
+    current = None if any(line.strip() in markers for _, line in lines) else "body"
     sections = {}
-    current = None
     for lineno, line in lines:
         if line.strip() in markers:
             current = markers[line.strip()]
@@ -202,7 +200,7 @@ def parse_located_document(doc_id, lines, path):
         if current is None:
             raise FormatError("%s line %d: content before the first section marker"
                               % (path, lineno))
-        sections[current].append(line)
+        sections.setdefault(current, []).append(line)
     return LocatedDocument(doc_id, sections)
 
 

@@ -126,6 +126,33 @@ def test_preprocess_two_files_normalized(work, capsys):
     capsys.readouterr()
 
 
+def test_preprocess_hyphen_alt_with_a_lexicon(work, capsys):
+    src, lex, out = work / "hy.txt", work / "lex.tsv", work / "alt.txt"
+    src.write_text("a cost-effective plan\nwell-known cost-free idea\na cost-effective plan\n",
+                   encoding="utf-8")
+    lex.write_text("cost\tcosto\neffective\tefectivo\ncost\tprecio\nwell\tbien\n",
+                   encoding="utf-8")
+    assert run_cli("preprocess", "--input", str(src), "--output", str(out), "--dedup",
+                   "--hyphen-alt", str(lex)) == 0
+    assert out.read_text(encoding="utf-8") == (
+        'a <alt trans="costo efectivo">cost-effective</alt> plan\nwell-known cost-free idea\n')
+    assert _manifest(out)["input.hyphen_alt"] == "%s sha256=%s" % (
+        lex, hashlib.sha256(lex.read_bytes()).hexdigest())
+    capsys.readouterr()
+
+
+def test_preprocess_factored_normalized_then_dedup(work, capsys):
+    src, out = work / "f.txt", work / "f.out.txt"
+    src.write_text("room|room|NN 12|12|CD\nroom|room|NN 13|13|CD\nroom|room|NN 12|12|CD\n"
+                   "the|the|DT 4|4|CD cats|cat|NNS|ANIMAL\n", encoding="utf-8")
+    assert run_cli("preprocess", "--input", str(src), "--output", str(out), "--format",
+                   "factored", "--normalize-numbers", "--dedup") == 0
+    assert out.read_text(encoding="utf-8") == (
+        "room|room|NN @num@|12|CD\nroom|room|NN @num@|13|CD\n"
+        "the|the|DT @num@|4|CD cats|cat|NNS|ANIMAL\n")
+    capsys.readouterr()
+
+
 def test_train_perplexity_pipeline(work, capsys):
     model_path = work / "in.lm"
     assert run_cli("train-lm", "--input", str(work / "indomain.txt"),
@@ -335,6 +362,10 @@ def test_preprocess_rejects_bad_tokens(work, capsys, fmt, line, message):
     ("pages/p1", "stray\n#body\nthe market\n", ["topic-filter", "--collection", "pages",
      "--topic", "topic.tsv", "--k", "50"],
      "p1 line 1: content before the first section marker"),
+    ("lex.tsv", "a\tA\nb\t\n", ["preprocess", "--input", "indomain.txt", "--hyphen-alt",
+     "lex.tsv"], "lex.tsv line 2: lexicon source and target must be non-empty: 'b\\t'"),
+    ("lex.tsv", "\tA\n", ["preprocess", "--input", "indomain.txt", "--hyphen-alt",
+     "lex.tsv"], "lex.tsv line 1: lexicon source and target must be non-empty: '\\tA'"),
 ])
 def test_reader_errors_name_file_and_line(work, capsys, name, text, argv, message):
     (work / "pages").mkdir()
@@ -468,6 +499,20 @@ def test_combine_naive_rank_cli(work, capsys):
     body = [l for l in out.read_text(encoding="utf-8").splitlines()
             if not l.startswith("#")]
     assert body == ["0", "1", "3", "2"]
+    capsys.readouterr()
+
+
+def test_combine_corpus_of_sentence_pairs(work, capsys):
+    pairs = work / "pairs.tsv"
+    pairs.write_text("a b\tc d\ne f\tg h\ni\tj\n", encoding="utf-8")
+    s1, s2 = work / "s1.txt", work / "s2.txt"
+    select.write_selection(s1, select.SelectionResult([0, 2], "x", select.HIGHER))
+    select.write_selection(s2, select.SelectionResult([2], "y", select.LOWER))
+    out = work / "weighted.tsv"
+    assert run_cli("combine", "--mode", "corpus", "--selection", str(s1), "--selection",
+                   str(s2), "--corpus", str(pairs), "--format", "tsv-parallel",
+                   "--output", str(out)) == 0
+    assert out.read_text(encoding="utf-8") == "1.0\tx\ta b\tc d\n2.0\tx,y\ti\tj\n"
     capsys.readouterr()
 
 
@@ -790,6 +835,53 @@ def test_topic_and_ppl_filter_cli(work, capsys):
     capsys.readouterr()
 
 
+def test_topic_filter_location_weights(work, capsys):
+    pages = work / "pages"
+    pages.mkdir()
+    (pages / "p1").write_text("#title\nmarket\n#body\nmarket market\n", encoding="utf-8")
+    (pages / "p2").write_text("#metadata\nmarket\n#headings\nmarket\n", encoding="utf-8")
+    (pages / "p3").write_text("the market\n", encoding="utf-8")
+    topic = work / "topic.tsv"
+    topic.write_text("market\t1\tFIN\n", encoding="utf-8")
+    out = work / "topk.tsv"
+    assert run_cli("topic-filter", "--collection", str(pages), "--topic", str(topic),
+                   "--k", "100", "--location-weights", "1,2,3,4", "--output", str(out)) == 0
+    body = [l for l in out.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
+    assert body == ["p1\t9.0", "p2\t5.0", "p3\t4.0"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("cutoff, code", [("1.5", 1), ("-0.1", 1), ("0", 0), ("1", 0)])
+def test_fms_cutoff_outside_the_unit_interval_is_exit_1(work, capsys, cutoff, code):
+    out = work / "fms.tsv"
+    assert run_cli("score", "--criterion", "fms", "--general", str(work / "general.txt"),
+                   "--in-domain", str(work / "indomain.txt"), "--fms-cutoff", cutoff,
+                   "--output", str(out)) == code
+    err = capsys.readouterr().err
+    assert ("error: cutoff must be in [0, 1]" in err) == (code == 1)
+    assert out.exists() == (code == 0)
+
+
+def test_cli_main_defaults_openblas_to_one_thread():
+    # no step calls BLAS, so the numpy a step imports should start no thread pool;
+    # a value the caller set stands
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("counts threads under /proc")
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = ("import os, sys, corpusmine.cli\nsys.argv = ['corpusmine', '--version']\n"
+             "try:\n    corpusmine.cli.main()\nexcept SystemExit:\n    pass\nimport numpy\n"
+             "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(src)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split()[-2:] == ["1", "1"]  # after --version's line
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split()[-2] == "2"
+
+
 @pytest.mark.parametrize("argv", [
     ["topic-filter", "--k", "100"],
     ["ppl-filter", "--k", "100", "--n", "100", "--lm", "in.lm"],
@@ -1010,6 +1102,10 @@ def test_empty_general_is_an_error_under_every_criterion(work, capsys, bilingual
       "missing.lm", "--location-weights", "1,2"], "--location-weights needs"),
     (["topic-filter", "--collection", "missing.tsv", "--topic", "missing.tsv", "--k", "50",
       "--location-weights", "1,2"], "--location-weights needs"),
+    (["score", "--criterion", "ml", "--general", "general.txt", "--in-lm", "in.lm",
+      "--out-lm", "out.lm", "--view", "l"], "--view needs corpus-based training"),
+    (["score", "--criterion", "ce", "--general", "general.txt"],
+     "--criterion ce needs --in-domain or --in-lm"),
 ])
 def test_ignored_options_are_usage_errors(work, capsys, argv, message):
     (work / "pairs.tsv").write_text("a b\tA B\n", encoding="utf-8")

@@ -57,8 +57,10 @@ def test_naive_rank_round_robin():
     assert combine.combine_naive_rank([["a", "b", "c"], ["b", "d", "c"]], 4) == ["a", "b", "d", "c"]
     assert combine.combine_naive_rank([["a", "b", "c"]], 2) == ["a", "b"]
     assert combine.combine_naive_rank([["a", "b"], ["a", "b"]], 2) == ["a", "b"]
-    with pytest.raises(ToolkitError):
+    with pytest.raises(ToolkitError, match=r"target_size 3 exceeds the union of all lists \(2\)"):
         combine.combine_naive_rank([["a", "b"], ["b"]], 3)
+    with pytest.raises(ToolkitError, match="target_size must be >= 1"):
+        combine.combine_naive_rank([["a", "b"]], 0)
 
 
 def test_naive_rank_preserves_per_list_order():

@@ -92,9 +92,17 @@ def test_vocab_stats():
 
 
 def test_oov_ratio():
-    assert metrics.oov_ratio(["a b"], ["a a c"]) == pytest.approx(1 / 3)
-    assert metrics.oov_ratio(["a b"], ["a a c"], by_type=True) == pytest.approx(1 / 2)
+    assert metrics.oov_ratio(["a b"], ["a a c"]) == 1 / 3
+    assert metrics.oov_ratio(["a b"], ["a a c"], by_type=True) == 1 / 2
     assert metrics.oov_ratio(["a"], ["a a a"]) == 0.0
+    assert metrics.oov_ratio(["a b", "x"], ["c a d c", "b y"], by_type=True) == 3 / 5
+    assert metrics.oov_ratio([], ["c a d c", "b y"]) == 6 / 6
+
+
+@pytest.mark.parametrize("by_type", [False, True])
+def test_oov_ratio_of_an_empty_test_corpus_is_an_error(by_type):
+    with pytest.raises(ToolkitError, match="test corpus is empty"):
+        metrics.oov_ratio(["a b"], [], by_type=by_type)
 
 
 def test_overlap_stats_set_oracle():

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpusmine import corpus, lm, select
-from corpusmine.errors import ToolkitError
+from corpusmine.errors import FormatError, ToolkitError
 
 
 def _oracle_edit_distance(a, b):
@@ -137,7 +137,7 @@ _CARRY_THROUGH = ["a"] + ["b"] * 128 + ["a"]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(_fms_cases(), st.sampled_from([None, 0.0, 0.5, 0.9]))
+@given(_fms_cases(), st.sampled_from([None, 0.0, 0.5, 0.9, 1.0]))
 @example(([_CARRY_THROUGH, _CARRY_THROUGH + ["b"]], [["a"], ["a", "b"], ["a"] * 3]), None)
 @example(([["a"] * 40], [["a"], ["a", "b"]]), 0.9)  # a block no reference's bound reaches
 def test_score_fms_equals_per_pair_edit_distance(case, cutoff):
@@ -161,6 +161,18 @@ def test_score_fms_leaves_numpy_ma_unloaded():
              "sys.exit('numpy.ma' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(src))
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_score_fms_of_an_empty_pair_warns_nothing():
+    # two empty sentences have no length bound; the pair is dropped without a warning
+    assert select.score_fms([[], ["a"]], [[], ["a", "b"]]) == [0.0, 0.25]
+
+
+@pytest.mark.parametrize("cutoff", [2.0, 1.0000001, -1.0, -1e-9, float("nan")])
+def test_score_fms_rejects_a_cutoff_outside_the_unit_interval(cutoff):
+    with pytest.raises(ToolkitError, match=r"cutoff must be in \[0, 1\]"):
+        select.score_fms([["a"]], [["a"]], cutoff=cutoff)
 
 
 def test_cosine_scores():
@@ -314,6 +326,14 @@ def test_score_file_round_trip(tmp_path):
     assert loaded == scores
     assert meta["criterion"] == "cosine"
     assert meta["direction"] == select.HIGHER
+
+
+def test_score_file_with_an_index_gap_is_an_error(tmp_path):
+    path = tmp_path / "scores.tsv"
+    path.write_text("0\t0.5\n2\t0.25\n", encoding="utf-8")
+    with pytest.raises(FormatError) as exc:
+        select.read_scores(path)
+    assert str(exc.value) == "%s: missing score indices" % path
 
 
 def test_selection_file_round_trip(tmp_path):
