@@ -189,6 +189,7 @@ def _cmd_score(args):
     crit = args.criterion
     if args.fms_cutoff is not None and crit != "fms":
         raise UsageError("--fms-cutoff needs --criterion fms", "fms_cutoff")
+    select.check_cutoff(args.fms_cutoff)
     # mml scores sentence pairs: source<TAB>target files, which carry no factors
     if crit == "mml" and (args.view not in (None, "f") or args.general_format != "plain"):
         raise UsageError("--criterion mml scores sentence pairs, which carry no factors for "

@@ -153,7 +153,7 @@ class Lexicon:
             if not line.strip():
                 continue
             fields = line.split("\t")
-            if len(fields) < 2:
+            if len(fields) != 2:
                 raise FormatError("%s line %d: lexicon line needs source<TAB>target: %r"
                                   % (path, lineno, line))
             src, tgt = fields[0], fields[1]
@@ -268,9 +268,12 @@ def length_filter(corpus, max_len=80):
 
 
 def normalize_numbers(sentence):
-    """Replace every maximal ASCII digit run with the @num@ placeholder."""
-    return replace(sentence, surface=tuple(
-        _DIGIT_RUN.sub(NUMBER_PLACEHOLDER, w) for w in sentence.surface))
+    """Replace every maximal ASCII digit run with the @num@ placeholder.  A
+    sentence without a digit is returned as it is."""
+    if not _DIGIT_RUN.search(" ".join(sentence.surface)):
+        return sentence
+    surface = tuple(_DIGIT_RUN.sub(NUMBER_PLACEHOLDER, w) for w in sentence.surface)
+    return Sentence(surface, sentence.lemma, sentence.pos, sentence.ne)
 
 
 def normalize_apostrophes(sentence):

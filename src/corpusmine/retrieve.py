@@ -7,6 +7,7 @@ source length, and micro-averaged P/R/F1 evaluation.
 
 import heapq
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -29,27 +30,29 @@ class Document:
 
 
 class DocumentIndex:
-    """Postings (term -> [(doc_id, count)]), document frequencies, lengths
-    and length norms for a fixed collection, and its ids sorted by length."""
+    """Postings over length ranks, and no document text.  Rank r is the r-th
+    document by length (a stable sort): by_length[r] is its id, sorted_lengths[r]
+    its length and norms[r] 1 / sqrt(length).  postings[term] is (ranks, counts),
+    the ascending ranks of the documents holding term and its count in each."""
 
     def __init__(self, documents):
-        docs = list(documents)
+        docs = sorted(documents, key=len)
         if not docs:
             raise ToolkitError("cannot index an empty collection")
-        ids = [d.id for d in docs]
-        if len(set(ids)) != len(ids):
+        self.by_length = [d.id for d in docs]
+        if len(set(self.by_length)) != len(docs):
             raise FormatError("duplicate document ids in collection")
-        self.documents = {d.id: d for d in docs}
         self.n_docs = len(docs)
-        self.lengths = {d.id: len(d.tokens) for d in docs}
-        self.norms = {d.id: 1.0 / math.sqrt(len(d.tokens)) for d in docs}
-        self.by_length = sorted(self.lengths, key=self.lengths.get)
-        self.sorted_lengths = list(map(self.lengths.get, self.by_length))
+        self.sorted_lengths = [len(d) for d in docs]
+        self.lengths = dict(zip(self.by_length, self.sorted_lengths))
+        self.norms = [1.0 / math.sqrt(n) for n in self.sorted_lengths]
         self.postings = {}
-        for d in docs:
+        for rank, d in enumerate(docs):
             for term, f in Counter(d.tokens).items():
-                self.postings.setdefault(term, []).append((d.id, f))
-        self.df = Counter({term: len(p) for term, p in self.postings.items()})
+                ranks, counts = self.postings.setdefault(term, ([], []))
+                ranks.append(rank)
+                counts.append(f)
+        self.df = Counter({term: len(ranks) for term, (ranks, _) in self.postings.items()})
 
 
 @dataclass
@@ -100,22 +103,24 @@ def generate_query(doc, lambda_percent, index, stopwords=frozenset()):
     return Query(weighted[:size])
 
 
-def _accumulate_scores(query, candidates, index):
-    """({doc_id: score} for the candidates sharing a query term, postings
-    visited).  Each sum adds sqrt(f) * idf * norm in query-term order from
+def _accumulate_scores(query, window, index):
+    """({rank: score} for the ranks in window, a range, that hold a query
+    term, postings visited), from each posting list's slice inside the
+    window.  Each sum adds sqrt(f) * idf * norm in query-term order from
     0.0 and is then scaled by coord, so scores are bit-identical however
-    many candidates are scored at once."""
+    many documents are scored at once."""
     totals = {}
     matched = {}
     for term, _ in query.terms:
-        postings = index.postings.get(term, ())
-        idf = 1.0 + math.log(index.n_docs / (len(postings) + 1.0))
-        for d, f in postings:
-            if d in candidates:
-                totals[d] = totals.get(d, 0.0) + math.sqrt(f) * idf * index.norms[d]
-                matched[d] = matched.get(d, 0) + 1
+        ranks, counts = index.postings.get(term, ((), ()))
+        idf = 1.0 + math.log(index.n_docs / (len(ranks) + 1.0))
+        lo = bisect_left(ranks, window.start)
+        hi = bisect_left(ranks, window.stop, lo)
+        for r, f in zip(ranks[lo:hi], counts[lo:hi]):
+            totals[r] = totals.get(r, 0.0) + math.sqrt(f) * idf * index.norms[r]
+            matched[r] = matched.get(r, 0) + 1
     n_terms = len(query.terms)
-    scores = {d: (matched[d] / n_terms) * total for d, total in totals.items()}
+    scores = {r: (matched[r] / n_terms) * total for r, total in totals.items()}
     return scores, sum(matched.values())
 
 
@@ -124,18 +129,20 @@ def score_document(query, doc_id, index):
 
     Concretization: tf = sqrt(raw count), idf = 1 + ln(|D| / (df + 1)),
     bst = 1, norm = 1 / sqrt(|d|)."""
-    return _accumulate_scores(query, {doc_id}, index)[0].get(doc_id, 0.0)
+    first = bisect_left(index.sorted_lengths, index.lengths[doc_id])
+    rank = index.by_length.index(doc_id, first)
+    return _accumulate_scores(query, range(rank, rank + 1), index)[0].get(rank, 0.0)
 
 
 def length_filter_candidates(source_len, index, params):
-    """Documents whose length falls in source_len * (1 +/- multiplier*delta)."""
+    """The range of ranks whose length falls in source_len * (1 +/- multiplier*delta)."""
     if source_len < 1:
         raise ToolkitError("source length must be >= 1")
     spread = params.multiplier * params.delta
     lo = source_len * (1.0 - spread)
     hi = source_len * (1.0 + spread)
     lengths = index.sorted_lengths  # int against float compares exactly
-    return set(index.by_length[bisect_left(lengths, lo) : bisect_right(lengths, hi)])
+    return range(bisect_left(lengths, lo), bisect_right(lengths, hi))
 
 
 def retrieve(source_doc, index, lambda_percent, n_best, params=None,
@@ -151,16 +158,16 @@ def retrieve(source_doc, index, lambda_percent, n_best, params=None,
     if params is not None:
         candidates = length_filter_candidates(len(source_doc), index, params)
     else:
-        candidates = index.documents
+        candidates = range(index.n_docs)
     query = generate_query(source_doc, lambda_percent, index, stopwords)
     scores, visited = _accumulate_scores(query, candidates, index)
     if stats is not None:
         stats["postings"] += visited
         stats["postings_base"] += len(query.terms) * len(candidates)
-    top = heapq.nsmallest(n_best, ((-s, d) for d, s in scores.items()))
+    top = heapq.nsmallest(n_best, ((-s, index.by_length[r]) for r, s in scores.items()))
     hits = [(d, -neg) for neg, d in top]
     if len(hits) < n_best:
-        zeros = (d for d in candidates if d not in scores)
+        zeros = (index.by_length[r] for r in candidates if r not in scores)
         hits += [(d, 0.0) for d in heapq.nsmallest(n_best - len(hits), zeros)]
     return hits
 
@@ -192,7 +199,7 @@ def load_collection(path):
     UTF-8 token files (file name = document id)."""
     docs = []
     for doc_id, lines, where in read_documents(path):
-        tokens = tuple(word for _, line in lines for word in line.split())
+        tokens = tuple(sys.intern(word) for _, line in lines for word in line.split())
         if not tokens:
             raise FormatError("%s: document %r is empty" % (where, doc_id))
         docs.append(Document(doc_id, tokens))

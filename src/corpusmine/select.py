@@ -286,6 +286,12 @@ def _edit_distance_blocks(pats, texts, n_symbols, cutoff):
         yield idx, out
 
 
+def check_cutoff(cutoff):
+    """Raise unless the FMS cutoff is None or lies in [0, 1]."""
+    if cutoff is not None and not 0 <= cutoff <= 1:
+        raise ToolkitError("cutoff must be in [0, 1]")
+
+
 def score_fms(general, reference, cutoff=None, threads=1):
     """Mean FMS of each general sentence against every reference sentence.
 
@@ -296,8 +302,7 @@ def score_fms(general, reference, cutoff=None, threads=1):
     which keeps every pair of non-empty sentences; a cutoff lies in [0, 1]."""
     import numpy as np
 
-    if cutoff is not None and not 0 <= cutoff <= 1:
-        raise ToolkitError("cutoff must be in [0, 1]")
+    check_cutoff(cutoff)
     table = {}
     gen = _encode([words_of(s) for s in general], table)
     refs = _encode([words_of(s) for s in reference], table)

@@ -37,16 +37,40 @@ def test_version_and_usage_exit_codes(capsys):
     capsys.readouterr()
 
 
-def test_cli_import_leaves_numpy_unloaded():
+def test_cli_import_leaves_numpy_unloaded(work):
     # numpy is imported by the steps that need it (FMS and the n-gram LM), and
     # the LM by the functions that run one; every other step should start
-    # without paying for either import
+    # without paying for either import, and the steps of the match pipeline
+    # that use neither should run without them (numpy alone is about 11 MiB)
+    (work / "pairs.tsv").write_text("a b c\ta b\nd e\td e f\n", encoding="utf-8")
+    (work / "coll.tsv").write_text("d1\tthe market fell\nd2\train fell today\n",
+                                   encoding="utf-8")
+    retrieve = ["retrieve", "--collection", "coll.tsv", "--queries", "coll.tsv",
+                "--lambda", "0.5", "--n-best", "1", "--output"]
+    steps = [
+        ["score", "--criterion", "cosine", "--general", "general.txt", "--in-domain",
+         "indomain.txt", "--output", "cos.tsv"],
+        ["select", "--scores", "cos.tsv", "--k", "40", "--output", "top40.sel"],
+        ["select", "--scores", "cos.tsv", "--k", "60", "--output", "top60.sel"],
+        ["combine", "--mode", "naive-rank", "--selection", "top40.sel", "--selection",
+         "top60.sel", "--target-size", "3", "--output", "ranked.txt"],
+        ["combine", "--mode", "corpus", "--selection", "top40.sel", "--selection", "top60.sel",
+         "--corpus", "general.txt", "--output", "weighted.tsv"],
+        ["estimate-delta", "--input", "pairs.tsv", "--output", "delta.txt"],
+        retrieve + ["hits.tsv"],
+        retrieve + ["hits.delta.tsv", "--delta", "0.1"],
+    ]
     src = Path(cli.__file__).resolve().parents[1]
-    probe = ("import sys, corpusmine.cli, corpusmine.select, corpusmine.combine, "
-             "corpusmine.retrieve, corpusmine.webfilter; sys.exit(bool({'numpy', 'corpusmine.lm'} & set(sys.modules)))")
+    probe = ("import json, sys, corpusmine.cli, corpusmine.select, corpusmine.combine, "
+             "corpusmine.retrieve, corpusmine.webfilter\n"
+             "heavy = lambda: sorted({'numpy', 'corpusmine.lm'} & set(sys.modules))\n"
+             "print(heavy())\n"
+             "print([corpusmine.cli.run(argv) for argv in json.loads(sys.argv[1])], heavy())")
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", probe], env=env)
-    assert done.returncode == 0
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(steps)], env=env, cwd=work,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "%s []" % ([0] * len(steps))]
 
 
 def test_cli_import_loads_no_step_module():
@@ -144,12 +168,14 @@ def test_preprocess_hyphen_alt_with_a_lexicon(work, capsys):
 def test_preprocess_factored_normalized_then_dedup(work, capsys):
     src, out = work / "f.txt", work / "f.out.txt"
     src.write_text("room|room|NN 12|12|CD\nroom|room|NN 13|13|CD\nroom|room|NN 12|12|CD\n"
-                   "the|the|DT 4|4|CD cats|cat|NNS|ANIMAL\n", encoding="utf-8")
+                   "the|the|DT 4|4|CD cats|cat|NNS|ANIMAL\ndozen|12|CD cats|cat|NNS|ANIMAL\n"
+                   "the|the|DT cats|cat|NNS\n", encoding="utf-8")
     assert run_cli("preprocess", "--input", str(src), "--output", str(out), "--format",
                    "factored", "--normalize-numbers", "--dedup") == 0
     assert out.read_text(encoding="utf-8") == (
         "room|room|NN @num@|12|CD\nroom|room|NN @num@|13|CD\n"
-        "the|the|DT @num@|4|CD cats|cat|NNS|ANIMAL\n")
+        "the|the|DT @num@|4|CD cats|cat|NNS|ANIMAL\ndozen|12|CD cats|cat|NNS|ANIMAL\n"
+        "the|the|DT cats|cat|NNS\n")
     capsys.readouterr()
 
 
@@ -366,6 +392,8 @@ def test_preprocess_rejects_bad_tokens(work, capsys, fmt, line, message):
      "lex.tsv"], "lex.tsv line 2: lexicon source and target must be non-empty: 'b\\t'"),
     ("lex.tsv", "\tA\n", ["preprocess", "--input", "indomain.txt", "--hyphen-alt",
      "lex.tsv"], "lex.tsv line 1: lexicon source and target must be non-empty: '\\tA'"),
+    ("lex.tsv", "a\tA\tjunk\n", ["preprocess", "--input", "indomain.txt", "--hyphen-alt",
+     "lex.tsv"], "lex.tsv line 1: lexicon line needs source<TAB>target: 'a\\tA\\tjunk'"),
 ])
 def test_reader_errors_name_file_and_line(work, capsys, name, text, argv, message):
     (work / "pages").mkdir()
@@ -860,6 +888,14 @@ def test_fms_cutoff_outside_the_unit_interval_is_exit_1(work, capsys, cutoff, co
     err = capsys.readouterr().err
     assert ("error: cutoff must be in [0, 1]" in err) == (code == 1)
     assert out.exists() == (code == 0)
+
+
+def test_fms_cutoff_is_checked_before_the_inputs_are_read(work, capsys):
+    assert run_cli("score", "--criterion", "fms", "--general", str(work / "missing.txt"),
+                   "--in-domain", str(work / "indomain.txt"), "--fms-cutoff", "1.5",
+                   "--output", str(work / "fms.tsv")) == 1
+    err = capsys.readouterr().err
+    assert "error: cutoff must be in [0, 1]" in err and "missing.txt" not in err
 
 
 def test_cli_main_defaults_openblas_to_one_thread():

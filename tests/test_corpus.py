@@ -204,6 +204,8 @@ def test_normalize_numbers_keeps_factors():
     out = corpus.normalize_numbers(s)
     assert out.surface[0] == "@num@"
     assert out.lemma[0] == "twelve"
+    same = corpus.Sentence.from_factored("twelve|12|CD")  # digits outside the surface
+    assert corpus.normalize_numbers(same) is same
 
 
 def test_normalize_apostrophes():

@@ -1,7 +1,9 @@
 """Cross-language retrieval: query generation, scoring, length filter, P/R/F1."""
 
+import gc
 import math
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -85,7 +87,7 @@ def test_length_filter_candidates():
     idx = retrieve.DocumentIndex(docs)
     params = retrieve.LengthFilterParams(0.05, multiplier=4.0)  # window = len * (1 +- 0.2)
     kept = retrieve.length_filter_candidates(10, idx, params)
-    assert sorted(kept) == ["d10", "d12", "d8"]
+    assert sorted(idx.by_length[r] for r in kept) == ["d10", "d12", "d8"]
     with pytest.raises(ToolkitError):
         retrieve.LengthFilterParams(-0.1)
 
@@ -134,6 +136,31 @@ def test_collection_io(tmp_path):
     assert retrieve.load_gold(gold) == {"q1": {"d0", "d2"}, "q2": {"d5"}}
 
 
+def test_load_collection_interns_tokens(tmp_path):
+    tsv = tmp_path / "coll.tsv"
+    tsv.write_text("doc1\tthe market fell\ndoc2\tmarket rallied\n", encoding="utf-8")
+    docs = retrieve.load_collection(tsv)
+    assert docs[0].tokens[1] is docs[1].tokens[0]
+
+
+def test_index_keeps_no_document():
+    docs = _docs(["market fell", "market rallied today", "rain"])
+    refs = [weakref.ref(d) for d in docs]
+    tokens = [d.tokens for d in docs]
+    idx = retrieve.DocumentIndex(docs)
+    del docs
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+    held, stack = set(), [vars(idx)]
+    while stack:  # every object inside the index's dicts, lists and tuples
+        obj = stack.pop()
+        held.add(id(obj))
+        if isinstance(obj, (dict, list, tuple)):
+            stack += gc.get_referents(obj)
+    assert not held & set(map(id, tokens))  # and no token tuple
+    assert idx.by_length == ["d2", "d0", "d1"] and idx.df["market"] == 2
+
+
 def test_random_retrieval_self_consistency():
     rng = random.Random(29)
     vocab = ["w%d" % i for i in range(60)]
@@ -162,15 +189,17 @@ def _reference_score(query, tokens, index):
 
 
 def _check_against_brute_force(texts, source, stopwords, lambda_percent, n_best, delta):
-    idx = retrieve.DocumentIndex(_docs(texts))
+    docs = _docs(texts)
+    tokens = {d.id: d.tokens for d in docs}
+    idx = retrieve.DocumentIndex(docs)
     src = retrieve.Document("src", tuple(source.split()))
     params = None if delta is None else retrieve.LengthFilterParams(delta)
-    candidates = (set(idx.documents) if params is None
-                  else retrieve.length_filter_candidates(len(src), idx, params))
+    candidates = (set(tokens) if params is None else {
+        idx.by_length[r] for r in retrieve.length_filter_candidates(len(src), idx, params)})
     query = retrieve.generate_query(src, lambda_percent, idx, stopwords)
     for d in candidates:
         assert retrieve.score_document(query, d, idx) == _reference_score(
-            query, idx.documents[d].tokens, idx)
+            query, tokens[d], idx)
     brute = sorted((-retrieve.score_document(query, d, idx), d) for d in candidates)[:n_best]
     stats = Counter()
     got = retrieve.retrieve(src, idx, lambda_percent, n_best, params, stopwords, stats)
@@ -179,7 +208,7 @@ def _check_against_brute_force(texts, source, stopwords, lambda_percent, n_best,
     assert all(math.copysign(1.0, s) == 1.0 for _, s in got)  # no -0.0 in the output
     assert stats["postings_base"] == len(query.terms) * len(candidates)
     assert stats["postings"] == sum(
-        1 for t, _ in query.terms for d in candidates if t in idx.documents[d].tokens)
+        1 for t, _ in query.terms for d in candidates if t in tokens[d])
     return query, got
 
 
@@ -222,7 +251,8 @@ def test_retrieve_brute_force_edge_cases():
             (2, 0.5, 4.0, {"d0", "d1", "d2", "d3", "d4"}),  # spread 2: lo is below 0
             (7, 1.0, 0.0, set())]:
         params = retrieve.LengthFilterParams(delta, multiplier=multiplier)
-        assert retrieve.length_filter_candidates(source_len, idx, params) == kept
+        window = retrieve.length_filter_candidates(source_len, idx, params)
+        assert {idx.by_length[r] for r in window} == kept
     for bad in (math.nan, -0.0625):
         with pytest.raises(ToolkitError):
             retrieve.LengthFilterParams(bad)
