@@ -163,6 +163,7 @@ def _load_view(path, fmt, view):
 def _cmd_train_lm(args):
     from . import lm
 
+    lm.check_options(args.order, args.smoothing)
     yield
     data = _load_view(args.input, args.format, args.view)
     vocab = (lm.Vocabulary.from_corpus(_load_view(args.vocab_from, args.format, args.view))
@@ -214,6 +215,9 @@ def _cmd_score(args):
     elif args.in_domain is None:
         raise UsageError("--criterion %s needs --in-domain" % crit
                          + (" or %s" % ", ".join(flags) if flags else ""), "in_domain", *files)
+    if crit in select.LM_FILES and not any(files.values()):  # the step trains its models
+        from . import lm
+        lm.check_options(args.order, args.smoothing)
     yield
     general = _load_view(args.general, fmt, view)
     if not len(general):
@@ -297,6 +301,9 @@ def _cmd_combine(args):
         raise UsageError("--mode %s %s --%s" % (args.mode, "needs" if missing else "does not take",
                                                 (missing or stray)[0].replace("_", "-")),
                          *missing, *stray)
+    if args.mode == "lm-interp":
+        from . import lm
+        lm.check_options(**_given(args, "order", "smoothing"))
     yield
     weights = _numbers(args.weights, "--weights") if args.weights else None
     fmt = _given(args, "format")
@@ -313,7 +320,6 @@ def _cmd_combine(args):
         combine.write_table(combine.interpolate_tables(tables, weights or [1.0] * len(tables)),
                             args.output)
     else:
-        from . import lm
         sets = [corpus.load_corpus(p, **fmt) for p in args.set]
         dev = corpus.load_corpus(args.dev, **fmt)
         mixture = combine.combine_advanced_lm(sets, dev, **_given(args, "order", "smoothing"))

@@ -22,7 +22,7 @@ _DIGIT_RUN = re.compile(r"[0-9]+")
 _HYPHEN_SPLIT = re.compile(r"(?<=[^-])-(?=[^-])")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     """One sentence as parallel factor streams.
 

@@ -100,10 +100,10 @@ def _encode(sentences, vocab, pad):
 
 
 # The stored id tuples of one order by ascending key, and a last slot (key
-# _ABSENT) where lookups of unstored tuples land: p(a_k | a1..a_{k-1}) where
-# has_prob, the backoff weight where has_bow (else 0.0), and whether some
-# stored probability is conditioned on the tuple.
-_Table = namedtuple("_Table", "keys prob has_prob bow has_bow is_context")
+# _ABSENT) where lookups of unstored tuples land: p(a_k | a1..a_{k-1}) and the
+# backoff weight, each nan where the tuple has none, and whether some stored
+# probability is conditioned on the tuple.
+_Table = namedtuple("_Table", "keys prob bow is_context")
 _ABSENT = 2 ** 63 - 1
 
 
@@ -127,8 +127,8 @@ def _tables(size, blocks):
             keys = keys[np.diff(keys, prepend=-1) != 0]
             slots[n - 1 :] = [np.searchsorted(keys, s) for s in slots[n - 1 :]]
         k = len(keys) + 1
-        tables.append(_Table(np.append(keys, _ABSENT), np.full(k, np.nan), np.zeros(k, bool),
-                             np.zeros(k), np.zeros(k, bool), np.zeros(k, bool)))
+        tables.append(_Table(np.append(keys, _ABSENT), np.full(k, np.nan), np.full(k, np.nan),
+                             np.zeros(k, bool)))
     return tables, slots
 
 
@@ -141,13 +141,15 @@ class NGramModel:
     """
 
     def __init__(self, order, smoothing, vocab, tables, log10=None):
+        import numpy as np
+
         self.order = order
         self.smoothing = smoothing
         self.vocab = vocab
         self._tables = tables  # index k: order k; index 0: the empty history
         self._log10 = log10  # per order, the log10 probabilities a model file gave
         for below, t in zip(tables, tables[1:]):
-            below.is_context[t.keys[:-1][t.has_prob[:-1]] // len(vocab)] = True
+            below.is_context[t.keys[:-1][~np.isnan(t.prob[:-1])] // len(vocab)] = True
 
     def corpus_event_probs(self, sentences):
         return batch_event_probs([self], sentences)[0]
@@ -192,9 +194,11 @@ class NGramModel:
         for k in range(m, -1, -1):  # history length
             ctx = ranks[k][pos - 1]
             e = np.flatnonzero(open_ & self._tables[k].is_context[ctx])  # stored histories
-            gram = ranks[k + 1][pos[e]]
-            hit = self._tables[k + 1].has_prob[gram]
-            probs[e[hit]] = factor[e[hit]] * self._tables[k + 1].prob[gram[hit]]
+            prob = self._tables[k + 1].prob[ranks[k + 1][pos[e]]]
+            hit = ~np.isnan(prob)
+            probs[e[hit]] = factor[e[hit]] * prob[hit]
+            # a stored history without a backoff weight passes nan down the chain,
+            # and the test below gives such an event the floor, as a weight of 0.0 would
             factor[e[~hit]] *= self._tables[k].bow[ctx[e[~hit]]]
             open_[e[hit]] = False
         return np.where(probs > 0.0, probs, UNK_FLOOR)
@@ -264,6 +268,17 @@ def _estimate_discounts(coc):
     return (max(d1, 0.0), max(d2, 0.0), max(d3, 0.0))
 
 
+def check_options(order=4, smoothing="modified-kneser-ney"):
+    """The smoothing mode's full name, once it and the order are valid (the
+    defaults are train's)."""
+    smoothing = _SMOOTHING_ALIASES.get(smoothing, smoothing)
+    if smoothing not in SMOOTHING_MODES:
+        raise ToolkitError("unknown smoothing mode %r" % smoothing)
+    if order < 1:
+        raise ToolkitError("order must be >= 1")
+    return smoothing
+
+
 def train(corpus, order=4, smoothing="modified-kneser-ney", vocab=None):
     """Train an n-gram model.
 
@@ -282,11 +297,7 @@ def train(corpus, order=4, smoothing="modified-kneser-ney", vocab=None):
     """
     import numpy as np
 
-    smoothing = _SMOOTHING_ALIASES.get(smoothing, smoothing)
-    if smoothing not in SMOOTHING_MODES:
-        raise ToolkitError("unknown smoothing mode %r" % smoothing)
-    if order < 1:
-        raise ToolkitError("order must be >= 1")
+    smoothing = check_options(order, smoothing)
     if vocab is None:
         vocab = Vocabulary.from_corpus(corpus)
     sentences = [words_of(s) for s in corpus]
@@ -336,14 +347,11 @@ def train(corpus, order=4, smoothing="modified-kneser-ney", vocab=None):
             x = np.zeros(size)
             x[grams] = num
             t.prob[1:size] = x[1:] / denom + gamma * (1.0 / (size - 1))
-            t.has_prob[1:size] = True
             continue
         lower = tables[n - 1].prob[at[n - 2][first]] if n > 1 else 0.0
         t.prob[grams] = num / denom[row] + gamma[row] * lower
-        t.has_prob[grams] = True
         if n > 1 and smoothing != "mle":
             tables[n - 1].bow[hist[starts]] = gamma
-            tables[n - 1].has_bow[hist[starts]] = True
     return NGramModel(order, smoothing, vocab, tables)
 
 
@@ -445,6 +453,8 @@ def interpolate(models, dev_corpus, tol=1e-6, max_iter=100):
 # 1-gram, nothing: a vocabulary type the model gives no mass (MLE).
 
 _BOW_ONLY = "-99"
+# Rows of one order formatted at a time: bounds the writer's texts to one slice.
+_WRITE_SLICE = 4096
 
 
 def _texts(values, text):
@@ -458,7 +468,9 @@ def _texts(values, text):
 
 def write_model(model, path):
     """Write the model file a line at a time."""
-    keeps = [t.has_prob | t.has_bow for t in model._tables[1:]]
+    import numpy as np
+
+    keeps = [~(np.isnan(t.prob) & np.isnan(t.bow)) for t in model._tables[1:]]
     # every type, so that a zero-count MLE type is read back as itself, not <unk>
     keeps[0][len(_RESERVED) : len(model.vocab)] = True
     header = ["\\smoothing: %s" % model.smoothing, "", "\\data\\"]
@@ -481,17 +493,19 @@ def _sections(model, keeps):
         place = np.empty(len(perm), dtype=np.int64)
         place[perm] = np.arange(len(perm))
         ids = [column[hist] for column in ids] + [last]  # each tuple's ids, first to last
-        rows = perm[keep[perm]]
-        probs, bows = np.full(len(rows), _BOW_ONLY, dtype=object), np.full(len(rows), "", dtype=object)
-        has = t.has_prob[rows]
-        # a model read from a file writes back the log10 values it was read with
-        probs[has] = (_texts(t.prob[rows[has]], lambda p: repr(math.log10(p)))
-                      if model._log10 is None else _texts(model._log10[n][rows[has]], repr))
-        has = t.has_bow[rows]
-        bows[has] = _texts(t.bow[rows[has]], "\t%r".__mod__)
+        kept = perm[keep[perm]]
         yield "\n\n\\%d-grams:" % n
-        grams = map(" ".join, zip(*(symbols[column[rows]] for column in ids)))
-        yield from map("\n%s\t%s%s".__mod__, zip(probs, grams, bows))
+        for rows in (kept[i : i + _WRITE_SLICE] for i in range(0, len(kept), _WRITE_SLICE)):
+            probs = np.full(len(rows), _BOW_ONLY, dtype=object)
+            bows = np.full(len(rows), "", dtype=object)
+            has = ~np.isnan(t.prob[rows])
+            # a model read from a file writes back the log10 values it was read with
+            probs[has] = (_texts(t.prob[rows[has]], lambda p: repr(math.log10(p)))
+                          if model._log10 is None else _texts(model._log10[n][rows[has]], repr))
+            has = ~np.isnan(t.bow[rows])
+            bows[has] = _texts(t.bow[rows[has]], "\t%r".__mod__)
+            grams = map(" ".join, zip(*(symbols[column[rows]] for column in ids)))
+            yield from map("\n%s\t%s%s".__mod__, zip(probs, grams, bows))
 
 
 def read_model(path):
@@ -520,9 +534,10 @@ def read_model(path):
     lines, n, vocab = chain(first, lines), 0, Vocabulary()
     blocks = [np.zeros((0, n), dtype=np.int64) for n in range(1, order + 1)]
     columns, held, weight = [(np.zeros(0),) * 3] * order, {}, {}
+    symbol_id, unk = vocab._ids.get, repeat(_UNK_ID)  # map() takes one unk per word
     while True:  # section n runs to the next head; "section" 0 is what precedes the first
         # lps and weights hold nan where a line has no such field (finite() rejects a nan one)
-        texts, lps, weights, head = [], array("d"), array("d"), None
+        ids, lps, weights, head = array("i"), array("d"), array("d"), None
         for lineno, line in lines:
             if line.startswith("\\") and line.endswith("-grams:"):
                 head = lineno, line
@@ -539,17 +554,14 @@ def read_model(path):
             if len(fields) > 2 and fields[2] not in weight:  # weights repeat: convert once
                 weight[fields[2]] = parse_field(finite, fields[2], "backoff", path, lineno)
             weights.append(weight[fields[2]] if len(fields) > 2 else math.nan)
-            if n == 1 and not fields[1]:
-                raise FormatError("%s line %d: empty word type" % (path, lineno))
-            texts.append(fields[1])
+            if n == 1:  # 1-grams come first: later symbols resolve
+                if not fields[1]:
+                    raise FormatError("%s line %d: empty word type" % (path, lineno))
+                vocab.add(fields[1])
+            ids.extend(map(symbol_id, fields[1].split(" "), unk))
         if n:
-            for t in texts if n == 1 else ():  # 1-grams come first: later symbols resolve
-                vocab.add(t)
-            held[n] = len(texts)
-            words = chain.from_iterable(map(str.split, texts, repeat(" ")))  # n per line
-            ids = np.fromiter(map(vocab._ids.get, words, repeat(_UNK_ID)), np.int64, n * len(texts))
-            del texts, words  # or the last section's would stay through the table build below
-            blocks[n - 1] = ids.reshape(-1, n)
+            held[n] = len(lps)
+            blocks[n - 1] = np.frombuffer(ids, dtype=np.intc).reshape(-1, n)
             columns[n - 1] = (np.frombuffer(lps), np.fromiter(map(pow, repeat(10.0), lps), float,
                                                               len(lps)), np.frombuffer(weights))
         if not head:
@@ -568,12 +580,10 @@ def read_model(path):
     log10 = [None]
     for t, at, (lps, probs, weights) in zip(tables[1:], slots, columns):
         log10.append(np.full(len(t.keys), np.nan))
-        for has, pairs in ((t.has_prob, ((t.prob, probs), (log10[-1], lps))),
-                           (t.has_bow, ((t.bow, weights),))):
+        for pairs in (((t.prob, probs), (log10[-1], lps)), ((t.bow, weights),)):
             given = ~np.isnan(pairs[0][1])
             rank = at[given]
             slot, last = np.unique(rank[::-1], return_index=True)  # a later line wins
-            has[slot] = True
             for column, values in pairs:
                 column[slot] = values[given][len(rank) - 1 - last]
     return NGramModel(order, smoothing, vocab, tables, log10)

@@ -898,6 +898,45 @@ def test_fms_cutoff_is_checked_before_the_inputs_are_read(work, capsys):
     assert "error: cutoff must be in [0, 1]" in err and "missing.txt" not in err
 
 
+_TRAINING_STEPS = {
+    "train-lm": ["train-lm", "--input", "missing.txt", "--output", "m.lm"],
+    "score ce": ["score", "--criterion", "ce", "--general", "missing.txt",
+                 "--in-domain", "missing.txt", "--output", "s.tsv"],
+    "score ml": ["score", "--criterion", "ml", "--general", "missing.txt",
+                 "--in-domain", "missing.txt", "--output", "s.tsv"],
+    "score mml": ["score", "--criterion", "mml", "--general", "missing.txt",
+                  "--in-domain", "missing.txt", "--output", "s.tsv"],
+    "combine lm-interp": ["combine", "--mode", "lm-interp", "--set", "missing.txt",
+                          "--dev", "missing.txt", "--output", "w.txt"],
+}
+
+
+@pytest.mark.parametrize("step", sorted(_TRAINING_STEPS))
+@pytest.mark.parametrize("option, value, message", [
+    ("--order", "0", "error: order must be >= 1"),
+    ("--smoothing", "bogus", "error: unknown smoothing mode 'bogus'"),
+], ids=["order", "smoothing"])
+def test_lm_options_are_checked_before_the_inputs_are_read(work, capsys, monkeypatch, step,
+                                                           option, value, message):
+    monkeypatch.chdir(work)
+    assert run_cli(*_TRAINING_STEPS[step], option, value) == 1
+    err = capsys.readouterr().err
+    assert message in err and "missing.txt" not in err
+
+
+def test_lm_options_are_ignored_where_no_lm_is_trained(work, capsys, monkeypatch):
+    # acceptance 11 passes --order and --smoothing to every criterion
+    monkeypatch.chdir(work)
+    lm.write_model(lm.train(corpus.load_corpus("indomain.txt"), order=2), "in.lm")
+    lm.write_model(lm.train(corpus.load_corpus("general.txt"), order=2), "out.lm")
+    for criterion in (["cosine", "--in-domain", "indomain.txt"],
+                      ["fms", "--in-domain", "indomain.txt"],
+                      ["ml", "--in-lm", "in.lm", "--out-lm", "out.lm"]):
+        assert run_cli("score", "--criterion", *criterion, "--general", "general.txt",
+                       "--order", "0", "--smoothing", "bogus", "--output", "s.tsv") == 0
+    capsys.readouterr()
+
+
 def test_cli_main_defaults_openblas_to_one_thread():
     # no step calls BLAS, so the numpy a step imports should start no thread pool;
     # a value the caller set stands

@@ -154,6 +154,8 @@ def test_loaded_tokens_are_interned(tmp_path):
         same = [t for t in tokens if t == word]
         assert len(same) > 4 and all(t is same[0] for t in same)
     assert factored.sentences[0].pos[1] is factored.sentences[1].pos[0]
+    # a sentence keeps its four streams in slots, with no dict per instance
+    assert not any(hasattr(s, "__dict__") for s in plain.sentences + factored.sentences)
     # equality, hashing and dedup do not depend on object identity
     built = corpus.Sentence(tuple("".join(w) for w in (["t", "he"], ["mar", "ket"], ["fell"])))
     assert built == plain.sentences[0] and hash(built) == hash(plain.sentences[0])

@@ -506,11 +506,44 @@ def test_model_file_header(tmp_path):
     assert "\\data\\" in text and "\\1-grams:" in text and "\\2-grams:" in text
 
 
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_model_files_are_equal_for_any_write_slice_size(tmp_path, monkeypatch, size):
+    rng = random.Random(size)
+    words = ["a", "b", "c", "d"]
+    trained = lm.train(_random_corpus(rng, words, n_sents=12), order=3)
+    # an MLE model over a shared vocabulary: "e" has no count
+    vocab = lm.Vocabulary.from_corpus(corpus.Corpus.from_lines(["e d c b a"]))
+    mle = lm.train(_random_corpus(rng, words, n_sents=12), order=3, smoothing="mle", vocab=vocab)
+    lm.write_model(trained, tmp_path / "trained.lm")
+    read = lm.read_model(tmp_path / "trained.lm")  # writes the log10 values it was read with
+    for i, model in enumerate((trained, mle, read)):
+        lm.write_model(model, tmp_path / "whole.lm")
+        monkeypatch.setattr(lm, "_WRITE_SLICE", size)
+        lm.write_model(model, tmp_path / "sliced.lm")
+        monkeypatch.undo()
+        assert (tmp_path / "sliced.lm").read_bytes() == (tmp_path / "whole.lm").read_bytes(), i
+
+
+def test_read_model_scores_a_hand_written_file_as_the_backoff_walk(tmp_path):
+    # "<s> a" and "b" are stored histories without a backoff weight, and "zz" is
+    # no 1-gram, so its 3-gram is read as one ending in <unk>
+    text = ("\\data\\\nngram 1=5\nngram 2=3\nngram 3=2\n\n\\1-grams:\n"
+            "-99\t<s>\t0.5\n-0.5\ta\t0.4\n-0.6\tb\n-0.7\t</s>\n-1.2\t<unk>\n\n\\2-grams:\n"
+            "-0.2\t<s> a\n-0.3\ta b\t0.25\n-0.4\tb </s>\n\n\\3-grams:\n"
+            "-0.1\t<s> a b\n-0.15\ta b zz\n\n\\end\\\n")
+    (tmp_path / "m.lm").write_text(text, encoding="utf-8")
+    model = lm.read_model(tmp_path / "m.lm")
+    sentences = [s.split() for s in ("a b a", "a a b zz", "b", "zz a b b", "b a b </x>")]
+    want = _oracle_events(_file_tables(text, model.vocab), 3, model.vocab, sentences)
+    assert model.corpus_event_probs(sentences) == _flat(want)
+    assert lm.UNK_FLOOR in _flat(want) and 10.0 ** -0.15 in _flat(want)
+
+
 def test_lm_temporaries_stay_within_a_heap_budget(tmp_path):
     # tracemalloc peaks, numpy's buffers included, in units of the model's own
     # table bytes; each budget sits between the peak of code that holds whole
     # orders as Python lists and scores 2,048 sentences in one slice (about
-    # 7.1, 5.2, 6.2 and 7.8) and the lean code's (about 3.9, 3.4, 4.5 and 4.9)
+    # 7.1, 5.2, 6.2 and 7.8) and the lean code's (about 4.1, 2.5, 4.3 and 5.3)
     import tracemalloc
 
     import numpy  # noqa: F401  (loaded before tracing, as in every LM step)
