@@ -27,7 +27,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import __version__, corpus
-from .errors import FormatError, ToolkitError, finite, read_lines, write_headed, write_text
+from .errors import FormatError, ToolkitError, finite, read_lines, write_headed
 
 
 def _sha256(path):
@@ -75,7 +75,7 @@ class Run:
         lines += ["input.%s=%s sha256=%s" % (k, *self.inputs[k]) for k in sorted(self.inputs)]
         lines.append("duration_s=%.6f" % (time.monotonic() - self.started))
         for output in self.outputs:
-            write_text(str(output) + ".manifest", "\n".join(lines) + "\n")
+            write_headed(str(output) + ".manifest", {}, lines)
 
 
 def _manifest_name(output):
@@ -142,11 +142,9 @@ def _cmd_preprocess(args):
     if two_file:
         corpus.save_corpus(data.source_corpus(), args.output_source)
         corpus.save_corpus(data.target_corpus(), args.output_target)
-    elif parallel:
-        corpus.save_parallel(data, args.output)
     elif args.hyphen_alt:
         lexicon = corpus.Lexicon.load(args.hyphen_alt)
-        write_text(args.output, "".join(corpus.hyphen_alt_markup(s, lexicon) + "\n" for s in data))
+        write_headed(args.output, {}, (corpus.hyphen_alt_markup(s, lexicon) for s in data))
     else:
         corpus.save_corpus(data, args.output, format=args.format)
     _log("preprocess: wrote %d sentences" % len(data))

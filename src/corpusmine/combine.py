@@ -6,9 +6,9 @@ trained per selection source.
 """
 
 from dataclasses import dataclass
-from itertools import chain, zip_longest
+from itertools import chain, repeat, zip_longest
 
-from .errors import FormatError, ToolkitError, finite, parse_field, read_lines, write_text
+from .errors import FormatError, ToolkitError, finite, parse_field, read_lines, write_headed
 
 
 @dataclass
@@ -142,26 +142,22 @@ def read_table(path):
 
 
 def write_table(table, path):
-    lines = [
-        "%s ||| %s ||| %s" % (src, tgt, " ".join(repr(s) for s in table.rows[(src, tgt)]))
-        for src, tgt in sorted(table.rows)
-    ]
-    write_text(path, "\n".join(lines) + "\n")
+    rows = table.rows
+    write_headed(path, {}, ("%s ||| %s ||| %s" % (*key, " ".join(map(repr, rows[key])))
+                            for key in sorted(rows)))
 
 
 def write_weighted_corpus(wc, path, replicate=False):
     """Emit a weighted corpus as TSV (weight column) or by integer replication."""
-    lines = []
-    for entry in wc.entries:
-        if hasattr(entry.item, "source"):
-            text = entry.item.source.text + "\t" + entry.item.target.text
-        else:
-            text = entry.item.text
-        if replicate:
-            lines.extend([text] * max(1, round(entry.weight)))
-        else:
-            lines.append("%s\t%s\t%s" % (repr(entry.weight), ",".join(entry.provenance), text))
-    write_text(path, "\n".join(lines) + "\n")
+
+    def rows():
+        for entry in wc.entries:
+            if replicate:
+                yield from repeat(entry.item.text, max(1, round(entry.weight)))
+            else:
+                yield "%r\t%s\t%s" % (entry.weight, ",".join(entry.provenance), entry.item.text)
+
+    write_headed(path, {}, rows())
 
 
 def combine_advanced_lm(per_source_sets, dev_corpus, order=4,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .errors import FormatError, MissingFactorError, ToolkitError, read_lines, write_text
+from .errors import FormatError, MissingFactorError, ToolkitError, read_lines, write_headed
 
 FACTOR_SEP = "|"
 NUMBER_PLACEHOLDER = "@num@"
@@ -92,6 +92,10 @@ class Sentence:
 class SentencePair:
     source: Sentence
     target: Sentence
+
+    @property
+    def text(self):
+        return self.source.text + "\t" + self.target.text
 
 
 @dataclass(frozen=True)
@@ -244,12 +248,8 @@ def load_parallel(source_path, target_path, format="plain"):
 
 
 def save_corpus(corpus, path, format="plain"):
-    render = (lambda s: s.factored_text()) if format == "factored" else (lambda s: s.text)
-    write_text(path, "".join(render(s) + "\n" for s in corpus.sentences))
-
-
-def save_parallel(corpus, path):
-    write_text(path, "".join(p.source.text + "\t" + p.target.text + "\n" for p in corpus.pairs))
+    """Write a corpus a line per sentence, or per pair as source<TAB>target."""
+    write_headed(path, {}, (s.factored_text() if format == "factored" else s.text for s in corpus))
 
 
 def dedup(corpus):

@@ -450,7 +450,8 @@ def interpolate(models, dev_corpus, tol=1e-6, max_iter=100):
 #   log10prob<TAB>ngram[<TAB>backoff]
 # Backoff weights are written as linear values.  Lines whose probability
 # field is -99 carry only a backoff weight (history-only entries), or, for a
-# 1-gram, nothing: a vocabulary type the model gives no mass (MLE).
+# 1-gram, nothing: a vocabulary type the model gives no mass (MLE).  An n-gram
+# appears at most once in its section.
 
 _BOW_ONLY = "-99"
 # Rows of one order formatted at a time: bounds the writer's texts to one slice.
@@ -533,11 +534,11 @@ def read_model(path):
         raise FormatError("%s: no n-gram sections declared" % path)
     lines, n, vocab = chain(first, lines), 0, Vocabulary()
     blocks = [np.zeros((0, n), dtype=np.int64) for n in range(1, order + 1)]
-    columns, held, weight = [(np.zeros(0),) * 3] * order, {}, {}
+    columns, where, weight = [(np.zeros(0),) * 3] * order, {}, {}  # where[n]: each row's line
     symbol_id, unk = vocab._ids.get, repeat(_UNK_ID)  # map() takes one unk per word
     while True:  # section n runs to the next head; "section" 0 is what precedes the first
         # lps and weights hold nan where a line has no such field (finite() rejects a nan one)
-        ids, lps, weights, head = array("i"), array("d"), array("d"), None
+        ids, lps, weights, at, head = array("i"), array("d"), array("d"), array("i"), None
         for lineno, line in lines:
             if line.startswith("\\") and line.endswith("-grams:"):
                 head = lineno, line
@@ -559,8 +560,9 @@ def read_model(path):
                     raise FormatError("%s line %d: empty word type" % (path, lineno))
                 vocab.add(fields[1])
             ids.extend(map(symbol_id, fields[1].split(" "), unk))
+            at.append(lineno)
         if n:
-            held[n] = len(lps)
+            where[n] = at
             blocks[n - 1] = np.frombuffer(ids, dtype=np.intc).reshape(-1, n)
             columns[n - 1] = (np.frombuffer(lps), np.fromiter(map(pow, repeat(10.0), lps), float,
                                                               len(lps)), np.frombuffer(weights))
@@ -573,17 +575,19 @@ def read_model(path):
             raise FormatError("%s line %d: section %s above the declared order %d"
                               % (path, lineno, line, order))
     for n, (size, lineno) in sorted(sizes.items()):
-        if size != held.get(n, 0):
+        if size != len(where.get(n, ())):
             raise FormatError("%s line %d: ngram %d=%d but its section holds %d n-grams"
-                              % (path, lineno, n, size, held.get(n, 0)))
+                              % (path, lineno, n, size, len(where.get(n, ()))))
     tables, slots = _tables(len(vocab), blocks)
+    for n, at in enumerate(slots, 1):
+        slot, first = np.unique(at, return_index=True)
+        if len(slot) < len(at):
+            row = np.setdiff1d(np.arange(len(at)), first)[0]  # the earliest repeat
+            gram = " ".join(map(vocab.symbol, blocks[n - 1][row]))
+            raise FormatError("%s line %d: repeated %d-gram %r (first on line %d)" % (
+                path, where[n][row], n, gram, where[n][first[np.searchsorted(slot, at[row])]]))
     log10 = [None]
     for t, at, (lps, probs, weights) in zip(tables[1:], slots, columns):
         log10.append(np.full(len(t.keys), np.nan))
-        for pairs in (((t.prob, probs), (log10[-1], lps)), ((t.bow, weights),)):
-            given = ~np.isnan(pairs[0][1])
-            rank = at[given]
-            slot, last = np.unique(rank[::-1], return_index=True)  # a later line wins
-            for column, values in pairs:
-                column[slot] = values[given][len(rank) - 1 - last]
+        t.prob[at], t.bow[at], log10[-1][at] = probs, weights, lps
     return NGramModel(order, smoothing, vocab, tables, log10)

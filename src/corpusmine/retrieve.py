@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import read_documents
-from .errors import FormatError, ToolkitError, read_lines, write_text
+from .errors import FormatError, ToolkitError, read_lines, write_headed
 
 
 @dataclass(frozen=True)
@@ -224,12 +224,12 @@ def load_gold(path):
 
 def result_rows(results):
     """`source<TAB>rank<TAB>doc_id<TAB>score` per hit, sources in sorted order."""
-    return [
+    return (
         "%s\t%d\t%s\t%s" % (src, rank, doc_id, repr(score))
         for src in sorted(results)
         for rank, (doc_id, score) in enumerate(results[src], 1)
-    ]
+    )
 
 
 def write_results(results, path):
-    write_text(path, "\n".join(result_rows(results)) + "\n")
+    write_headed(path, {}, result_rows(results))

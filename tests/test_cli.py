@@ -1,5 +1,6 @@
 """End-to-end command-line interface behavior: exit codes, files, manifests."""
 
+import ast
 import hashlib
 import json
 import os
@@ -84,6 +85,24 @@ def test_cli_import_loads_no_step_module():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0 and done.stdout.strip() == ""
+
+
+def test_row_outputs_reach_write_text_through_write_headed():
+    # every row output goes through errors.write_headed; the model writer's
+    # sections are chunks of lines, not rows
+    def callers(node, module, where):  # module.function of each call, innermost function
+        for child in ast.iter_child_nodes(node):
+            func = getattr(child, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) == "write_text":
+                yield "%s.%s" % (module, where)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from callers(child, module, child.name if named else where)
+
+    src = Path(cli.__file__).resolve().parent
+    found = {caller for path in src.glob("*.py")
+             for caller in callers(ast.parse(path.read_text(encoding="utf-8")), path.stem,
+                                   "<module>")}
+    assert found == {"errors.write_headed", "lm.write_model"}
 
 
 def test_direction_choices_are_the_select_directions(capsys):
@@ -542,6 +561,22 @@ def test_combine_corpus_of_sentence_pairs(work, capsys):
                    "--output", str(out)) == 0
     assert out.read_text(encoding="utf-8") == "1.0\tx\ta b\tc d\n2.0\tx,y\ti\tj\n"
     capsys.readouterr()
+
+
+def test_combine_corpus_of_an_empty_selection_writes_an_empty_file(work, capsys):
+    # an output with no rows is an empty file, not a blank line, so the next
+    # step reports an empty corpus rather than an empty line
+    none = work / "none.sel"
+    select.write_selection(none, select.SelectionResult([], "x", select.HIGHER))
+    for name, flags in (("weighted.tsv", []), ("replicated.txt", ["--replicate"])):
+        assert run_cli("combine", "--mode", "corpus", "--selection", str(none), "--corpus",
+                       str(work / "general.txt"), *flags, "--output", str(work / name)) == 0
+        assert (work / name).read_bytes() == b""
+    capsys.readouterr()
+    assert run_cli("train-lm", "--input", str(work / "replicated.txt"),
+                   "--output", str(work / "m.lm")) == 1
+    assert capsys.readouterr().err.rstrip().endswith(
+        "error: cannot train a model on an empty corpus")
 
 
 def test_retrieve_cli_with_gold(work, capsys):
@@ -1025,6 +1060,13 @@ _MODEL_TEXT = ("\\smoothing: witten-bell\n\n\\data\\\nngram 1=3\n\n\\1-grams:\n"
      "ngram 1=3\nngram 2=1\n\n\\1-grams:\n-0.5\t</s>\n-0.5\ta\n-0.5\t<unk>\n"
      "\n\\2-grams:\n-0.1\ta\n", "line 13: arity mismatch in '-0.1\\ta'"),
     ("-0.5\t</s>\n-0.5\ta", "-0.5\t</s>\tzz\nnan\ta", "line 7: bad backoff 'zz'"),
+    ("ngram 1=3\n\n\\1-grams:\n-0.5\t</s>\n-0.5\ta\n",
+     "ngram 1=4\n\n\\1-grams:\n-0.5\t</s>\n-0.5\ta\n-0.25\ta\n",
+     "line 9: repeated 1-gram 'a' (first on line 8)"),
+    ("ngram 1=3\n\n\\1-grams:\n-0.5\t</s>\n-0.5\ta\n-0.5\t<unk>\n",
+     "ngram 1=3\nngram 2=3\n\n\\1-grams:\n-0.5\t</s>\n-0.5\ta\n-0.5\t<unk>\n"
+     "\n\\2-grams:\n-0.1\ta </s>\n-0.2\ta a\n-0.3\ta </s>\n",
+     "line 15: repeated 2-gram 'a </s>' (first on line 13)"),
 ])
 def test_perplexity_reports_malformed_model_fields(work, capsys, old, new, message):
     model_path = work / "m.lm"

@@ -63,6 +63,10 @@ def test_tsv_parallel_and_two_file(tmp_path):
     pc = corpus.load_corpus(tsv, format="tsv-parallel")
     assert len(pc) == 2
     assert pc.pairs[0].target.text == "x y z"
+    assert pc.pairs[0].text == "a b\tx y z"
+    out = tmp_path / "out.tsv"
+    corpus.save_corpus(pc, out)
+    assert out.read_bytes() == tsv.read_bytes()
 
     src = tmp_path / "s.txt"
     tgt = tmp_path / "t.txt"

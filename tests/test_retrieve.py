@@ -258,3 +258,9 @@ def test_retrieve_brute_force_edge_cases():
             retrieve.LengthFilterParams(bad)
         with pytest.raises(ToolkitError):
             retrieve.LengthFilterParams(0.1, multiplier=bad)
+
+
+def test_write_results_of_no_sources_is_an_empty_file(tmp_path):
+    path = tmp_path / "hits.tsv"
+    retrieve.write_results({}, path)
+    assert path.read_bytes() == b""
