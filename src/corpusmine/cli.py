@@ -19,7 +19,6 @@ on it nor records it.
 """
 
 import argparse
-import hashlib
 import os
 import sys
 import time
@@ -29,9 +28,17 @@ from pathlib import Path
 from . import __version__, corpus
 from .errors import FormatError, ToolkitError, finite, read_lines, write_headed
 
+try:  # the interpreter's own SHA-256: hashlib would map OpenSSL's libcrypto into every step
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 
 def _sha256(path):
-    h = hashlib.sha256()
+    h = sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 16), b""):
             h.update(chunk)

@@ -535,7 +535,7 @@ def read_model(path):
     lines, n, vocab = chain(first, lines), 0, Vocabulary()
     blocks = [np.zeros((0, n), dtype=np.int64) for n in range(1, order + 1)]
     columns, where, weight = [(np.zeros(0),) * 3] * order, {}, {}  # where[n]: each row's line
-    symbol_id, unk = vocab._ids.get, repeat(_UNK_ID)  # map() takes one unk per word
+    symbol_id = vocab._ids.__getitem__
     while True:  # section n runs to the next head; "section" 0 is what precedes the first
         # lps and weights hold nan where a line has no such field (finite() rejects a nan one)
         ids, lps, weights, at, head = array("i"), array("d"), array("d"), array("i"), None
@@ -559,7 +559,11 @@ def read_model(path):
                 if not fields[1]:
                     raise FormatError("%s line %d: empty word type" % (path, lineno))
                 vocab.add(fields[1])
-            ids.extend(map(symbol_id, fields[1].split(" "), unk))
+            try:
+                ids.extend(map(symbol_id, fields[1].split(" ")))
+            except KeyError as e:
+                raise FormatError("%s line %d: word %r is not a 1-gram"
+                                  % (path, lineno, e.args[0])) from None
             at.append(lineno)
         if n:
             where[n] = at

@@ -74,6 +74,67 @@ def test_cli_import_leaves_numpy_unloaded(work):
     assert done.stdout.splitlines() == ["[]", "%s []" % ([0] * len(steps))]
 
 
+def test_steps_leave_openssl_and_fractions_unloaded(work):
+    # manifest digests come from the interpreter's own SHA-256, so no step maps
+    # OpenSSL's libcrypto (about 3.5 MiB) through hashlib; and only select and
+    # ppl-filter count with fractions, so the score steps leave it (and decimal) out
+    (work / "pairs.tsv").write_text("a b c\ta b\nd e\td e f\n", encoding="utf-8")
+    (work / "coll.tsv").write_text("d1\tthe market fell\nd2\train fell today\n",
+                                   encoding="utf-8")
+    (work / "topic.tsv").write_text("market\t3\tFIN\n", encoding="utf-8")
+    general = ["--general", "general.txt", "--in-domain", "indomain.txt", "--output"]
+    scores = [
+        ["score", "--criterion", "cosine"] + general + ["cos.tsv"],
+        ["score", "--criterion", "fms"] + general + ["fms.tsv"],
+        ["score", "--criterion", "ml", "--order", "2"] + general + ["ml.tsv"],
+    ]
+    steps = [
+        ["--version"],
+        ["preprocess", "--input", "general.txt", "--output", "clean.txt", "--dedup"],
+        ["select", "--scores", "cos.tsv", "--k", "40", "--output", "top40.sel"],
+        ["combine", "--mode", "naive-rank", "--selection", "top40.sel", "--selection",
+         "top40.sel", "--target-size", "2", "--output", "ranked.txt"],
+        ["estimate-delta", "--input", "pairs.tsv", "--output", "delta.txt"],
+        ["retrieve", "--collection", "coll.tsv", "--queries", "coll.tsv", "--lambda", "0.5",
+         "--n-best", "1", "--output", "hits.tsv"],
+        ["train-lm", "--input", "indomain.txt", "--order", "2", "--output", "in.lm"],
+        ["perplexity", "--lm", "in.lm", "--input", "general.txt", "--output", "ppl.txt"],
+        ["ppl-filter", "--collection", "coll.tsv", "--topic", "topic.tsv", "--k", "50",
+         "--n", "100", "--lm", "in.lm", "--output", "sents.tsv"],
+    ]
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = ("import json, sys\n"
+             "openssl = '_hashlib' in sys.modules\n"
+             "import corpusmine.cli\n"
+             "scores, steps = json.loads(sys.argv[1])\n"
+             "codes = [corpusmine.cli.run(argv) for argv in scores]\n"
+             "print(codes, 'fractions' in sys.modules, 'decimal' in sys.modules)\n"
+             "codes = [corpusmine.cli.run(argv) for argv in steps]\n"
+             "print(codes, openssl or '_hashlib' not in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps([scores, steps])],
+                          env=env, cwd=work, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["%s False False" % ([0] * len(scores)), cli.__version__,
+                                        "%s True" % ([0] * len(steps))]
+
+
+def test_manifest_digest_without_the_builtin_sha256_is_hashlibs(work):
+    # an interpreter built without its own SHA-256 module falls back to hashlib
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = ("import sys\n"
+             "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+             "import corpusmine.cli\n"
+             "print(corpusmine.cli.run(['preprocess', '--input', 'general.txt', "
+             "'--output', 'clean.txt']))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=work,
+                          capture_output=True, text=True)
+    assert done.returncode == 0 and done.stdout == "0\n", done.stderr
+    digest = hashlib.sha256((work / "general.txt").read_bytes()).hexdigest()
+    assert _manifest(work / "clean.txt")["input.input"] == "general.txt sha256=%s" % digest
+
+
 def test_cli_import_loads_no_step_module():
     # each step imports the modules it runs; the parser and --version need none
     src = Path(cli.__file__).resolve().parents[1]
@@ -1067,6 +1128,12 @@ _MODEL_TEXT = ("\\smoothing: witten-bell\n\n\\data\\\nngram 1=3\n\n\\1-grams:\n"
      "ngram 1=3\nngram 2=3\n\n\\1-grams:\n-0.5\t</s>\n-0.5\ta\n-0.5\t<unk>\n"
      "\n\\2-grams:\n-0.1\ta </s>\n-0.2\ta a\n-0.3\ta </s>\n",
      "line 15: repeated 2-gram 'a </s>' (first on line 13)"),
+    ("ngram 1=3\n\n\\1-grams:\n-0.5\t</s>\n-0.5\ta\n-0.5\t<unk>\n",
+     "ngram 1=3\nngram 2=1\n\n\\1-grams:\n-0.5\t</s>\n-0.5\ta\n-0.5\t<unk>\n"
+     "\n\\2-grams:\n-0.1\tx a\n", "line 13: word 'x' is not a 1-gram"),
+    ("ngram 1=3\n\n\\1-grams:\n-0.5\t</s>\n-0.5\ta\n-0.5\t<unk>\n",
+     "ngram 1=3\nngram 2=2\n\n\\1-grams:\n-0.5\t</s>\n-0.5\ta\n-0.5\t<unk>\n"
+     "\n\\2-grams:\n-0.1\tx a\n-0.2\ty a\n", "line 13: word 'x' is not a 1-gram"),
 ])
 def test_perplexity_reports_malformed_model_fields(work, capsys, old, new, message):
     model_path = work / "m.lm"

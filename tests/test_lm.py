@@ -526,11 +526,11 @@ def test_model_files_are_equal_for_any_write_slice_size(tmp_path, monkeypatch, s
 
 def test_read_model_scores_a_hand_written_file_as_the_backoff_walk(tmp_path):
     # "<s> a" and "b" are stored histories without a backoff weight, and "zz" is
-    # no 1-gram, so its 3-gram is read as one ending in <unk>
+    # no 1-gram, so it reaches the 3-gram "a b <unk>"
     text = ("\\data\\\nngram 1=5\nngram 2=3\nngram 3=2\n\n\\1-grams:\n"
             "-99\t<s>\t0.5\n-0.5\ta\t0.4\n-0.6\tb\n-0.7\t</s>\n-1.2\t<unk>\n\n\\2-grams:\n"
             "-0.2\t<s> a\n-0.3\ta b\t0.25\n-0.4\tb </s>\n\n\\3-grams:\n"
-            "-0.1\t<s> a b\n-0.15\ta b zz\n\n\\end\\\n")
+            "-0.1\t<s> a b\n-0.15\ta b <unk>\n\n\\end\\\n")
     (tmp_path / "m.lm").write_text(text, encoding="utf-8")
     model = lm.read_model(tmp_path / "m.lm")
     sentences = [s.split() for s in ("a b a", "a a b zz", "b", "zz a b b", "b a b </x>")]

@@ -135,9 +135,18 @@ def _fms_formula(gen, refs, cutoff):
 # word 1 into word 2.
 _CARRY_THROUGH = ["a"] + ["b"] * 128 + ["a"]
 
+# One general sentence past a kernel block of 16, of mixed lengths that span
+# one, two and three pattern words, against references of mixed lengths.
+_PAST_A_BLOCK = ([["abcd"[(i * j + j // 3) % 4] for j in range(n)]
+                  for i, n in enumerate([3, 7, 1, 12, 65, 5, 9, 16, 2, 30, 17, 4, 64, 8, 33, 11,
+                                         130])],
+                 [["a", "b"], ["c"] * 10, list("abcdabcdabcd"), list("dcba" * 16), ["b"] * 70])
+
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_fms_cases(), st.sampled_from([None, 0.0, 0.5, 0.9, 1.0]))
+@example(_PAST_A_BLOCK, None)
+@example(_PAST_A_BLOCK, 0.5)
 @example(([_CARRY_THROUGH, _CARRY_THROUGH + ["b"]], [["a"], ["a", "b"], ["a"] * 3]), None)
 @example(([["a"] * 40], [["a"], ["a", "b"]]), 0.9)  # a block no reference's bound reaches
 def test_score_fms_equals_per_pair_edit_distance(case, cutoff):
