@@ -7,7 +7,9 @@ token (``surface|lemma|pos|ne``); trailing factors may be omitted.
 
 import re
 import sys
+from array import array
 from dataclasses import dataclass, field, replace
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Optional
 
@@ -141,6 +143,18 @@ def words_of(item):
     return list(item)
 
 
+def encode(sentences, table):
+    """The sentences' words (see words_of) as one flat C-int id array over
+    `table`, a word -> id dict that gives each new word, by first use, the next
+    id (so its keys stay in id order); and each sentence's end in the array."""
+    words = list(map(words_of, sentences))
+    tokens = list(chain.from_iterable(words))
+    for w in dict.fromkeys(tokens):  # a Python step per distinct word only
+        table.setdefault(w, len(table))
+    ids = array("i", list(map(table.__getitem__, tokens)))  # filled from a list: faster
+    return ids, array("q", accumulate(map(len, words)))
+
+
 @dataclass(frozen=True)
 class Lexicon:
     """Source word -> single target phrase; the first listed translation wins."""
@@ -257,7 +271,7 @@ def dedup(corpus):
     return type(corpus)(tuple(dict.fromkeys(corpus)), id=corpus.id)
 
 
-def length_filter(corpus, max_len=80):
+def length_filter(corpus, max_len):
     """Drop pairs where either side exceeds max_len tokens (strictly)."""
     if max_len < 1:
         raise ToolkitError("max_len must be >= 1")

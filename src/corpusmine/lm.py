@@ -13,9 +13,9 @@ import math
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 
-from .corpus import words_of
+from .corpus import encode, words_of
 from .errors import (FormatError, ToolkitError, finite, log10_prob, parse_field, read_lines,
                      write_text)
 
@@ -36,16 +36,12 @@ _SMOOTHING_ALIASES = {"wb": "witten-bell", "mkn": "modified-kneser-ney", "kn": "
 class Vocabulary:
     """Word types plus the reserved symbols, with stable integer ids."""
 
-    def __init__(self, words=()):
+    def __init__(self):
         self._symbols = list(_RESERVED)
         self._ids = {s: i for i, s in enumerate(self._symbols)}
-        for w in words:
-            self.add(w)
 
     def add(self, word):
         if word not in self._ids:
-            if not word:
-                raise FormatError("empty word type")
             self._ids[word] = len(self._symbols)
             self._symbols.append(word)
 
@@ -70,33 +66,37 @@ class Vocabulary:
 
     @classmethod
     def from_corpus(cls, corpus):
-        vocab = cls()
-        for w in dict.fromkeys(chain.from_iterable(map(words_of, corpus))):  # by first use
-            if w in _RESERVED:
-                raise FormatError("corpus contains reserved symbol %r" % w)
-            vocab.add(w)
-        return vocab
+        return _encoded(corpus, len(_RESERVED))[0]
 
 
-def _encode(sentences, vocab, pad):
-    """One flat id array of the sentences, each after `pad` BOS ids and before
-    EOS, and the positions of their events (every id but the padding).  A
-    sentence that holds BOS or EOS is an error, in training and scoring alike."""
+def _encoded(sentences, below=_UNK_ID):
+    """A new vocabulary of the sentences' words by first use, and the sentences
+    encoded over its table (see corpus.encode).  No word may have an id below
+    `below`: by default neither BOS nor EOS, and at len(_RESERVED) not UNK."""
     import numpy as np
 
-    tokens = []
-    for words in sentences:
-        tokens += [BOS] * pad
-        tokens += words
-        tokens.append(EOS)
-    events = np.ones(len(tokens), dtype=bool)
-    ends = np.cumsum([len(words) + pad + 1 for words in sentences])
-    events[((ends - np.diff(ends, prepend=0))[:, None] + np.arange(pad)).ravel()] = False
-    seq = np.fromiter(map(vocab._ids.get, tokens, repeat(_UNK_ID)), np.int32, len(tokens))
-    for symbol, i, n in ((EOS, _EOS_ID, len(sentences)), (BOS, _BOS_ID, pad * len(sentences))):
-        if np.count_nonzero(seq == i) > n:
-            raise FormatError("corpus contains reserved symbol %r" % symbol)
-    return seq, np.flatnonzero(events)
+    vocab = Vocabulary()
+    ids, ends = encode(sentences, vocab._ids)
+    reserved = np.flatnonzero(np.frombuffer(ids, np.intc) < below)
+    if len(reserved):  # name the first one used
+        raise FormatError("corpus contains reserved symbol %r" % _RESERVED[ids[reserved[0]]])
+    vocab._symbols = list(vocab._ids)
+    return vocab, ids, ends
+
+
+def _events(vocab, words, ids, ends, pad):
+    """Sentences encoded over the vocabulary `words` as ids of `vocab` (UNK for
+    a word it lacks; only the distinct words are looked up), each sentence
+    after `pad` BOS ids and before EOS, and the positions of the events."""
+    import numpy as np
+
+    own = np.fromiter(map(vocab._ids.get, words._ids, repeat(_UNK_ID)), np.int32, len(words))
+    ends = np.frombuffer(ends, np.int64)
+    shift = np.arange(1, len(ends) + 1) * (pad + 1) - 1  # BOS and EOS ids before sentence k
+    seq = np.full(len(ids) + len(ends) * (pad + 1), _BOS_ID, dtype=np.int32)
+    seq[np.arange(len(ids)) + np.repeat(shift, np.diff(ends, prepend=0))] = own[ids]
+    seq[ends + shift] = _EOS_ID
+    return seq, np.flatnonzero(seq != _BOS_ID)  # no event is BOS
 
 
 # The stored id tuples of one order by ascending key, and a last slot (key
@@ -151,8 +151,11 @@ class NGramModel:
         for below, t in zip(tables, tables[1:]):
             below.is_context[t.keys[:-1][~np.isnan(t.prob[:-1])] // len(vocab)] = True
 
-    def corpus_event_probs(self, sentences):
-        return batch_event_probs([self], sentences)[0]
+    def slice_probs(self, words, ids, ends):
+        """prob(w, h) of every event of sentences encoded over the vocabulary
+        `words`, in order: each sentence's words, then its EOS."""
+        m = self.order - 1
+        return self._score(*_events(self.vocab, words, ids, ends, m), m).tolist()
 
     def prob(self, word, history=()):
         """Conditional probability of one event given its history (strings):
@@ -217,39 +220,22 @@ class NGramModel:
         return [self.vocab.symbol(i) for i in ctx]
 
 
-def batch_event_probs(models, sentences):
-    """Each model's prob(w, h) of every event of the sentences (word lists),
-    in order: a sentence's words, then its EOS.  N-gram models that share a
-    vocabulary and order share one encoding of the sentences."""
-    if not sentences:
-        return [[] for _ in models]
-    encoded, out = {}, []
-    for model in models:
-        if not isinstance(model, NGramModel):  # a mixture
-            out.append(model.corpus_event_probs(sentences))
-            continue
-        key = (id(model.vocab), model.order)
-        if key not in encoded:
-            encoded[key] = _encode(sentences, model.vocab, model.order - 1)
-        out.append(model._score(*encoded[key], model.order - 1).tolist())
-    return out
-
-
-# Sentences per batch_event_probs call when a whole corpus is scored: bounds
-# the encoded ids, rank arrays and probability lists to one slice.
+# Sentences encoded at a time when a whole corpus is scored: bounds the ids,
+# rank arrays and probability lists to one slice.
 _SCORE_CHUNK = 1024
 
 
 def sentence_probs(models, sentences):
     """For each sentence (a Sentence, word sequence or text), in order, a tuple
     of each model's event probabilities: the sentence's words, then EOS.  The
-    sentences are read once, _SCORE_CHUNK at a time, and the models score each
-    slice in one batch_event_probs call."""
+    sentences are read _SCORE_CHUNK at a time, and each slice is encoded once
+    for every model (see slice_probs)."""
     sentences = iter(sentences)
-    while part := [words_of(s) for s in islice(sentences, _SCORE_CHUNK)]:
-        ends = list(accumulate(len(words) + 1 for words in part))
-        cuts = list(map(slice, [0] + ends[:-1], ends))
-        columns = batch_event_probs(models, part)
+    while part := list(islice(sentences, _SCORE_CHUNK)):
+        words, ids, ends = _encoded(part)
+        stops = [end + k for k, end in enumerate(ends, 1)]  # after each sentence's EOS
+        cuts = list(map(slice, [0] + stops[:-1], stops))
+        columns = [model.slice_probs(words, ids, ends) for model in models]
         yield from zip(*(map(probs.__getitem__, cuts) for probs in columns))
 
 
@@ -298,12 +284,12 @@ def train(corpus, order=4, smoothing="modified-kneser-ney", vocab=None):
     import numpy as np
 
     smoothing = check_options(order, smoothing)
-    if vocab is None:
-        vocab = Vocabulary.from_corpus(corpus)
-    sentences = [words_of(s) for s in corpus]
-    if not sentences:
+    words, ids, ends = _encoded(corpus, len(_RESERVED) if vocab is None else _UNK_ID)
+    if not ends:
         raise ToolkitError("cannot train a model on an empty corpus")
-    seq, pos = _encode(sentences, vocab, order - 1)
+    vocab = words if vocab is None else vocab  # no shared vocabulary: the encoding's
+    seq, pos = _events(vocab, words, ids, ends, order - 1)
+    del words, ids, ends  # freed before the tables, which set train's peak
     size = len(vocab)
     # at[n - 1]: the slot of the n-gram at each event; ahead: the distinct
     # n-grams' slots, first events and counts, one order ahead of the loop
@@ -404,17 +390,20 @@ class MixtureModel:
             w * c.prob(word, history) for w, c in zip(self.weights, self.components)
         )
 
-    def corpus_event_probs(self, sentences):
-        """The mixture's prob(w, h) of every event of the sentences."""
-        columns = zip(*batch_event_probs(self.components, sentences))
+    def slice_probs(self, words, ids, ends):
+        """The mixture's prob(w, h) of every event of encoded sentences."""
+        columns = zip(*(c.slice_probs(words, ids, ends) for c in self.components))
         return [sum(w * p for w, p in zip(self.weights, probs)) for probs in columns]
 
 
-def interpolate(models, dev_corpus, tol=1e-6, max_iter=100):
+_EM_TOL, _EM_MAX_ITER = 1e-6, 100
+
+
+def interpolate(models, dev_corpus):
     """Fit mixture weights by EM to maximize dev-corpus likelihood.
 
     Starts from uniform weights; stops when the relative change of the dev
-    log-likelihood drops below tol or after max_iter iterations.
+    log-likelihood is at most _EM_TOL, or after _EM_MAX_ITER iterations.
     """
     import numpy as np
 
@@ -431,11 +420,11 @@ def interpolate(models, dev_corpus, tol=1e-6, max_iter=100):
     weights = np.full(k, 1.0 / k)
     history = []
     prev = None
-    for _ in range(max_iter):
+    for _ in range(_EM_MAX_ITER):
         mix = p @ weights
         ll = float(np.log(mix).sum())
         history.append(ll)
-        if prev is not None and abs(ll - prev) <= tol * abs(prev):
+        if prev is not None and abs(ll - prev) <= _EM_TOL * abs(prev):
             break
         prev = ll
         posterior = p * weights / mix[:, None]
@@ -521,15 +510,19 @@ def read_model(path):
             smoothing = line.split(":", 1)[1].strip()
     else:
         raise FormatError("%s: missing \\data\\ header" % path)
-    sizes, first = {}, []
+    sizes, first = [], []  # sizes[n - 1]: order n's n-gram count and its line
     for lineno, line in lines:
         if not line.startswith("ngram "):
             first = [(lineno, line)]
             break
         n, _, size = line[len("ngram ") :].partition("=")
-        n = parse_field(int, n, "n-gram order", path, lineno)
-        sizes[n] = (parse_field(int, size, "n-gram count", path, lineno), lineno)
-    order = max(sizes) if sizes else 0
+        # orders 1..N, each with an n-gram: a declared empty order N costs _tables N^2 work
+        if parse_field(int, n, "n-gram order", path, lineno) != len(sizes) + 1:
+            raise FormatError("%s line %d: %s out of order" % (path, lineno, line))
+        sizes.append((parse_field(int, size, "n-gram count", path, lineno), lineno))
+        if sizes[-1][0] < 1:
+            raise FormatError("%s line %d: %s declares no n-grams" % (path, lineno, line))
+    order = len(sizes)
     if order < 1:
         raise FormatError("%s: no n-gram sections declared" % path)
     lines, n, vocab = chain(first, lines), 0, Vocabulary()
@@ -578,7 +571,7 @@ def read_model(path):
         if n > order:
             raise FormatError("%s line %d: section %s above the declared order %d"
                               % (path, lineno, line, order))
-    for n, (size, lineno) in sorted(sizes.items()):
+    for n, (size, lineno) in enumerate(sizes, 1):
         if size != len(where.get(n, ())):
             raise FormatError("%s line %d: ngram %d=%d but its section holds %d n-grams"
                               % (path, lineno, n, size, len(where.get(n, ()))))

@@ -19,7 +19,10 @@ def _ngrams(words, n):
     return Counter(tuple(words[i : i + n]) for i in range(len(words) - n + 1))
 
 
-def bleu(hypotheses, references, max_n=4, smooth=False):
+BLEU_MAX_N = 4  # n-gram precisions of orders 1..BLEU_MAX_N
+
+
+def bleu(hypotheses, references, smooth=False):
     """Corpus-level BLEU with clipped n-gram precisions and the exponential
     brevity penalty.  Any zero precision makes the unsmoothed score 0; with
     smooth=True add-one smoothing is applied to every precision."""
@@ -31,20 +34,20 @@ def bleu(hypotheses, references, max_n=4, smooth=False):
         )
     if not refs or any(len(r) == 0 for r in refs):
         raise ToolkitError("references must be non-empty")
-    matched = [0] * (max_n + 1)
-    total = [0] * (max_n + 1)
+    matched = [0] * (BLEU_MAX_N + 1)
+    total = [0] * (BLEU_MAX_N + 1)
     len_out = 0
     len_ref = 0
     for h, r in zip(hyps, refs):
         len_out += len(h)
         len_ref += len(r)
-        for n in range(1, max_n + 1):
+        for n in range(1, BLEU_MAX_N + 1):
             hc = _ngrams(h, n)
             rc = _ngrams(r, n)
             total[n] += sum(hc.values())
             matched[n] += sum(min(c, rc[g]) for g, c in hc.items())
     precisions = []
-    for n in range(1, max_n + 1):
+    for n in range(1, BLEU_MAX_N + 1):
         if smooth:
             precisions.append((matched[n] + 1) / (total[n] + 1))
         else:
@@ -53,7 +56,7 @@ def bleu(hypotheses, references, max_n=4, smooth=False):
     if any(p == 0 for p in precisions):
         score = 0.0
     else:
-        score = bp * math.exp(sum(math.log(p) for p in precisions) / max_n)
+        score = bp * math.exp(sum(math.log(p) for p in precisions) / BLEU_MAX_N)
     return BleuReport(tuple(precisions), bp, score)
 
 

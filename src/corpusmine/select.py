@@ -16,7 +16,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import Corpus, words_of
+from .corpus import Corpus, encode, words_of
 from .errors import FormatError, ToolkitError, finite, parse_field, read_lines, write_headed
 
 HIGHER = "higher-is-better"
@@ -161,13 +161,6 @@ def fms(a, b):
     return min(max(score, 0.0), 1.0)
 
 
-def _encode(sentences, table):
-    out = []
-    for words in sentences:
-        out.append([table.setdefault(w, len(table)) for w in words])
-    return out
-
-
 # General sentences per kernel pass: bounds the working set to a few
 # (references x block) uint64 arrays per pattern word.  At 32 each column
 # step's temporaries are 512 KiB at 2,000 references, and the allocator maps
@@ -305,19 +298,18 @@ def score_fms(general, reference, cutoff=None, threads=1):
     import numpy as np
 
     check_cutoff(cutoff)
-    table = {}
-    gen = _encode([words_of(s) for s in general], table)
-    refs = _encode([words_of(s) for s in reference], table)
+    table = {}  # general and reference sentences share one
+    gen, refs = [[ids[a:b] for a, b in zip([0, *ends], ends)]
+                 for ids, ends in (encode(general, table), encode(reference, table))]
     if not refs:
         raise ToolkitError("reference corpus must be non-empty")
-    n_refs = len(refs)
     ref_lens = np.array([len(r) for r in refs])
     out = [0.0] * len(gen)
     for idx, led in _edit_distance_blocks(gen, refs, len(table), cutoff or 0.0):
         for g, row in zip(idx, led):
             kept = row >= 0
             maxes = np.maximum(ref_lens[kept], len(gen[g]))
-            out[g] = float(np.clip(1.0 - row[kept] / maxes, 0.0, 1.0).sum() / n_refs)
+            out[g] = float((1.0 - row[kept] / maxes).sum() / len(refs))
     return out
 
 
@@ -448,12 +440,9 @@ def read_scores(path):
         if i in scores:
             raise FormatError("%s line %d: repeated index %d" % (path, lineno, i))
         scores[i] = score
-    out = [0.0] * (max(scores) + 1 if scores else 0)
-    for i, s in scores.items():
-        out[i] = s
-    if len(scores) != len(out):
+    if scores and max(scores) >= len(scores):  # distinct indices: one is missing below it
         raise FormatError("%s: missing score indices" % path)
-    return out, meta
+    return [scores[i] for i in range(len(scores))], meta
 
 
 def write_selection(path, result, meta=None):

@@ -383,6 +383,17 @@ def test_select_rejects_repeated_score_index(work, capsys):
     assert "Traceback" not in err
 
 
+def test_select_rejects_a_huge_score_index_before_building_the_scores(work, capsys):
+    # a list up to the largest index would ask for petabytes
+    scores_path = work / "scores.tsv"
+    scores_path.write_text("0\t0.1\n1000000000000000\t0.2\n", encoding="utf-8")
+    assert run_cli("select", "--scores", str(scores_path), "--k", "50",
+                   "--output", str(work / "s.txt")) == 1
+    err = capsys.readouterr().err
+    assert "error: %s: missing score indices" % scores_path in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, option", [
     (["combine", "--mode", "tables", "--table", "t.txt", "--weights", "1,x"], "--weights"),
     (["topic-filter", "--collection", "web.tsv", "--topic", "topic.tsv", "--k", "50",
@@ -1134,6 +1145,11 @@ _MODEL_TEXT = ("\\smoothing: witten-bell\n\n\\data\\\nngram 1=3\n\n\\1-grams:\n"
     ("ngram 1=3\n\n\\1-grams:\n-0.5\t</s>\n-0.5\ta\n-0.5\t<unk>\n",
      "ngram 1=3\nngram 2=2\n\n\\1-grams:\n-0.5\t</s>\n-0.5\ta\n-0.5\t<unk>\n"
      "\n\\2-grams:\n-0.1\tx a\n-0.2\ty a\n", "line 13: word 'x' is not a 1-gram"),
+    # a declared order with no n-grams: each order up to it would be built empty
+    ("ngram 1=3\n", "ngram 1=3\nngram 2000=0\n", "line 5: ngram 2000=0 out of order"),
+    ("ngram 1=3\n\n\\1-grams:\n-0.5\t</s>\n-0.5\ta\n-0.5\t<unk>\n",
+     "ngram 1=3\nngram 2=0\n\n\\1-grams:\n-0.5\t</s>\n-0.5\ta\n-0.5\t<unk>\n\n\\2-grams:\n",
+     "line 5: ngram 2=0 declares no n-grams"),
 ])
 def test_perplexity_reports_malformed_model_fields(work, capsys, old, new, message):
     model_path = work / "m.lm"

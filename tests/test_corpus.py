@@ -1,7 +1,10 @@
 """Corpus model, I/O and preprocessing transforms."""
 
+import ast
 import random
 import re
+from itertools import accumulate, chain
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +168,47 @@ def test_loaded_tokens_are_interned(tmp_path):
     assert built == plain.sentences[0] and hash(built) == hash(plain.sentences[0])
     doubled = corpus.Corpus(plain.sentences + (built,) + two_file.source_corpus().sentences)
     assert corpus.dedup(doubled).sentences == plain.sentences
+
+
+_WORD_LISTS = st.lists(st.lists(st.sampled_from("a b c d e".split()), max_size=5), max_size=6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seeded=st.lists(st.sampled_from("a c x".split()), unique=True), first=_WORD_LISTS,
+       second=_WORD_LISTS)
+def test_encode_numbers_words_by_first_use_over_one_table(seeded, first, second):
+    table = {w: i for i, w in enumerate(seeded)}
+    encoded = [corpus.encode(first, table)]
+    ids_of_first = dict(table)
+    encoded.append(corpus.encode(second, table))
+    words = list(table)
+    assert words == list(dict.fromkeys(chain(seeded, *first, *second)))
+    assert table == {w: i for i, w in enumerate(words)}
+    assert ids_of_first == {w: table[w] for w in ids_of_first}  # a second call renumbers nothing
+    for sentences, (ids, ends) in zip((first, second), encoded):
+        assert list(ends) == list(accumulate(map(len, sentences)))
+        assert [[words[i] for i in ids[a:b]] for a, b in zip([0, *ends], ends)] == sentences
+    seen = [{w: i for w, i in zip(chain(*s), ids)} for s, (ids, _) in zip((first, second), encoded)]
+    assert all(seen[0][w] == seen[1][w] for w in seen[0].keys() & seen[1].keys())
+
+
+def test_corpus_encode_is_the_only_word_id_encoder():
+    # a d.setdefault(word, len(d)) call numbers words: only corpus.encode may
+    def encoders(node, module, where):  # module.function of each such call
+        for child in ast.iter_child_nodes(node):
+            func, args = getattr(child, "func", None), getattr(child, "args", None)
+            if (isinstance(func, ast.Attribute) and func.attr == "setdefault" and len(args) == 2
+                    and isinstance(args[1], ast.Call) and getattr(args[1].func, "id", None) == "len"
+                    and [ast.dump(a) for a in args[1].args] == [ast.dump(func.value)]):
+                yield "%s.%s" % (module, where)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from encoders(child, module, child.name if named else where)
+
+    src = Path(corpus.__file__).resolve().parent
+    found = [caller for path in sorted(src.glob("*.py"))
+             for caller in encoders(ast.parse(path.read_text(encoding="utf-8")), path.stem,
+                                    "<module>")]
+    assert found == ["corpus.encode"]
 
 
 def test_dedup_keeps_first_occurrence():

@@ -41,7 +41,7 @@ def _brute_force_counts(lines, order):
 
 
 def test_vocabulary_reserved_symbols():
-    v = lm.Vocabulary(["b", "a", "b"])
+    v = lm.Vocabulary.from_corpus([["b", "a", "b"]])
     assert v.symbol(0) == lm.BOS and v.symbol(1) == lm.EOS and v.symbol(2) == lm.UNK
     assert v.id("b") == 3 and v.id("a") == 4
     assert v.id("never-seen") == v.id(lm.UNK)
@@ -172,6 +172,12 @@ def test_mixture_em_interior_optimum():
     assert lm.perplexity(mix, dev) <= min(ppl) + 1e-6
 
 
+def _event_probs(model, sentences):
+    """The model's probability of every event of the sentences, in order,
+    scored as one encoded slice."""
+    return model.slice_probs(*lm._encoded(sentences))
+
+
 _TRAIN_LINES = st.lists(
     st.lists(st.sampled_from("a b c d".split()), min_size=1, max_size=6).map(" ".join),
     min_size=1, max_size=8,
@@ -196,7 +202,7 @@ def test_event_probs_equal_prob_over_sentence_events(order, smoothing, lines, ot
                          smoothing=smoothing, vocab=model.vocab)
         model = lm.MixtureModel([model, other], [1 / 3, 2 / 3])
     want = [model.prob(w, h) for w, h in lm.sentence_events(words)]
-    assert model.corpus_event_probs([words]) == want
+    assert _event_probs(model, [words]) == want
 
 
 def _formula_model(lines, order, smoothing, vocab):
@@ -364,7 +370,7 @@ def test_batch_scores_equal_backoff_walk(order, smoothing, lines, other_lines, s
                      vocab=vocab)
     want = _oracle_events(_formula_model(lines, order, smoothing, model.vocab), order,
                           model.vocab, sentences)
-    assert model.corpus_event_probs(sentences) == _flat(want)
+    assert _event_probs(model, sentences) == _flat(want)
     assert want == [[model.conditional_ids(model.vocab.id(w), _padded(model, h))
                       for w, h in lm.sentence_events(words)] for words in sentences]
     scored = model
@@ -378,7 +384,7 @@ def test_batch_scores_equal_backoff_walk(order, smoothing, lines, other_lines, s
             model.vocab, sentences)
         want = [[weight * p + (1 - weight) * q for p, q in zip(ps, qs)]
                 for ps, qs in zip(want, other_want)]
-        assert scored.corpus_event_probs(sentences) == _flat(want)
+        assert _event_probs(scored, sentences) == _flat(want)
     # cross-entropies take math.log2 of each event and sum in event order
     assert select.score_cross_entropy(sentences, scored) == [
         -sum(math.log2(p) for p in ps) / len(ps) for ps in want]
@@ -387,7 +393,7 @@ def test_batch_scores_equal_backoff_walk(order, smoothing, lines, other_lines, s
         total += math.log2(p)
     assert lm.cross_entropy(scored, sentences) == -total / sum(map(len, want))
     for p in [rng.uniform(0.5, 1.0) for _ in range(20)]:  # one event: no sum hides a last bit
-        fixed = SimpleNamespace(corpus_event_probs=lambda _: [p])
+        fixed = SimpleNamespace(slice_probs=lambda *_: [p])
         assert select.score_cross_entropy([[]], fixed) == [-math.log2(p)]
         assert lm.cross_entropy(fixed, [[]]) == -math.log2(p)
     with tempfile.TemporaryDirectory() as tmp:
@@ -397,7 +403,7 @@ def test_batch_scores_equal_backoff_walk(order, smoothing, lines, other_lines, s
         lm.write_model(loaded, second)
         text = first.read_text(encoding="utf-8")
         assert second.read_text(encoding="utf-8") == text
-    assert loaded.corpus_event_probs(sentences) == _flat(_oracle_events(
+    assert _event_probs(loaded, sentences) == _flat(_oracle_events(
         _file_tables(text, loaded.vocab), order, loaded.vocab, sentences))
 
 
@@ -446,8 +452,27 @@ def test_sentence_probs_reads_a_stream_one_slice_ahead(monkeypatch):
     sentences = [corpus.words_of(s) for s in test]
     ends = list(accumulate(len(w) + 1 for w in sentences))
     for k, m in enumerate((model, mixture)):
-        flat = m.corpus_event_probs(sentences)
+        flat = _event_probs(m, sentences)
         assert [row[k] for row in rows] == [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, None])
+def test_one_sentence_probs_call_scores_each_model_over_its_own_vocabulary(monkeypatch, chunk):
+    # one encoding of each slice serves models of different vocabularies and orders
+    rng = random.Random(25)
+    mkn = lm.train(_random_corpus(rng, ["a", "b", "c", "d"], n_sents=12), order=3)
+    wb = lm.train(_random_corpus(rng, ["c", "d", "e", "f"], n_sents=12), order=2,
+                  smoothing="witten-bell")
+    mixture = lm.MixtureModel([mkn, wb], [0.4, 0.6])
+    assert mkn.smoothing == "modified-kneser-ney"
+    assert mkn.vocab.event_symbols() != wb.vocab.event_symbols()
+    test = list(_random_corpus(rng, ["a", "b", "c", "d", "e", "f", "zzz"], n_sents=7))
+    models = [mkn, wb, mixture]
+    alone = [[probs for (probs,) in lm.sentence_probs([m], test)] for m in models]
+    assert alone == [[[m.prob(w, h) for w, h in lm.sentence_events(s)] for s in test]
+                     for m in models]
+    monkeypatch.setattr(lm, "_SCORE_CHUNK", chunk or len(test))
+    assert list(map(list, zip(*lm.sentence_probs(models, test)))) == alone
 
 
 def test_mixture_validation():
@@ -535,7 +560,7 @@ def test_read_model_scores_a_hand_written_file_as_the_backoff_walk(tmp_path):
     model = lm.read_model(tmp_path / "m.lm")
     sentences = [s.split() for s in ("a b a", "a a b zz", "b", "zz a b b", "b a b </x>")]
     want = _oracle_events(_file_tables(text, model.vocab), 3, model.vocab, sentences)
-    assert model.corpus_event_probs(sentences) == _flat(want)
+    assert _event_probs(model, sentences) == _flat(want)
     assert lm.UNK_FLOOR in _flat(want) and 10.0 ** -0.15 in _flat(want)
 
 
