@@ -90,9 +90,10 @@ def _manifest_name(output):
 
 
 def _report(output, rows, extra=None):
-    """Write `# key: value` header lines (the manifest's name first, then
-    extra's items) and the rows to output, or to stdout."""
-    write_headed(output, {"manifest": _manifest_name(output or "stdout"), **(extra or {})}, rows)
+    """Write `# key: value` header lines (a file's manifest name first, then
+    extra's items) and the rows to output, or to stdout, which has no manifest."""
+    header = {"manifest": _manifest_name(output)} if output else {}
+    write_headed(output, {**header, **(extra or {})}, rows)
 
 
 def _log(msg):

@@ -9,7 +9,7 @@ import re
 import sys
 from array import array
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from pathlib import Path
 from typing import Optional
 
@@ -143,15 +143,17 @@ def words_of(item):
     return list(item)
 
 
-def encode(sentences, table):
+def encode(sentences, table, unk=None):
     """The sentences' words (see words_of) as one flat C-int id array over
-    `table`, a word -> id dict that gives each new word, by first use, the next
-    id (so its keys stay in id order); and each sentence's end in the array."""
+    `table`, a word -> id dict, and each sentence's end in the array.  Without
+    `unk`, each new word gets the next id by first use (so the keys stay in id
+    order); with it, a word the table lacks gets `unk`, and the table is kept."""
     words = list(map(words_of, sentences))
     tokens = list(chain.from_iterable(words))
-    for w in dict.fromkeys(tokens):  # a Python step per distinct word only
-        table.setdefault(w, len(table))
-    ids = array("i", list(map(table.__getitem__, tokens)))  # filled from a list: faster
+    if unk is None:  # a Python step per distinct word only
+        for w in dict.fromkeys(tokens):
+            table.setdefault(w, len(table))
+    ids = array("i", list(map(table.get, tokens, repeat(unk))))  # filled from a list: faster
     return ids, array("q", accumulate(map(len, words)))
 
 

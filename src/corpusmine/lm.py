@@ -13,7 +13,8 @@ import math
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice, repeat
+from functools import cache, partial
+from itertools import accumulate, chain, compress, islice, repeat
 
 from .corpus import encode, words_of
 from .errors import (FormatError, ToolkitError, finite, log10_prob, parse_field, read_lines,
@@ -34,67 +35,59 @@ _SMOOTHING_ALIASES = {"wb": "witten-bell", "mkn": "modified-kneser-ney", "kn": "
 
 
 class Vocabulary:
-    """Word types plus the reserved symbols, with stable integer ids."""
+    """Word types plus the reserved symbols: one word -> id dict in id order."""
 
     def __init__(self):
-        self._symbols = list(_RESERVED)
-        self._ids = {s: i for i, s in enumerate(self._symbols)}
-
-    def add(self, word):
-        if word not in self._ids:
-            self._ids[word] = len(self._symbols)
-            self._symbols.append(word)
+        self._ids = {s: i for i, s in enumerate(_RESERVED)}
 
     def id(self, word):
         return self._ids.get(word, _UNK_ID)
 
     def symbol(self, i):
-        return self._symbols[i]
+        return list(self._ids)[i]
 
     def __contains__(self, word):
         return word in self._ids
 
     def __len__(self):
-        return len(self._symbols)
+        return len(self._ids)
 
     def event_ids(self):
         """All predictable symbols: every type plus EOS and UNK, never BOS."""
-        return range(1, len(self._symbols))
+        return range(1, len(self._ids))
 
     def event_symbols(self):
-        return self._symbols[1:]
+        return list(self._ids)[1:]
 
     @classmethod
     def from_corpus(cls, corpus):
-        return _encoded(corpus, len(_RESERVED))[0]
+        return _encoded(corpus)[0]
 
 
-def _encoded(sentences, below=_UNK_ID):
-    """A new vocabulary of the sentences' words by first use, and the sentences
-    encoded over its table (see corpus.encode).  No word may have an id below
-    `below`: by default neither BOS nor EOS, and at len(_RESERVED) not UNK."""
+def _encoded(sentences, vocab=None):
+    """The sentences encoded over the table of `vocab`, each word it lacks as
+    UNK, or else over a new vocabulary of their words by first use (see
+    corpus.encode); and that vocabulary.  No sentence may hold BOS or EOS, nor
+    UNK where the vocabulary is new."""
     import numpy as np
 
-    vocab = Vocabulary()
-    ids, ends = encode(sentences, vocab._ids)
-    reserved = np.flatnonzero(np.frombuffer(ids, np.intc) < below)
+    unk, vocab = (None, Vocabulary()) if vocab is None else (_UNK_ID, vocab)
+    ids, ends = encode(sentences, vocab._ids, unk)
+    reserved = np.flatnonzero(np.frombuffer(ids, np.intc) < (len(_RESERVED) if unk is None else unk))
     if len(reserved):  # name the first one used
         raise FormatError("corpus contains reserved symbol %r" % _RESERVED[ids[reserved[0]]])
-    vocab._symbols = list(vocab._ids)
     return vocab, ids, ends
 
 
-def _events(vocab, words, ids, ends, pad):
-    """Sentences encoded over the vocabulary `words` as ids of `vocab` (UNK for
-    a word it lacks; only the distinct words are looked up), each sentence
-    after `pad` BOS ids and before EOS, and the positions of the events."""
+def _events(ids, ends, pad):
+    """Encoded sentences, each after `pad` BOS ids and before EOS, and the
+    positions of the events."""
     import numpy as np
 
-    own = np.fromiter(map(vocab._ids.get, words._ids, repeat(_UNK_ID)), np.int32, len(words))
     ends = np.frombuffer(ends, np.int64)
     shift = np.arange(1, len(ends) + 1) * (pad + 1) - 1  # BOS and EOS ids before sentence k
     seq = np.full(len(ids) + len(ends) * (pad + 1), _BOS_ID, dtype=np.int32)
-    seq[np.arange(len(ids)) + np.repeat(shift, np.diff(ends, prepend=0))] = own[ids]
+    seq[np.arange(len(ids)) + np.repeat(shift, np.diff(ends, prepend=0))] = ids
     seq[ends + shift] = _EOS_ID
     return seq, np.flatnonzero(seq != _BOS_ID)  # no event is BOS
 
@@ -151,11 +144,11 @@ class NGramModel:
         for below, t in zip(tables, tables[1:]):
             below.is_context[t.keys[:-1][~np.isnan(t.prob[:-1])] // len(vocab)] = True
 
-    def slice_probs(self, words, ids, ends):
-        """prob(w, h) of every event of sentences encoded over the vocabulary
-        `words`, in order: each sentence's words, then its EOS."""
+    def slice_probs(self, encoded):
+        """prob(w, h) of every event of a slice of sentences, in order: each
+        sentence's words, then its EOS.  encoded(vocab) is _encoded(slice, vocab)."""
         m = self.order - 1
-        return self._score(*_events(self.vocab, words, ids, ends, m), m).tolist()
+        return self._score(*_events(*encoded(self.vocab)[1:], m), m).tolist()
 
     def prob(self, word, history=()):
         """Conditional probability of one event given its history (strings):
@@ -217,7 +210,7 @@ class NGramModel:
 
     def context_history(self, ctx):
         """Render a stored context's ids back to symbol strings."""
-        return [self.vocab.symbol(i) for i in ctx]
+        return list(map(list(self.vocab._ids).__getitem__, ctx))
 
 
 # Sentences encoded at a time when a whole corpus is scored: bounds the ids,
@@ -229,13 +222,13 @@ def sentence_probs(models, sentences):
     """For each sentence (a Sentence, word sequence or text), in order, a tuple
     of each model's event probabilities: the sentence's words, then EOS.  The
     sentences are read _SCORE_CHUNK at a time, and each slice is encoded once
-    for every model (see slice_probs)."""
-    sentences = iter(sentences)
+    per vocabulary its models use (see slice_probs)."""
+    sentences = map(words_of, sentences)
     while part := list(islice(sentences, _SCORE_CHUNK)):
-        words, ids, ends = _encoded(part)
-        stops = [end + k for k, end in enumerate(ends, 1)]  # after each sentence's EOS
+        stops = list(accumulate(len(words) + 1 for words in part))  # after each EOS
         cuts = list(map(slice, [0] + stops[:-1], stops))
-        columns = [model.slice_probs(words, ids, ends) for model in models]
+        encoded = cache(partial(_encoded, part))  # once per vocabulary
+        columns = [model.slice_probs(encoded) for model in models]
         yield from zip(*(map(probs.__getitem__, cuts) for probs in columns))
 
 
@@ -262,6 +255,8 @@ def check_options(order=4, smoothing="modified-kneser-ney"):
         raise ToolkitError("unknown smoothing mode %r" % smoothing)
     if order < 1:
         raise ToolkitError("order must be >= 1")
+    if order > 10:  # a model grows with the square of its order (BOS padding)
+        raise ToolkitError("order must be <= 10")
     return smoothing
 
 
@@ -284,12 +279,11 @@ def train(corpus, order=4, smoothing="modified-kneser-ney", vocab=None):
     import numpy as np
 
     smoothing = check_options(order, smoothing)
-    words, ids, ends = _encoded(corpus, len(_RESERVED) if vocab is None else _UNK_ID)
+    vocab, ids, ends = _encoded(corpus, vocab)
     if not ends:
         raise ToolkitError("cannot train a model on an empty corpus")
-    vocab = words if vocab is None else vocab  # no shared vocabulary: the encoding's
-    seq, pos = _events(vocab, words, ids, ends, order - 1)
-    del words, ids, ends  # freed before the tables, which set train's peak
+    seq, pos = _events(ids, ends, order - 1)
+    del ids, ends  # freed before the tables, which set train's peak
     size = len(vocab)
     # at[n - 1]: the slot of the n-gram at each event; ahead: the distinct
     # n-grams' slots, first events and counts, one order ahead of the loop
@@ -390,9 +384,9 @@ class MixtureModel:
             w * c.prob(word, history) for w, c in zip(self.weights, self.components)
         )
 
-    def slice_probs(self, words, ids, ends):
-        """The mixture's prob(w, h) of every event of encoded sentences."""
-        columns = zip(*(c.slice_probs(words, ids, ends) for c in self.components))
+    def slice_probs(self, encoded):
+        """The mixture's prob(w, h) of every event of a slice of sentences."""
+        columns = zip(*(c.slice_probs(encoded) for c in self.components))
         return [sum(w * p for w, p in zip(self.weights, probs)) for probs in columns]
 
 
@@ -473,9 +467,9 @@ def _sections(model, keeps):
     import numpy as np
 
     size = len(model.vocab)
-    symbols = np.array(model.vocab._symbols, dtype=object)
+    symbols = np.array(list(model.vocab._ids), dtype=object)
     place = np.empty(size, dtype=np.int64)  # each tuple's rank in symbol-string order
-    place[sorted(range(size), key=model.vocab._symbols.__getitem__)] = np.arange(size)
+    place[np.argsort(symbols)] = np.arange(size)
     by_symbol, ids = place, []
     for n, (t, keep) in enumerate(zip(model._tables[1:], keeps), 1):
         hist, last = np.divmod(t.keys[:-1], size)
@@ -525,7 +519,7 @@ def read_model(path):
     order = len(sizes)
     if order < 1:
         raise FormatError("%s: no n-gram sections declared" % path)
-    lines, n, vocab = chain(first, lines), 0, Vocabulary()
+    lines, n, vocab, unigrams = chain(first, lines), 0, Vocabulary(), []
     blocks = [np.zeros((0, n), dtype=np.int64) for n in range(1, order + 1)]
     columns, where, weight = [(np.zeros(0),) * 3] * order, {}, {}  # where[n]: each row's line
     symbol_id = vocab._ids.__getitem__
@@ -548,16 +542,19 @@ def read_model(path):
             if len(fields) > 2 and fields[2] not in weight:  # weights repeat: convert once
                 weight[fields[2]] = parse_field(finite, fields[2], "backoff", path, lineno)
             weights.append(weight[fields[2]] if len(fields) > 2 else math.nan)
-            if n == 1:  # 1-grams come first: later symbols resolve
-                if not fields[1]:
-                    raise FormatError("%s line %d: empty word type" % (path, lineno))
-                vocab.add(fields[1])
-            try:
-                ids.extend(map(symbol_id, fields[1].split(" ")))
-            except KeyError as e:
-                raise FormatError("%s line %d: word %r is not a 1-gram"
-                                  % (path, lineno, e.args[0])) from None
+            if n > 1:
+                try:
+                    ids.extend(map(symbol_id, fields[1].split(" ")))
+                except KeyError as e:
+                    raise FormatError("%s line %d: word %r is not a 1-gram"
+                                      % (path, lineno, e.args[0])) from None
+            elif not fields[1]:
+                raise FormatError("%s line %d: empty word type" % (path, lineno))
+            else:
+                unigrams.append(fields[1])
             at.append(lineno)
+        if n == 1:  # the 1-grams come first: later symbols resolve
+            ids = encode([unigrams], vocab._ids)[0]
         if n:
             where[n] = at
             blocks[n - 1] = np.frombuffer(ids, dtype=np.intc).reshape(-1, n)

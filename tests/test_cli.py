@@ -275,6 +275,18 @@ def test_train_perplexity_pipeline(work, capsys):
     capsys.readouterr()
 
 
+def test_report_on_stdout_names_no_manifest(work, capsys):
+    # a manifest goes beside an output file only: stdout has none
+    model_path = work / "in.lm"
+    assert run_cli("train-lm", "--input", str(work / "indomain.txt"),
+                   "--output", str(model_path), "--order", "2") == 0
+    capsys.readouterr()
+    assert run_cli("perplexity", "--lm", str(model_path),
+                   "--input", str(work / "indomain.txt")) == 0
+    out = capsys.readouterr().out
+    assert "perplexity\t" in out and "# manifest:" not in out
+    assert not list(work.glob("stdout*"))
+
 def test_score_select_round_trip(work, capsys):
     scores_path = work / "scores.tsv"
     assert run_cli("score", "--criterion", "cosine",
@@ -1021,8 +1033,9 @@ _TRAINING_STEPS = {
 @pytest.mark.parametrize("step", sorted(_TRAINING_STEPS))
 @pytest.mark.parametrize("option, value, message", [
     ("--order", "0", "error: order must be >= 1"),
+    ("--order", "11", "error: order must be <= 10"),
     ("--smoothing", "bogus", "error: unknown smoothing mode 'bogus'"),
-], ids=["order", "smoothing"])
+], ids=["order", "order-max", "smoothing"])
 def test_lm_options_are_checked_before_the_inputs_are_read(work, capsys, monkeypatch, step,
                                                            option, value, message):
     monkeypatch.chdir(work)
@@ -1161,6 +1174,56 @@ def test_perplexity_reports_malformed_model_fields(work, capsys, old, new, messa
     capsys.readouterr()
     assert run_cli(*argv) == 1
     assert "error: %s %s" % (model_path, message) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("files, argv, code, message", [
+    ({"m.lm": "\\data\\\n\n\\1-grams:\n-0.5\ta\n"},
+     ["perplexity", "--lm", "m.lm", "--input", "indomain.txt"],
+     1, "error: m.lm: no n-gram sections declared"),
+    ({"m.lm": _MODEL_TEXT, "empty.txt": ""}, ["perplexity", "--lm", "m.lm", "--input", "empty.txt"],
+     1, "error: cannot compute cross-entropy of an empty corpus"),
+    ({"empty.txt": "", "q.tsv": "q1\tthe market\n"},
+     ["retrieve", "--collection", "empty.txt", "--queries", "q.tsv", "--lambda", "0.5",
+      "--n-best", "1"], 1, "error: cannot index an empty collection"),
+    ({"web.tsv": "d1\tthe market\n", "gold.tsv": "d1\td1\textra\n"},
+     ["retrieve", "--collection", "web.tsv", "--queries", "web.tsv", "--lambda", "0.5",
+      "--n-best", "1", "--gold", "gold.tsv"],
+     1, "error: gold.tsv line 1: expected source_id<TAB>target_id"),
+    ({"web.tsv": "d1\tthe market\n", "topic.tsv": "market\t3\tFIN\n"},
+     ["topic-filter", "--collection", "web.tsv", "--topic", "topic.tsv", "--k", "50",
+      "--location-weights=-1,1,1,1"], 1, "error: location weights must be >= 0"),
+    ({"web.tsv": "d1\tthe market\n", "topic.tsv": "market\t3\tFIN\n", "m.lm": _MODEL_TEXT},
+     ["ppl-filter", "--collection", "web.tsv", "--topic", "topic.tsv", "--k", "50", "--n", "0",
+      "--lm", "m.lm"], 1, "error: N must be in (0, 100]"),
+    ({"web.tsv": "d1\tthe market\n", "topic.tsv": " \t3\tFIN\n"},
+     ["topic-filter", "--collection", "web.tsv", "--topic", "topic.tsv", "--k", "50"],
+     1, "error: topic.tsv line 1: empty term"),
+    ({}, ["preprocess", "--dedup"],
+     2, "error: --input and --output are required (or use two-file flags)"),
+    ({}, ["diagnose"], 2, "error: nothing to diagnose"),
+    ({}, ["diagnose", "--corpus", "general.txt", "--config"],
+     2, "error: --config needs a file argument"),
+    ({"sel.txt": "0\n"}, ["combine", "--mode", "corpus", "--selection", "sel.txt", "--corpus",
+                          "general.txt", "--weights=-1", "--output", "w.txt"],
+     1, "error: selection weights must be non-negative"),
+    ({"t.txt": "a ||| b ||| 0.1 0.2\nc ||| d ||| 0.3\n"},
+     ["combine", "--mode", "tables", "--table", "t.txt", "--output", "w.txt"],
+     1, "error: t.txt line 2: arity mismatch"),
+    ({"t.txt": "\n"}, ["combine", "--mode", "tables", "--table", "t.txt", "--output", "w.txt"],
+     1, "error: t.txt: empty table"),
+], ids=["model-without-ngram-lines", "perplexity-of-empty-input", "empty-collection",
+        "gold-line-of-3-fields", "negative-location-weight", "ppl-filter-n-0", "blank-topic-term",
+        "dedup-without-files", "bare-diagnose", "trailing-config", "negative-corpus-weight",
+        "table-of-mixed-arity", "empty-table"])
+def test_input_faults_end_in_an_error_exit(work, capsys, monkeypatch, files, argv, code,
+                                           message):
+    monkeypatch.chdir(work)
+    for name, text in files.items():
+        Path(name).write_text(text, encoding="utf-8")
+    assert run_cli(*argv) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not Path("w.txt").exists()
 
 
 @pytest.mark.parametrize("argv", [

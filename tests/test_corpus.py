@@ -192,14 +192,31 @@ def test_encode_numbers_words_by_first_use_over_one_table(seeded, first, second)
     assert all(seen[0][w] == seen[1][w] for w in seen[0].keys() & seen[1].keys())
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seeded=st.lists(st.sampled_from("a c x".split()), unique=True), sentences=_WORD_LISTS)
+def test_encode_over_a_fixed_table_gives_unk_to_the_words_it_lacks(seeded, sentences):
+    table = {w: i for i, w in enumerate(seeded)}
+    ids, ends = corpus.encode(sentences, table, unk=-1)
+    assert table == {w: i for i, w in enumerate(seeded)}  # the table does not grow
+    assert list(ends) == list(accumulate(map(len, sentences)))
+    assert list(ids) == [table.get(w, -1) for w in chain(*sentences)]
+
+
 def test_corpus_encode_is_the_only_word_id_encoder():
-    # a d.setdefault(word, len(d)) call numbers words: only corpus.encode may
+    # a d.setdefault(word, len(d)) call numbers words, as does a d[word] = len(...)
+    # assignment (len of d or of a list kept in step with it): only corpus.encode may
+    def is_len(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "len"
+
     def encoders(node, module, where):  # module.function of each such call
         for child in ast.iter_child_nodes(node):
             func, args = getattr(child, "func", None), getattr(child, "args", None)
             if (isinstance(func, ast.Attribute) and func.attr == "setdefault" and len(args) == 2
-                    and isinstance(args[1], ast.Call) and getattr(args[1].func, "id", None) == "len"
+                    and is_len(args[1])
                     and [ast.dump(a) for a in args[1].args] == [ast.dump(func.value)]):
+                yield "%s.%s" % (module, where)
+            if (isinstance(child, ast.Assign) and is_len(child.value)
+                    and any(isinstance(t, ast.Subscript) for t in child.targets)):
                 yield "%s.%s" % (module, where)
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             yield from encoders(child, module, child.name if named else where)

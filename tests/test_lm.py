@@ -175,7 +175,7 @@ def test_mixture_em_interior_optimum():
 def _event_probs(model, sentences):
     """The model's probability of every event of the sentences, in order,
     scored as one encoded slice."""
-    return model.slice_probs(*lm._encoded(sentences))
+    return model.slice_probs(lambda vocab: lm._encoded(sentences, vocab))
 
 
 _TRAIN_LINES = st.lists(
