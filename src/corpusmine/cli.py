@@ -151,7 +151,7 @@ def _cmd_preprocess(args):
         corpus.save_corpus(data.source_corpus(), args.output_source)
         corpus.save_corpus(data.target_corpus(), args.output_target)
     elif args.hyphen_alt:
-        lexicon = corpus.Lexicon.load(args.hyphen_alt)
+        lexicon = corpus.load_lexicon(args.hyphen_alt)
         write_headed(args.output, {}, (corpus.hyphen_alt_markup(s, lexicon) for s in data))
     else:
         corpus.save_corpus(data, args.output, format=args.format)

@@ -35,6 +35,8 @@ def combine_corpus_weighted(selections, corpus, weights):
         )
     if any(w < 0 for w in weights):
         raise ToolkitError("selection weights must be non-negative")
+    if not sum(weights) < float("inf"):  # an entry's total could overflow
+        raise ToolkitError("selection weights must have a finite sum")
     items = list(corpus)
     picked = {}
     for sel, w in zip(selections, weights):
@@ -102,6 +104,8 @@ def interpolate_tables(tables, weights):
     if any(w < 0 for w in weights):
         raise ToolkitError("table weights must be non-negative")
     total = float(sum(weights))
+    if not total < float("inf"):  # each weight / inf would be 0
+        raise ToolkitError("table weights must have a finite sum")
     if total <= 0:
         raise ToolkitError("weights must have positive sum")
     weights = [w / total for w in weights]

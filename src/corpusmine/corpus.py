@@ -8,7 +8,7 @@ token (``surface|lemma|pos|ne``); trailing factors may be omitted.
 import re
 import sys
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import accumulate, chain, repeat
 from pathlib import Path
 from typing import Optional
@@ -157,34 +157,26 @@ def encode(sentences, table, unk=None):
     return ids, array("q", accumulate(map(len, words)))
 
 
-@dataclass(frozen=True)
-class Lexicon:
-    """Source word -> single target phrase; the first listed translation wins."""
-
-    entries: dict = field(default_factory=dict)
-
-    def lookup(self, word):
-        return self.entries.get(word)
-
-    @classmethod
-    def load(cls, path):
-        entries = {}
-        for lineno, line in read_lines(path):
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise FormatError("%s line %d: lexicon line needs source<TAB>target: %r"
-                                  % (path, lineno, line))
-            src, tgt = fields[0], fields[1]
-            if not src.strip() or not tgt.strip():
-                raise FormatError("%s line %d: lexicon source and target must be non-empty: %r"
-                                  % (path, lineno, line))
-            if " " in src:
-                raise FormatError("%s line %d: lexicon keys must be single tokens: %r"
-                                  % (path, lineno, src))
-            entries.setdefault(src, tgt)
-        return cls(entries)
+def load_lexicon(path):
+    """The lexicon file's source word -> target phrase dict; the first listed
+    translation wins."""
+    entries = {}
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise FormatError("%s line %d: lexicon line needs source<TAB>target: %r"
+                              % (path, lineno, line))
+        src, tgt = fields[0], fields[1]
+        if not src.strip() or not tgt.strip():
+            raise FormatError("%s line %d: lexicon source and target must be non-empty: %r"
+                              % (path, lineno, line))
+        if " " in src:
+            raise FormatError("%s line %d: lexicon keys must be single tokens: %r"
+                              % (path, lineno, src))
+        entries.setdefault(src, tgt)
+    return entries
 
 
 def read_documents(path):
@@ -309,7 +301,7 @@ def hyphen_alt_markup(sentence, lexicon):
     for w in sentence.surface:
         parts = _HYPHEN_SPLIT.split(w)
         if len(parts) > 1:
-            translations = [lexicon.lookup(p) for p in parts]
+            translations = [lexicon.get(p) for p in parts]
             if all(tr is not None for tr in translations):
                 out.append('<alt trans="%s">%s</alt>' % (" ".join(translations), w))
                 continue

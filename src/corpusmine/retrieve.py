@@ -44,7 +44,6 @@ class DocumentIndex:
             raise FormatError("duplicate document ids in collection")
         self.n_docs = len(docs)
         self.sorted_lengths = [len(d) for d in docs]
-        self.lengths = dict(zip(self.by_length, self.sorted_lengths))
         self.norms = [1.0 / math.sqrt(n) for n in self.sorted_lengths]
         self.postings = {}
         for rank, d in enumerate(docs):
@@ -53,13 +52,6 @@ class DocumentIndex:
                 ranks.append(rank)
                 counts.append(f)
         self.df = Counter({term: len(ranks) for term, (ranks, _) in self.postings.items()})
-
-
-@dataclass
-class Query:
-    """Weighted query terms, sorted by weight descending."""
-
-    terms: list
 
 
 @dataclass
@@ -85,11 +77,10 @@ def estimate_delta(parallel_corpus):
 
 
 def generate_query(doc, lambda_percent, index, stopwords=frozenset()):
-    """Pick the top ceil(lambda_percent * len(doc)) terms by tf-idf weight.
-
-    Weight is f(w,d) * log(|D| / f(w,D)); for terms absent from the index the
-    idf factor is fixed at 1 so the weight reduces to the raw count.
-    Stopwords are removed before ranking; numbers are kept."""
+    """The top ceil(lambda_percent * len(doc)) (term, weight) pairs by tf-idf
+    weight f(w,d) * log(|D| / f(w,D)), heaviest first.  A term absent from the
+    index has idf factor 1, so its weight is its count.  Stopwords are removed
+    before ranking; numbers are kept."""
     if not 0 < lambda_percent <= 1:
         raise ToolkitError("lambda_percent must be in (0, 1]")
     counts = Counter(t for t in doc.tokens if t not in stopwords)
@@ -100,18 +91,19 @@ def generate_query(doc, lambda_percent, index, stopwords=frozenset()):
         weighted.append((term, weight))
     weighted.sort(key=lambda tw: (-tw[1], tw[0]))
     size = max(1, math.ceil(lambda_percent * len(doc)))
-    return Query(weighted[:size])
+    return weighted[:size]
 
 
 def _accumulate_scores(query, window, index):
-    """({rank: score} for the ranks in window, a range, that hold a query
-    term, postings visited), from each posting list's slice inside the
-    window.  Each sum adds sqrt(f) * idf * norm in query-term order from
-    0.0 and is then scaled by coord, so scores are bit-identical however
-    many documents are scored at once."""
+    """({rank: score} for the ranks in window, a range, that hold a term of
+    query, a (term, weight) list; postings visited).  A score is coord *
+    sum of tf * idf * norm over the matched terms: tf = sqrt(count), idf =
+    1 + ln(|D| / (df + 1)), norm = 1 / sqrt(|d|), coord = matched / |query|.
+    Each sum adds in query order from 0.0, so scores are bit-identical
+    however many documents are scored at once."""
     totals = {}
     matched = {}
-    for term, _ in query.terms:
+    for term, _ in query:
         ranks, counts = index.postings.get(term, ((), ()))
         idf = 1.0 + math.log(index.n_docs / (len(ranks) + 1.0))
         lo = bisect_left(ranks, window.start)
@@ -119,19 +111,8 @@ def _accumulate_scores(query, window, index):
         for r, f in zip(ranks[lo:hi], counts[lo:hi]):
             totals[r] = totals.get(r, 0.0) + math.sqrt(f) * idf * index.norms[r]
             matched[r] = matched.get(r, 0) + 1
-    n_terms = len(query.terms)
-    scores = {r: (matched[r] / n_terms) * total for r, total in totals.items()}
+    scores = {r: (matched[r] / len(query)) * total for r, total in totals.items()}
     return scores, sum(matched.values())
-
-
-def score_document(query, doc_id, index):
-    """coord(q,d) * sum over matched query terms of tf * idf * bst * norm.
-
-    Concretization: tf = sqrt(raw count), idf = 1 + ln(|D| / (df + 1)),
-    bst = 1, norm = 1 / sqrt(|d|)."""
-    first = bisect_left(index.sorted_lengths, index.lengths[doc_id])
-    rank = index.by_length.index(doc_id, first)
-    return _accumulate_scores(query, range(rank, rank + 1), index)[0].get(rank, 0.0)
 
 
 def length_filter_candidates(source_len, index, params):
@@ -163,7 +144,7 @@ def retrieve(source_doc, index, lambda_percent, n_best, params=None,
     scores, visited = _accumulate_scores(query, candidates, index)
     if stats is not None:
         stats["postings"] += visited
-        stats["postings_base"] += len(query.terms) * len(candidates)
+        stats["postings_base"] += len(query) * len(candidates)
     top = heapq.nsmallest(n_best, ((-s, index.by_length[r]) for r, s in scores.items()))
     hits = [(d, -neg) for neg, d in top]
     if len(hits) < n_best:

@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import read_documents, words_of
+from .corpus import read_documents
 from .errors import FormatError, ToolkitError, finite, parse_field, read_lines
 from .select import topk_count
 
@@ -123,17 +123,16 @@ def ppl1(model, sentence, probs=None):
     """Perplexity whose word count excludes the end-of-sentence event.
 
     10 ** (-log10 P / W) with P over word events plus EOS and W the number
-    of words only.  probs: the sentence's event probabilities under the
-    model, when a batch has already scored them."""
+    of words only, len(probs) - 1.  probs: the sentence's event probabilities
+    under the model, when a batch has already scored them."""
     from . import lm
 
-    words = words_of(sentence)
-    if not words:
-        raise ToolkitError("ppl1 of an empty sentence is undefined")
     if probs is None:
-        (probs,) = next(lm.sentence_probs([model], [words]))
+        (probs,) = next(lm.sentence_probs([model], [sentence]))
+    if len(probs) < 2:
+        raise ToolkitError("ppl1 of an empty sentence is undefined")
     log10p = sum(math.log10(p) for p in probs)
-    return 10.0 ** (-log10p / len(words))
+    return 10.0 ** (-log10p / (len(probs) - 1))
 
 
 def combined_filter(docs, topic, k, n, in_lm, loc_weights=None):

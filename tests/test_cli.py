@@ -148,6 +148,19 @@ def test_cli_import_loads_no_step_module():
     assert done.returncode == 0 and done.stdout.strip() == ""
 
 
+def test_bench_modules_import_without_numpy():
+    # bench/run.py imports these and starts each step through vfork, so a step's
+    # peak RSS is at least the runner's: numpy at import time adds about 12 MiB
+    src = Path(cli.__file__).resolve().parents[1]
+    modules = ", ".join("corpusmine.%s" % m for m in
+                        ("corpus", "lm", "select", "combine", "retrieve", "webfilter", "metrics"))
+    probe = "import sys, %s; print('numpy' in sys.modules)" % modules
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0 and done.stdout == "False\n", done.stderr
+
+
 def test_row_outputs_reach_write_text_through_write_headed():
     # every row output goes through errors.write_headed; the model writer's
     # sections are chunks of lines, not rows
@@ -1211,10 +1224,18 @@ def test_perplexity_reports_malformed_model_fields(work, capsys, old, new, messa
      1, "error: t.txt line 2: arity mismatch"),
     ({"t.txt": "\n"}, ["combine", "--mode", "tables", "--table", "t.txt", "--output", "w.txt"],
      1, "error: t.txt: empty table"),
+    ({"sel.txt": "0\n"}, ["combine", "--mode", "corpus", "--selection", "sel.txt", "--selection",
+                          "sel.txt", "--corpus", "general.txt", "--weights", "1e308,1e308",
+                          "--replicate", "--output", "w.txt"],
+     1, "error: selection weights must have a finite sum"),
+    ({"t.txt": "a ||| b ||| 0.1\n"},
+     ["combine", "--mode", "tables", "--table", "t.txt", "--table", "t.txt", "--weights",
+      "1e308,1e308", "--output", "w.txt"], 1, "error: table weights must have a finite sum"),
 ], ids=["model-without-ngram-lines", "perplexity-of-empty-input", "empty-collection",
         "gold-line-of-3-fields", "negative-location-weight", "ppl-filter-n-0", "blank-topic-term",
         "dedup-without-files", "bare-diagnose", "trailing-config", "negative-corpus-weight",
-        "table-of-mixed-arity", "empty-table"])
+        "table-of-mixed-arity", "empty-table", "overflowing-corpus-weights",
+        "overflowing-table-weights"])
 def test_input_faults_end_in_an_error_exit(work, capsys, monkeypatch, files, argv, code,
                                            message):
     monkeypatch.chdir(work)

@@ -281,7 +281,7 @@ def test_normalize_apostrophes():
 
 
 def test_hyphen_alt_markup():
-    lex = corpus.Lexicon({"slow": "lento", "growing": "creciente", "self": "auto"})
+    lex = {"slow": "lento", "growing": "creciente", "self": "auto"}
     s = corpus.Sentence.from_plain("a slow-growing economy")
     assert (
         corpus.hyphen_alt_markup(s, lex)
@@ -298,7 +298,7 @@ def test_hyphen_alt_markup():
 def test_lexicon_first_translation_wins(tmp_path):
     p = tmp_path / "lex.tsv"
     p.write_text("slow\tlento\nslow\tdespacio\n", encoding="utf-8")
-    assert corpus.Lexicon.load(p).lookup("slow") == "lento"
+    assert corpus.load_lexicon(p)["slow"] == "lento"
 
 
 FACTORED_LINES = [

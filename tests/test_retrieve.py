@@ -29,7 +29,7 @@ def test_index_statistics():
     idx = retrieve.DocumentIndex(_docs(["a b a", "b c", "c c c"]))
     assert idx.n_docs == 3
     assert idx.df["a"] == 1 and idx.df["b"] == 2 and idx.df["c"] == 2
-    assert idx.lengths["d0"] == 3
+    assert idx.sorted_lengths[idx.by_length.index("d0")] == 3
 
 
 def test_estimate_delta():
@@ -52,34 +52,35 @@ def test_query_generation():
     idx = retrieve.DocumentIndex(_docs(["a b c", "a a x", "y z w q"]))
     src = retrieve.Document("q", ("a", "b", "b", "c", "the"))
     q = retrieve.generate_query(src, 0.5, idx, stopwords=frozenset(["the"]))
-    assert len(q.terms) == 3  # ceil(0.5 * 5)
-    terms = dict(q.terms)
+    assert len(q) == 3  # ceil(0.5 * 5)
+    terms = dict(q)
     # tf * log(|D|/df): b appears twice in the source, a is too common
     assert terms["b"] == pytest.approx(2 * math.log(3 / 1))
     assert terms["a"] == pytest.approx(1 * math.log(3 / 2))
     assert "the" not in terms
-    weights = [w for _, w in q.terms]
+    weights = [w for _, w in q]
     assert weights == sorted(weights, reverse=True)
     # a term absent from the collection takes idf factor 1
     src2 = retrieve.Document("q2", ("novel",))
     q2 = retrieve.generate_query(src2, 1.0, idx)
-    assert dict(q2.terms)["novel"] == pytest.approx(1.0)
-    assert len(retrieve.generate_query(retrieve.Document("q3", ("a",)), 0.01, idx).terms) == 1
+    assert dict(q2)["novel"] == pytest.approx(1.0)
+    assert len(retrieve.generate_query(retrieve.Document("q3", ("a",)), 0.01, idx)) == 1
 
 
 def test_score_document_oracle():
     texts = ["a b c", "a a x", "y z w q"]
     idx = retrieve.DocumentIndex(_docs(texts))
-    q = retrieve.Query([("a", 2.0), ("b", 1.0)])
+    q = [("a", 2.0), ("b", 1.0)]
+    scores, _ = retrieve._accumulate_scores(q, range(idx.n_docs), idx)
     for doc_id, text in zip(("d0", "d1", "d2"), texts):
         tf = Counter(text.split())
-        present = sum(1 for t, _ in q.terms if tf[t] > 0)
+        present = sum(1 for t, _ in q if tf[t] > 0)
         want = 0.0
-        for term, _ in q.terms:
+        for term, _ in q:
             if tf[term]:
                 want += math.sqrt(tf[term]) * (1.0 + math.log(idx.n_docs / (idx.df[term] + 1)))
-        want *= (present / len(q.terms)) / math.sqrt(len(text.split()))
-        assert retrieve.score_document(q, doc_id, idx) == pytest.approx(want)
+        want *= (present / len(q)) / math.sqrt(len(text.split()))
+        assert scores.get(idx.by_length.index(doc_id), 0.0) == pytest.approx(want)
 
 
 def test_length_filter_candidates():
@@ -174,18 +175,18 @@ def test_random_retrieval_self_consistency():
 
 def _reference_score(query, tokens, index):
     """The per-document formula, written out in the order retrieve must keep."""
-    if not query.terms:
+    if not query:
         return 0.0
     tf = Counter(tokens)
     norm = 1.0 / math.sqrt(len(tokens))
     matched = 0
     total = 0.0
-    for term, _ in query.terms:
+    for term, _ in query:
         if tf[term] > 0:
             matched += 1
             idf = 1.0 + math.log(index.n_docs / (index.df[term] + 1.0))
             total += math.sqrt(tf[term]) * idf * norm
-    return (matched / len(query.terms)) * total
+    return (matched / len(query)) * total
 
 
 def _check_against_brute_force(texts, source, stopwords, lambda_percent, n_best, delta):
@@ -197,18 +198,21 @@ def _check_against_brute_force(texts, source, stopwords, lambda_percent, n_best,
     candidates = (set(tokens) if params is None else {
         idx.by_length[r] for r in retrieve.length_filter_candidates(len(src), idx, params)})
     query = retrieve.generate_query(src, lambda_percent, idx, stopwords)
+    stats = Counter()  # one call whose n-best covers every candidate
+    every = retrieve.retrieve(src, idx, lambda_percent, max(n_best, len(candidates)), params,
+                              stopwords, stats)
+    scores = dict(every)
+    assert scores.keys() == candidates
     for d in candidates:
-        assert retrieve.score_document(query, d, idx) == _reference_score(
-            query, tokens[d], idx)
-    brute = sorted((-retrieve.score_document(query, d, idx), d) for d in candidates)[:n_best]
-    stats = Counter()
-    got = retrieve.retrieve(src, idx, lambda_percent, n_best, params, stopwords, stats)
+        assert scores[d] == _reference_score(query, tokens[d], idx)
+    brute = sorted((-_reference_score(query, tokens[d], idx), d) for d in candidates)[:n_best]
+    got = every[:n_best]
     assert [d for d, _ in got] == [d for _, d in brute]
     assert [s for _, s in got] == [-neg for neg, _ in brute]
-    assert all(math.copysign(1.0, s) == 1.0 for _, s in got)  # no -0.0 in the output
-    assert stats["postings_base"] == len(query.terms) * len(candidates)
+    assert all(math.copysign(1.0, s) == 1.0 for _, s in every)  # no -0.0 in the output
+    assert stats["postings_base"] == len(query) * len(candidates)
     assert stats["postings"] == sum(
-        1 for t, _ in query.terms for d in candidates if t in tokens[d])
+        1 for t, _ in query for d in candidates if t in tokens[d])
     return query, got
 
 
@@ -234,7 +238,7 @@ def test_retrieve_brute_force_edge_cases():
     texts = ["a b c", "b c d d", "e f", "a a a g h", "c"]
     # every source term is a stopword: empty query, zero scores in id order
     query, got = _check_against_brute_force(texts, "a b a", frozenset("ab"), 1.0, 3, None)
-    assert query.terms == [] and got == [("d0", 0.0), ("d1", 0.0), ("d2", 0.0)]
+    assert query == [] and got == [("d0", 0.0), ("d1", 0.0), ("d2", 0.0)]
     # terms absent from the collection, n_best above the number of matches
     query, got = _check_against_brute_force(texts, "x y e", frozenset(), 1.0, 4, None)
     assert [d for d, _ in got] == ["d2", "d0", "d1", "d3"] and got[1][1] == 0.0

@@ -173,6 +173,17 @@ def test_ppl1_excludes_eos_from_word_count():
     assert webfilter.ppl1(model, "a b") == pytest.approx(math.sqrt(125.0))
 
 
+def test_ppl1_counts_words_from_its_probabilities():
+    model = lm.train(corpus.Corpus.from_lines(["x y x y", "y x z"]), order=2)
+    for empty in ("", " \t "):
+        with pytest.raises(ToolkitError, match="ppl1 of an empty sentence is undefined"):
+            webfilter.ppl1(model, empty)
+    lines = ["x  y", "\ty x\t\tz ", " q \t x  ", "y"]
+    for line, (probs,) in zip(lines, lm.sentence_probs([model], lines)):
+        want = 10 ** (-sum(math.log10(p) for p in probs) / len(line.split()))
+        assert webfilter.ppl1(model, line, probs) == webfilter.ppl1(model, line) == want
+
+
 def test_combined_filter_orders_by_ppl1():
     model = lm.train(
         corpus.Corpus.from_lines(["x y x y", "y x y x"]), order=2, smoothing="witten-bell"
