@@ -5,22 +5,21 @@ linear interpolation of probability tables, and linear interpolation of LMs
 trained per selection source.
 """
 
-from dataclasses import dataclass
 from itertools import chain, repeat, zip_longest
 
 from .errors import FormatError, ToolkitError, finite, parse_field, read_lines, write_headed
 
 
-@dataclass
 class WeightedEntry:
-    item: object
-    weight: float
-    provenance: tuple
+    def __init__(self, item, weight, provenance):
+        self.item = item
+        self.weight = weight
+        self.provenance = provenance
 
 
-@dataclass
 class WeightedCorpus:
-    entries: list
+    def __init__(self, entries):
+        self.entries = entries
 
 
 def combine_corpus_weighted(selections, corpus, weights):
@@ -74,14 +73,12 @@ def combine_naive_rank(ranked_lists, target_size):
     return list(merged)[:target_size]
 
 
-@dataclass
 class ProbTable:
     """Phrase-pair score table: (source, target) -> fixed-arity score vector."""
 
-    rows: dict
-    arity: int
-
-    def __post_init__(self):
+    def __init__(self, rows, arity):
+        self.rows = rows
+        self.arity = arity
         for key, scores in self.rows.items():
             if len(scores) != self.arity:
                 raise FormatError("row %r has arity %d, expected %d"

@@ -8,10 +8,8 @@ token (``surface|lemma|pos|ne``); trailing factors may be omitted.
 import re
 import sys
 from array import array
-from dataclasses import dataclass, replace
 from itertools import accumulate, chain, repeat
 from pathlib import Path
-from typing import Optional
 
 from .errors import FormatError, MissingFactorError, ToolkitError, read_lines, write_headed
 
@@ -24,7 +22,6 @@ _DIGIT_RUN = re.compile(r"[0-9]+")
 _HYPHEN_SPLIT = re.compile(r"(?<=[^-])-(?=[^-])")
 
 
-@dataclass(frozen=True, slots=True)
 class Sentence:
     """One sentence as parallel factor streams.
 
@@ -35,14 +32,24 @@ class Sentence:
     token, so a loaded corpus holds one string object per type.
     """
 
-    surface: tuple
-    lemma: Optional[tuple] = None
-    pos: Optional[tuple] = None
-    ne: Optional[tuple] = None
+    __slots__ = ("surface", "lemma", "pos", "ne")
 
-    def __post_init__(self):
+    def __init__(self, surface, lemma=None, pos=None, ne=None):
+        self.surface = surface
+        self.lemma = lemma
+        self.pos = pos
+        self.ne = ne
         if not self.surface:
             raise FormatError("sentences must contain at least one token")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.surface, self.lemma, self.pos, self.ne) == (
+            other.surface, other.lemma, other.pos, other.ne)
+
+    def __hash__(self):
+        return hash((self.surface, self.lemma, self.pos, self.ne))
 
     def __len__(self):
         return len(self.surface)
@@ -90,20 +97,28 @@ class Sentence:
         )
 
 
-@dataclass(frozen=True)
 class SentencePair:
-    source: Sentence
-    target: Sentence
+    def __init__(self, source, target):
+        self.source = source
+        self.target = target
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.target) == (other.source, other.target)
+
+    def __hash__(self):
+        return hash((self.source, self.target))
 
     @property
     def text(self):
         return self.source.text + "\t" + self.target.text
 
 
-@dataclass(frozen=True)
 class Corpus:
-    sentences: tuple
-    id: str = ""
+    def __init__(self, sentences, id=""):
+        self.sentences = sentences
+        self.id = id
 
     def __len__(self):
         return len(self.sentences)
@@ -116,10 +131,10 @@ class Corpus:
         return cls(tuple(Sentence.from_plain(l) for l in lines), id=id)
 
 
-@dataclass(frozen=True)
 class ParallelCorpus:
-    pairs: tuple
-    id: str = ""
+    def __init__(self, pairs, id=""):
+        self.pairs = pairs
+        self.id = id
 
     def __len__(self):
         return len(self.pairs)
@@ -286,7 +301,8 @@ def normalize_numbers(sentence):
 
 def normalize_apostrophes(sentence):
     """Replace U+2019 with the plain ASCII apostrophe U+0027."""
-    return replace(sentence, surface=tuple(w.replace("’", "'") for w in sentence.surface))
+    surface = tuple(w.replace("’", "'") for w in sentence.surface)
+    return Sentence(surface, sentence.lemma, sentence.pos, sentence.ne)
 
 
 def hyphen_alt_markup(sentence, lexicon):

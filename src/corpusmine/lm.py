@@ -12,7 +12,6 @@ order-(k-1) table.  numpy is imported lazily, by the functions that use it.
 import math
 from array import array
 from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import accumulate, chain, compress, islice, repeat
 
@@ -361,15 +360,13 @@ def perplexity(model, corpus):
     return 2.0 ** cross_entropy(model, corpus)
 
 
-@dataclass
 class MixtureModel:
     """Linear interpolation of n-gram models at the event level."""
 
-    components: list
-    weights: list
-    dev_loglik_history: list = field(default_factory=list)
-
-    def __post_init__(self):
+    def __init__(self, components, weights, dev_loglik_history=None):
+        self.components = components
+        self.weights = weights
+        self.dev_loglik_history = [] if dev_loglik_history is None else dev_loglik_history
         if len(self.components) < 1:
             raise ToolkitError("mixture needs at least one component")
         if len(self.weights) != len(self.components):

@@ -2,17 +2,16 @@
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 from .corpus import words_of
 from .errors import ToolkitError
 
 
-@dataclass
 class BleuReport:
-    precisions: tuple
-    brevity_penalty: float
-    score: float
+    def __init__(self, precisions, brevity_penalty, score):
+        self.precisions = precisions
+        self.brevity_penalty = brevity_penalty
+        self.score = score
 
 
 def _ngrams(words, n):

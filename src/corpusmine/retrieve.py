@@ -10,18 +10,15 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 
 from .corpus import read_documents
 from .errors import FormatError, ToolkitError, read_lines, write_headed
 
 
-@dataclass(frozen=True)
 class Document:
-    id: str
-    tokens: tuple
-
-    def __post_init__(self):
+    def __init__(self, id, tokens):
+        self.id = id
+        self.tokens = tokens
         if len(self.tokens) < 1:
             raise FormatError("document %r is empty" % self.id)
 
@@ -54,12 +51,10 @@ class DocumentIndex:
         self.df = Counter({term: len(ranks) for term, (ranks, _) in self.postings.items()})
 
 
-@dataclass
 class LengthFilterParams:
-    delta: float
-    multiplier: float = 4.0
-
-    def __post_init__(self):
+    def __init__(self, delta, multiplier=4.0):
+        self.delta = delta
+        self.multiplier = multiplier
         if not self.delta >= 0:  # nan too, which would make the window's ends nan
             raise ToolkitError("delta must be >= 0")
         if not self.multiplier >= 0:

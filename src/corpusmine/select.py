@@ -14,7 +14,6 @@ the interpreter lock and a thread pool measured slower than one thread.
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 
 from .corpus import Corpus, encode, words_of
 from .errors import FormatError, ToolkitError, finite, parse_field, read_lines, write_headed
@@ -31,11 +30,11 @@ CRITERION_DIRECTIONS = {
 }
 
 
-@dataclass
 class SelectionResult:
-    indices: list
-    criterion: str
-    direction: str
+    def __init__(self, indices, criterion, direction):
+        self.indices = indices
+        self.criterion = criterion
+        self.direction = direction
 
 
 # --- cosine tf-idf ------------------------------------------------------------

@@ -7,7 +7,6 @@ filtering, and the combined document-then-sentence K/N filter.
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import read_documents
@@ -17,48 +16,42 @@ from .select import topk_count
 LOCATIONS = ("title", "headings", "metadata", "body")
 
 
-@dataclass(frozen=True)
 class TopicTerm:
-    tokens: tuple
-    weight: float
-    topic_class: str
-
-    def __post_init__(self):
+    def __init__(self, tokens, weight, topic_class):
+        self.tokens = tokens
+        self.weight = weight
+        self.topic_class = topic_class
         if len(self.tokens) < 1:
             raise FormatError("topic terms must be non-empty")
 
 
-@dataclass
 class TopicDefinition:
-    entries: list
+    def __init__(self, entries):
+        self.entries = entries
 
 
-@dataclass
 class LocationWeights:
     """Per-location weights; defaults are explicit and configurable."""
 
-    title: float = 10.0
-    headings: float = 4.0
-    metadata: float = 2.0
-    body: float = 1.0
-
-    def __post_init__(self):
+    def __init__(self, title=10.0, headings=4.0, metadata=2.0, body=1.0):
+        self.title = title
+        self.headings = headings
+        self.metadata = metadata
+        self.body = body
         for loc in LOCATIONS:
-            if getattr(self, loc) < 0:
+            if not getattr(self, loc) >= 0:  # nan too
                 raise ToolkitError("location weights must be >= 0")
 
     def get(self, location):
         return getattr(self, location)
 
 
-@dataclass
 class LocatedDocument:
     """Document text split into the four location classes, line by line."""
 
-    id: str
-    sections: dict
-
-    def __post_init__(self):
+    def __init__(self, id, sections):
+        self.id = id
+        self.sections = sections
         for loc in self.sections:
             if loc not in LOCATIONS:
                 raise FormatError("unknown location class %r" % loc)

@@ -76,8 +76,10 @@ def test_cli_import_leaves_numpy_unloaded(work):
 
 def test_steps_leave_openssl_and_fractions_unloaded(work):
     # manifest digests come from the interpreter's own SHA-256, so no step maps
-    # OpenSSL's libcrypto (about 3.5 MiB) through hashlib; and only select and
-    # ppl-filter count with fractions, so the score steps leave it (and decimal) out
+    # OpenSSL's libcrypto (about 3.5 MiB) through hashlib; only select and
+    # ppl-filter count with fractions, so the score steps leave it (and decimal) out;
+    # and records are plain classes, so no step loads dataclasses (with inspect,
+    # ast and dis, about 9 ms of start-up)
     (work / "pairs.tsv").write_text("a b c\ta b\nd e\td e f\n", encoding="utf-8")
     (work / "coll.tsv").write_text("d1\tthe market fell\nd2\train fell today\n",
                                    encoding="utf-8")
@@ -110,13 +112,13 @@ def test_steps_leave_openssl_and_fractions_unloaded(work):
              "codes = [corpusmine.cli.run(argv) for argv in scores]\n"
              "print(codes, 'fractions' in sys.modules, 'decimal' in sys.modules)\n"
              "codes = [corpusmine.cli.run(argv) for argv in steps]\n"
-             "print(codes, openssl or '_hashlib' not in sys.modules)")
+             "print(codes, openssl or '_hashlib' not in sys.modules, 'dataclasses' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", probe, json.dumps([scores, steps])],
                           env=env, cwd=work, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["%s False False" % ([0] * len(scores)), cli.__version__,
-                                        "%s True" % ([0] * len(steps))]
+                                        "%s True False" % ([0] * len(steps))]
 
 
 def test_manifest_digest_without_the_builtin_sha256_is_hashlibs(work):
@@ -150,15 +152,16 @@ def test_cli_import_loads_no_step_module():
 
 def test_bench_modules_import_without_numpy():
     # bench/run.py imports these and starts each step through vfork, so a step's
-    # peak RSS is at least the runner's: numpy at import time adds about 12 MiB
+    # peak RSS is at least the runner's: numpy at import time adds about 12 MiB,
+    # and dataclasses (with inspect, ast and dis) about 0.9 MiB
     src = Path(cli.__file__).resolve().parents[1]
-    modules = ", ".join("corpusmine.%s" % m for m in
-                        ("corpus", "lm", "select", "combine", "retrieve", "webfilter", "metrics"))
-    probe = "import sys, %s; print('numpy' in sys.modules)" % modules
+    modules = ", ".join("corpusmine.%s" % m for m in ("cli", "corpus", "lm", "select", "combine",
+                                                      "retrieve", "webfilter", "metrics"))
+    probe = "import sys, %s; print('numpy' in sys.modules, 'dataclasses' in sys.modules)" % modules
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True)
-    assert done.returncode == 0 and done.stdout == "False\n", done.stderr
+    assert done.returncode == 0 and done.stdout == "False False\n", done.stderr
 
 
 def test_row_outputs_reach_write_text_through_write_headed():

@@ -278,6 +278,11 @@ def test_normalize_numbers_keeps_factors():
 def test_normalize_apostrophes():
     s = corpus.Sentence.from_plain("country’s debt")
     assert corpus.normalize_apostrophes(s).text == "country's debt"
+    # the factors are carried over as they are
+    f = corpus.Sentence.from_factored("country’s|country|NN debt|debt|NN")
+    got = corpus.normalize_apostrophes(f)
+    assert got.factored_text() == "country's|country|NN debt|debt|NN"
+    assert (got.lemma, got.pos, got.ne) == (f.lemma, f.pos, f.ne)
 
 
 def test_hyphen_alt_markup():

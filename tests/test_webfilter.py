@@ -152,6 +152,12 @@ def test_topic_relevance_edge_cases_equal_formula():
     assert got == pytest.approx(2 * (0.1 + 1 / 3) / 3 + 3 * (0.1 + 1 / 3) * 0.1 + 0.1 / 3)
 
 
+def test_location_weights_reject_nan():
+    # nan fails every comparison, so a `< 0` check lets it through
+    with pytest.raises(ToolkitError, match="location weights must be >= 0"):
+        webfilter.LocationWeights(body=float("nan"))
+
+
 def test_filter_documents_topk():
     scored = [("a", 5.0), ("b", 1.0), ("c", 3.0), ("d", 3.0)]
     assert webfilter.filter_documents_topk(scored, 50) == ["a", "c"]  # floor(2), tie by id
