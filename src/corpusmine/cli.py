@@ -5,7 +5,8 @@ key-value file sufficient to reproduce the run.  One rule over the step's
 options builds it: the subcommand and version; every option except the
 outputs and the inert `--threads`; an input file as `input.<name>=<path>
 sha256=<digest>`, its digest taken before the step runs; a directory as
-`parameter.<name>_dir=<path>`; any other set value as
+`parameter.<name>_dir=<path>`; any other input (a pipe or device, which the
+step must read once) as `parameter.<name>_stream=<path>`; any other set value as
 `parameter.<name>=<value>`; a repeatable option's values as `<name>0`,
 `<name>1`, ...; then the duration.  Log messages go to stderr; data streams
 stay clean.
@@ -20,6 +21,7 @@ on it nor records it.
 
 import argparse
 import os
+import stat
 import sys
 import time
 from collections import Counter
@@ -70,10 +72,10 @@ class Run:
                     self.outputs.append(v)
                 elif action.type is not _input:
                     self.params[name] = v
-                elif Path(v).is_dir():
-                    self.params[name + "_dir"] = v
-                else:
+                elif stat.S_ISREG(mode := os.stat(v).st_mode):  # a missing input fails here
                     self.inputs[name] = (v, _sha256(v))
+                else:  # by path: a pipe or device can be read only once, by the step
+                    self.params[name + ("_dir" if stat.S_ISDIR(mode) else "_stream")] = v
 
     def write(self):
         """The manifest beside each output."""

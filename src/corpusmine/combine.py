@@ -1,13 +1,14 @@
 """Hybrid combination of selection outputs.
 
 Corpus-level weighted union of selections, rank-order round-robin merge,
-linear interpolation of probability tables, and linear interpolation of LMs
+linear interpolation of phrase tables, and linear interpolation of LMs
 trained per selection source.
 """
 
 from itertools import chain, repeat, zip_longest
 
-from .errors import FormatError, ToolkitError, finite, parse_field, read_lines, write_headed
+from .errors import (FormatError, ToolkitError, non_negative, parse_field, read_lines,
+                     write_headed)
 
 
 class WeightedEntry:
@@ -73,29 +74,14 @@ def combine_naive_rank(ranked_lists, target_size):
     return list(merged)[:target_size]
 
 
-class ProbTable:
-    """Phrase-pair score table: (source, target) -> fixed-arity score vector."""
-
-    def __init__(self, rows, arity):
-        self.rows = rows
-        self.arity = arity
-        for key, scores in self.rows.items():
-            if len(scores) != self.arity:
-                raise FormatError("row %r has arity %d, expected %d"
-                                  % (key, len(scores), self.arity))
-            if any(s < 0 for s in scores):
-                raise FormatError("row %r has a negative score" % (key,))
-
-
 def interpolate_tables(tables, weights):
-    """Weighted sum of tables over the union of keys; missing rows count 0.
+    """Weighted sum of phrase tables ({(source, target): scores}) over the
+    union of keys; missing rows count 0.
 
-    Weights must be non-negative and are normalized to sum to 1."""
+    Weights must be non-negative and are normalized to sum to 1.  Every row
+    of every table must have the first row's arity and no negative score."""
     if not tables:
         raise ToolkitError("need at least one table")
-    arity = tables[0].arity
-    if any(t.arity != arity for t in tables):
-        raise FormatError("tables have mismatched score arity")
     if len(weights) != len(tables):
         raise ToolkitError("weight count does not match table count")
     if any(w < 0 for w in weights):
@@ -105,25 +91,26 @@ def interpolate_tables(tables, weights):
         raise ToolkitError("table weights must have a finite sum")
     if total <= 0:
         raise ToolkitError("weights must have positive sum")
-    weights = [w / total for w in weights]
-    keys = set()
-    for t in tables:
-        keys.update(t.rows)
+    arity = next((len(scores) for t in tables for scores in t.values()), 0)
     rows = {}
-    for key in keys:
-        acc = [0.0] * arity
-        for t, w in zip(tables, weights):
-            scores = t.rows.get(key)
-            if scores is not None:
-                for i, s in enumerate(scores):
-                    acc[i] += w * s
-        rows[key] = tuple(acc)
-    return ProbTable(rows, arity)
+    for t, w in zip(tables, weights):
+        w /= total
+        for key, scores in t.items():
+            if len(scores) != arity:
+                raise FormatError("row %r has arity %d, expected %d" % (key, len(scores), arity))
+            if any(s < 0 for s in scores):
+                raise FormatError("row %r has a negative score" % (key,))
+            acc = rows.setdefault(key, [0.0] * arity)
+            for i, s in enumerate(scores):
+                acc[i] += w * s
+    return {key: tuple(acc) for key, acc in rows.items()}
 
 
 def read_table(path):
+    """The {(source, target): scores} rows of a phrase-table file, each line
+    checked as it is read: three ' ||| ' fields, finite non-negative scores,
+    and the first row's arity."""
     rows = {}
-    arity = None
     for lineno, line in read_lines(path):
         if not line.strip():
             continue
@@ -131,19 +118,18 @@ def read_table(path):
         if len(fields) != 3:
             raise FormatError("%s line %d: expected 'src ||| tgt ||| scores'"
                               % (path, lineno))
-        scores = tuple(parse_field(finite, s, "score", path, lineno) for s in fields[2].split())
-        if arity is None:
-            arity = len(scores)
-        elif len(scores) != arity:
+        scores = tuple(parse_field(non_negative, s, "score", path, lineno)
+                       for s in fields[2].split())
+        if rows and len(scores) != arity:
             raise FormatError("%s line %d: arity mismatch" % (path, lineno))
+        arity = len(scores)
         rows[(fields[0], fields[1])] = scores
-    if arity is None:
+    if not rows:
         raise FormatError("%s: empty table" % path)
-    return ProbTable(rows, arity)
+    return rows
 
 
-def write_table(table, path):
-    rows = table.rows
+def write_table(rows, path):
     write_headed(path, {}, ("%s ||| %s ||| %s" % (*key, " ".join(map(repr, rows[key])))
                             for key in sorted(rows)))
 

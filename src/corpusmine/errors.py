@@ -45,6 +45,23 @@ def log10_prob(text):
     return lp
 
 
+def non_negative(text):
+    """finite(text) for a score, which may not be below 0."""
+    x = finite(text)
+    if x < 0:
+        raise ValueError(text)
+    return x
+
+
+def backoff_weight(text):
+    """finite(text) for a linear backoff weight, which lies in [0, 1]: every
+    smoothing that writes one gives the unseen events a share of the mass."""
+    x = finite(text)
+    if not 0 <= x <= 1:
+        raise ValueError(text)
+    return x
+
+
 def read_lines(path):
     """(line number, line) for each line of a UTF-8 file, read a block at a
     time as they are iterated.  A line ends at \\n, \\r\\n or a lone \\r; not at

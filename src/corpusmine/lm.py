@@ -16,8 +16,8 @@ from functools import cache, partial
 from itertools import accumulate, chain, compress, islice, repeat
 
 from .corpus import encode, words_of
-from .errors import (FormatError, ToolkitError, finite, log10_prob, parse_field, read_lines,
-                     write_text)
+from .errors import (FormatError, ToolkitError, backoff_weight, log10_prob, parse_field,
+                     read_lines, write_text)
 
 BOS = "<s>"
 EOS = "</s>"
@@ -428,10 +428,10 @@ def interpolate(models, dev_corpus):
 #
 # Header with per-order n-gram counts, then one line per n-gram:
 #   log10prob<TAB>ngram[<TAB>backoff]
-# Backoff weights are written as linear values.  Lines whose probability
-# field is -99 carry only a backoff weight (history-only entries), or, for a
-# 1-gram, nothing: a vocabulary type the model gives no mass (MLE).  An n-gram
-# appears at most once in its section.
+# Backoff weights are written as linear values in [0, 1].  Lines whose
+# probability field is -99 carry only a backoff weight (history-only entries),
+# or, for a 1-gram, nothing: a vocabulary type the model gives no mass (MLE).
+# An n-gram appears at most once in its section.
 
 _BOW_ONLY = "-99"
 # Rows of one order formatted at a time: bounds the writer's texts to one slice.
@@ -537,7 +537,7 @@ def read_model(path):
             lps.append(math.nan if fields[0] == _BOW_ONLY
                        else parse_field(log10_prob, fields[0], "probability", path, lineno))
             if len(fields) > 2 and fields[2] not in weight:  # weights repeat: convert once
-                weight[fields[2]] = parse_field(finite, fields[2], "backoff", path, lineno)
+                weight[fields[2]] = parse_field(backoff_weight, fields[2], "backoff", path, lineno)
             weights.append(weight[fields[2]] if len(fields) > 2 else math.nan)
             if n > 1:
                 try:

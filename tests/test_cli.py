@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from corpusmine import cli, corpus, lm, select
+from corpusmine import cli, corpus, lm, metrics, retrieve, select
 
 
 def run_cli(*argv):
@@ -164,22 +164,34 @@ def test_bench_modules_import_without_numpy():
     assert done.returncode == 0 and done.stdout == "False False\n", done.stderr
 
 
-def test_row_outputs_reach_write_text_through_write_headed():
-    # every row output goes through errors.write_headed; the model writer's
-    # sections are chunks of lines, not rows
-    def callers(node, module, where):  # module.function of each call, innermost function
+def _callers(*names):
+    """module.function (the innermost one) of each call in corpusmine to a
+    function or method named in names."""
+    def callers(node, module, where):
         for child in ast.iter_child_nodes(node):
             func = getattr(child, "func", None)
-            if getattr(func, "id", getattr(func, "attr", None)) == "write_text":
+            if getattr(func, "id", getattr(func, "attr", None)) in names:
                 yield "%s.%s" % (module, where)
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             yield from callers(child, module, child.name if named else where)
 
     src = Path(cli.__file__).resolve().parent
-    found = {caller for path in src.glob("*.py")
-             for caller in callers(ast.parse(path.read_text(encoding="utf-8")), path.stem,
-                                   "<module>")}
-    assert found == {"errors.write_headed", "lm.write_model"}
+    return {caller for path in src.glob("*.py")
+            for caller in callers(ast.parse(path.read_text(encoding="utf-8")), path.stem,
+                                  "<module>")}
+
+
+def test_row_outputs_reach_write_text_through_write_headed():
+    # every row output goes through errors.write_headed; the model writer's
+    # sections are chunks of lines, not rows
+    assert _callers("write_text") == {"errors.write_headed", "lm.write_model"}
+
+
+def test_files_are_opened_only_by_the_line_reader_the_writer_and_the_digest():
+    # every input is read through errors.read_lines and every output written
+    # through errors.write_text; the manifest digest reads an input's bytes
+    assert _callers("open", "read_bytes", "read_text") == {
+        "errors.read_lines", "errors.write_text", "cli._sha256"}
 
 
 def test_direction_choices_are_the_select_directions(capsys):
@@ -774,6 +786,74 @@ def test_diagnose_cli(work, capsys):
     capsys.readouterr()
 
 
+def _diagnose_table():
+    tokens, types, ratio = metrics.vocab_stats(corpus.load_corpus("general.txt"))
+    rows = [("tokens", tokens), ("types", types), ("type_token_ratio", repr(ratio))]
+    return "# manifest: out.txt.manifest\n%s\n" % metrics.format_table(("metric", "value"), rows)
+
+
+def _smoothed_bleu():
+    hyp, ref = corpus.load_corpus("hyp.txt"), corpus.load_corpus("ref.txt")
+    report = metrics.bleu(hyp, ref, smooth=True)
+    assert metrics.bleu(hyp, ref).score == 0 < report.score  # no 4-gram matches
+    rows = [("p%d" % n, p) for n, p in enumerate(report.precisions, 1)]
+    rows += [("brevity_penalty", report.brevity_penalty), ("bleu", report.score)]
+    return "# manifest: out.txt.manifest\n" + "".join("%s\t%r\n" % row for row in rows)
+
+
+def _mle_model():
+    lm.write_model(lm.train(corpus.load_corpus("general.txt"), order=2, smoothing="mle"), "m.lm")
+    return Path("m.lm").read_text(encoding="utf-8")
+
+
+def _zero_filled_hits():
+    index = retrieve.DocumentIndex(retrieve.load_collection("coll.tsv"))
+    (query,) = retrieve.load_collection("q.tsv")
+    hits = retrieve.retrieve(query, index, 1, 3)
+    # only d1 holds a query term; d2 and d3 fill in by id, not by collection order
+    assert [d for d, _ in hits] == ["d1", "d2", "d3"] and [s for _, s in hits[1:]] == [0.0, 0.0]
+    return "# manifest: out.txt.manifest\n" + "".join(
+        "%s\n" % row for row in retrieve.result_rows({"q1": hits}))
+
+
+_SELECTION = "# criterion: %s\n# direction: higher-is-better\n%s"
+
+
+@pytest.mark.parametrize("files, argv, expected", [
+    ({}, ["diagnose", "--corpus", "general.txt", "--table"], _diagnose_table),
+    ({"hyp.txt": "the market fell today\n", "ref.txt": "the market fell sharply today\n"},
+     ["bleu", "--hypothesis", "hyp.txt", "--reference", "ref.txt", "--smooth"], _smoothed_bleu),
+    ({}, ["train-lm", "--input", "general.txt", "--order", "2", "--smoothing", "mle"],
+     _mle_model),
+    ({"s1.sel": _SELECTION % ("a", "0\n2\n"), "s2.sel": _SELECTION % ("b", "2\n3\n")},
+     ["combine", "--mode", "corpus", "--selection", "s1.sel", "--selection", "s2.sel",
+      "--corpus", "general.txt", "--weights", "1,2", "--replicate"],
+     lambda: "the market fell\n" + "the market rallied\n" * 3 + "rain fell today\n" * 2),
+    ({"scores.tsv": "# criterion: ce\n# direction: lower-is-better\n"
+                    "0\t0.5\n1\t0.1\n2\t0.9\n3\t0.3\n4\t0.4\n"},
+     ["select", "--scores", "scores.tsv", "--theta", "0.4"],
+     lambda: "# criterion: ce\n# direction: lower-is-better\n# theta: 0.4\n"
+             "# manifest: out.txt.manifest\n1\n3\n"),
+    ({"coll.tsv": "d3\train fell today\nd1\tthe market fell\nd2\tdogs bark\n",
+      "q.tsv": "q1\tthe market\n"},
+     ["retrieve", "--collection", "coll.tsv", "--queries", "q.tsv", "--lambda", "1",
+      "--n-best", "3"], _zero_filled_hits),
+    ({"t1.txt": "a ||| x ||| 0.5 1.0\nb ||| y ||| 1.0 0.5\n",
+      "t2.txt": "c ||| z ||| 0.25 1.0\na ||| x ||| 1.0 0.0\n", "t3.txt": "b ||| y ||| 0.5 0.5\n"},
+     ["combine", "--mode", "tables", "--table", "t1.txt", "--table", "t2.txt", "--table",
+      "t3.txt", "--weights", "1,2,1"],
+     lambda: "a ||| x ||| 0.625 0.25\nb ||| y ||| 0.375 0.25\nc ||| z ||| 0.125 0.5\n"),
+], ids=["diagnose-table", "bleu-smooth", "train-lm-mle", "combine-corpus-replicate",
+        "select-theta-lower", "retrieve-zero-score-fill", "combine-tables"])
+def test_step_output_equals_its_library_call(work, capsys, monkeypatch, files, argv, expected):
+    monkeypatch.chdir(work)
+    for name, text in files.items():
+        Path(name).write_text(text, encoding="utf-8")
+    assert run_cli(*argv, "--output", "out.txt") == 0
+    assert Path("out.txt").read_text(encoding="utf-8") == expected()
+    capsys.readouterr()
+
+
 def test_config_file_defaults(work, capsys):
     cfg = work / "run.cfg"
     cfg.write_text("order=2\nsmoothing=witten-bell\n", encoding="utf-8")
@@ -1154,6 +1234,9 @@ _MODEL_TEXT = ("\\smoothing: witten-bell\n\n\\data\\\nngram 1=3\n\n\\1-grams:\n"
     ("-0.5\ta", "nan\ta", "line 8: bad probability 'nan'"),
     ("-0.5\ta", "inf\ta", "line 8: bad probability 'inf'"),
     ("-0.5\ta", "-0.5\ta\tnan", "line 8: bad backoff 'nan'"),
+    # a backoff weight is the share of mass left for unseen words: in [0, 1]
+    ("-0.5\ta", "-0.5\ta\t1e308", "line 8: bad backoff '1e308'"),
+    ("-0.5\ta", "-0.5\ta\t-0.5", "line 8: bad backoff '-0.5'"),
     ("-0.5\ta", "0.5\ta", "line 8: bad probability '0.5'"),
     ("-0.5\ta", "-0.5 a", "line 8: unexpected line '-0.5 a'"),
     ("ngram 1=3\n", "ngram 1=3\nstray\n", "line 5: unexpected line 'stray'"),
@@ -1234,11 +1317,27 @@ def test_perplexity_reports_malformed_model_fields(work, capsys, old, new, messa
     ({"t.txt": "a ||| b ||| 0.1\n"},
      ["combine", "--mode", "tables", "--table", "t.txt", "--table", "t.txt", "--weights",
       "1e308,1e308", "--output", "w.txt"], 1, "error: table weights must have a finite sum"),
+    ({"t.txt": "a ||| b ||| 0.1\n"},
+     ["combine", "--mode", "tables", "--table", "t.txt", "--table", "t.txt", "--weights", "1",
+      "--output", "w.txt"], 1, "error: weight count does not match table count"),
+    ({"t.txt": "a ||| b ||| 0.1\n"},
+     ["combine", "--mode", "tables", "--table", "t.txt", "--table", "t.txt", "--weights", "0,0",
+      "--output", "w.txt"], 1, "error: weights must have positive sum"),
+    ({"bad.tsv": "d1\tthe market\nd2 the dog\n"},
+     ["retrieve", "--collection", "bad.tsv", "--queries", "bad.tsv", "--lambda", "0.5",
+      "--n-best", "1", "--output", "w.txt"], 1, "error: bad.tsv line 2: expected doc_id<TAB>text"),
+    ({"p.tsv": "a b\tc d\n"},
+     ["preprocess", "--input", "p.tsv", "--format", "tsv-parallel", "--max-len", "0",
+      "--output", "w.txt"], 1, "error: max_len must be >= 1"),
+    ({"t.txt": "a ||| b ||| 0.5 0.5\nc ||| d ||| 0.5 -0.25\n"},
+     ["combine", "--mode", "tables", "--table", "t.txt", "--output", "w.txt"],
+     1, "error: t.txt line 2: bad score '-0.25'"),
 ], ids=["model-without-ngram-lines", "perplexity-of-empty-input", "empty-collection",
         "gold-line-of-3-fields", "negative-location-weight", "ppl-filter-n-0", "blank-topic-term",
         "dedup-without-files", "bare-diagnose", "trailing-config", "negative-corpus-weight",
         "table-of-mixed-arity", "empty-table", "overflowing-corpus-weights",
-        "overflowing-table-weights"])
+        "overflowing-table-weights", "table-weight-count", "zero-table-weights",
+        "collection-line-without-tab", "max-len-0", "negative-table-score"])
 def test_input_faults_end_in_an_error_exit(work, capsys, monkeypatch, files, argv, code,
                                            message):
     monkeypatch.chdir(work)
@@ -1463,3 +1562,42 @@ def test_manifest_digest_is_of_the_input_before_the_step(work, capsys):
                    "--normalize-numbers") == 0
     assert path.read_text(encoding="utf-8") == "a @num@\nb @num@\n"
     assert _manifest(path)["input.input"] == "%s sha256=%s" % (path, before)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_piped_input_is_read_by_the_step_and_recorded_by_path(work, capsys):
+    coll = work / "coll.tsv"
+    coll.write_text("d1\tthe market fell\nd2\tdogs bark\nd3\tthe the the dog\n",
+                    encoding="utf-8")
+    queries = work / "q.tsv"
+    queries.write_text("q1\tthe market\n", encoding="utf-8")
+    stop = work / "stop.txt"
+    stop.write_text("the\n", encoding="utf-8")
+    argv = ["retrieve", "--collection", str(coll), "--queries", str(queries), "--lambda", "1",
+            "--n-best", "2", "--output"]
+
+    def hits(name):
+        return [l for l in (work / name).read_text(encoding="utf-8").splitlines()
+                if not l.startswith("#")]
+
+    assert run_cli(*argv, str(work / "file.tsv"), "--stopwords", str(stop)) == 0
+    assert run_cli(*argv, str(work / "none.tsv")) == 0
+    assert hits("file.tsv") != hits("none.tsv")  # the stopword list changes the ranking
+    read, write = os.pipe()
+    try:
+        os.write(write, stop.read_bytes())
+        os.close(write)
+        piped = "/dev/fd/%d" % read
+        assert run_cli(*argv, str(work / "pipe.tsv"), "--stopwords", piped) == 0
+    finally:
+        os.close(read)
+    assert hits("pipe.tsv") == hits("file.tsv")
+    manifest = _manifest(work / "pipe.tsv")
+    assert manifest["parameter.stopwords_stream"] == piped
+    assert "input.stopwords" not in manifest
+    # a missing input still fails before the step, which writes nothing
+    missing = str(work / "nope.txt")
+    capsys.readouterr()
+    assert run_cli(*argv, str(work / "miss.tsv"), "--stopwords", missing) == 1
+    assert "error: [Errno 2] No such file or directory: %r" % missing in capsys.readouterr().err
+    assert not (work / "miss.tsv").exists()

@@ -81,23 +81,21 @@ def test_naive_rank_preserves_per_list_order():
 
 
 def _table(rows):
-    rows = {k: tuple(v) for k, v in rows.items()}
-    arity = len(next(iter(rows.values())))
-    return combine.ProbTable(rows, arity)
+    return {k: tuple(v) for k, v in rows.items()}
 
 
 def test_interpolate_tables_mean_and_missing_rows():
     t1 = _table({("a", "x"): (0.4, 0.2), ("b", "y"): (1.0, 1.0)})
     t2 = _table({("a", "x"): (0.8, 0.6)})
     out = combine.interpolate_tables([t1, t2], [0.5, 0.5])
-    assert out.rows[("a", "x")] == pytest.approx((0.6, 0.4))
-    assert out.rows[("b", "y")] == pytest.approx((0.5, 0.5))  # missing row is 0
+    assert out[("a", "x")] == pytest.approx((0.6, 0.4))
+    assert out[("b", "y")] == pytest.approx((0.5, 0.5))  # missing row is 0
     # point mass reproduces the table on its own keys
     ident = combine.interpolate_tables([t1, t2], [1.0, 0.0])
-    assert ident.rows[("a", "x")] == pytest.approx(t1.rows[("a", "x")])
+    assert ident[("a", "x")] == pytest.approx(t1[("a", "x")])
     # weights normalize before use
     out2 = combine.interpolate_tables([t1, t2], [2.0, 2.0])
-    assert out2.rows[("a", "x")] == pytest.approx(out.rows[("a", "x")])
+    assert out2[("a", "x")] == pytest.approx(out[("a", "x")])
 
 
 def test_interpolate_tables_is_linear():
@@ -107,8 +105,26 @@ def test_interpolate_tables_is_linear():
     inner = combine.interpolate_tables([t1, t2], [0.25, 0.75])
     nested = combine.interpolate_tables([inner, t3], [0.6, 0.4])
     flat = combine.interpolate_tables([t1, t2, t3], [0.15, 0.45, 0.4])
-    for k in flat.rows:
-        assert abs(nested.rows[k][0] - flat.rows[k][0]) < 1e-12
+    for k in flat:
+        assert abs(nested[k][0] - flat[k][0]) < 1e-12
+
+
+def test_interpolate_tables_adds_each_key_in_table_order():
+    # a key's scores are summed from 0.0 in table order, as a walk over the
+    # union of keys would sum them, so the written table keeps its bytes
+    rng = random.Random(29)
+    keys = [("s%d" % i, "t%d" % j) for i in range(8) for j in range(4)]
+    tables = [_table({k: [rng.random() for _ in range(3)] for k in rng.sample(keys, 20)})
+              for _ in range(4)]
+    weights = [0.3, 1.7, 0.123, 2.0]
+    out = combine.interpolate_tables(tables, weights)
+    assert set(out) == set().union(*tables)
+    for key, scores in out.items():
+        expected = [0.0] * 3
+        for t, w in zip(tables, weights):
+            for i, s in enumerate(t.get(key, ())):
+                expected[i] += w / sum(weights) * s
+        assert scores == tuple(expected)
 
 
 def test_interpolate_tables_rejects_a_negative_weight():
@@ -124,8 +140,10 @@ def test_interpolate_tables_arity_mismatch():
         combine.interpolate_tables(
             [_table({("a", "x"): (0.4, 0.2)}), _table({("a", "x"): (0.8,)})], [0.5, 0.5]
         )
-    with pytest.raises(FormatError):
-        _table({("a", "x"): (-0.1,)})
+    with pytest.raises(FormatError, match=r"row \('a', 'y'\) has arity 1, expected 2"):
+        combine.interpolate_tables([_table({("a", "x"): (0.4, 0.2), ("a", "y"): (0.1,)})], [1.0])
+    with pytest.raises(FormatError, match=r"row \('a', 'x'\) has a negative score"):
+        combine.interpolate_tables([_table({("a", "x"): (-0.1,)})], [1.0])
 
 
 def test_table_file_round_trip(tmp_path):
@@ -135,7 +153,7 @@ def test_table_file_round_trip(tmp_path):
     text = path.read_text(encoding="utf-8")
     assert "a b ||| x ||| 0.5 0.25" in text
     loaded = combine.read_table(path)
-    assert loaded.rows == t.rows
+    assert loaded == t
     # rows are emitted sorted, so write(read(x)) is byte-identical
     path2 = tmp_path / "t2.txt"
     combine.write_table(loaded, path2)
