@@ -345,12 +345,16 @@ def _cmd_retrieve(args):
 
     if args.multiplier is not None and args.delta is None:
         raise UsageError("--multiplier scales --delta, which is not given", "multiplier", "delta")
+    if not 0 < args.lambda_percent <= 1:
+        raise ToolkitError("--lambda must be in (0, 1]")
+    if args.n_best < 1:
+        raise ToolkitError("--n-best must be >= 1")
+    params = (None if args.delta is None
+              else retrieve.LengthFilterParams(args.delta, **_given(args, "multiplier")))
     yield
     index = retrieve.DocumentIndex(retrieve.load_collection(args.collection))
     queries = retrieve.load_collection(args.queries)
     stopwords = retrieve.load_stopwords(args.stopwords) if args.stopwords else frozenset()
-    params = (None if args.delta is None
-              else retrieve.LengthFilterParams(args.delta, **_given(args, "multiplier")))
     stats = Counter()
     results = {
         q.id: retrieve.retrieve(q, index, args.lambda_percent, args.n_best,
@@ -403,8 +407,7 @@ def _cmd_topic_filter(args):
     topic = webfilter.load_topic_file(args.topic)
     scored = [(d.id, webfilter.topic_relevance(d, topic, weights)) for d in docs]
     kept = webfilter.filter_documents_topk(scored, args.k)
-    by_id = dict(scored)
-    _report(args.output, ["%s\t%s" % (doc_id, repr(by_id[doc_id])) for doc_id in kept], {
+    _report(args.output, ["%s\t%r" % pair for pair in kept], {
         "k": args.k,
         "location-weights": "title=%g headings=%g metadata=%g body=%g"
         % (weights.title, weights.headings, weights.metadata, weights.body),
@@ -420,7 +423,7 @@ def _cmd_ppl_filter(args):
     weights = _location_weights(args)
     yield
     docs = webfilter.load_located_collection(args.collection)
-    topic = webfilter.load_topic_file(args.topic) if args.topic else webfilter.TopicDefinition([])
+    topic = webfilter.load_topic_file(args.topic) if args.topic else []
     model = lm.read_model(args.lm)
     kept = webfilter.combined_filter(docs, topic, args.k, args.n, model, weights)
     _report(args.output, ["%s\t%s" % row for row in kept], {"k": args.k, "n": args.n})

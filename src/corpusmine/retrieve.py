@@ -30,7 +30,8 @@ class DocumentIndex:
     """Postings over length ranks, and no document text.  Rank r is the r-th
     document by length (a stable sort): by_length[r] is its id, sorted_lengths[r]
     its length and norms[r] 1 / sqrt(length).  postings[term] is (ranks, counts),
-    the ascending ranks of the documents holding term and its count in each."""
+    the ascending ranks of the documents holding term (its document frequency is
+    len(ranks)) and its count in each."""
 
     def __init__(self, documents):
         docs = sorted(documents, key=len)
@@ -48,7 +49,6 @@ class DocumentIndex:
                 ranks, counts = self.postings.setdefault(term, ([], []))
                 ranks.append(rank)
                 counts.append(f)
-        self.df = Counter({term: len(ranks) for term, (ranks, _) in self.postings.items()})
 
 
 class LengthFilterParams:
@@ -73,16 +73,16 @@ def estimate_delta(parallel_corpus):
 
 def generate_query(doc, lambda_percent, index, stopwords=frozenset()):
     """The top ceil(lambda_percent * len(doc)) (term, weight) pairs by tf-idf
-    weight f(w,d) * log(|D| / f(w,D)), heaviest first.  A term absent from the
-    index has idf factor 1, so its weight is its count.  Stopwords are removed
-    before ranking; numbers are kept."""
+    weight f(w,d) * log(|D| / f(w,D)), heaviest first; f(w,D) is the length of
+    w's postings.  A term absent from the index has idf factor 1, so its weight
+    is its count.  Stopwords are removed before ranking; numbers are kept."""
     if not 0 < lambda_percent <= 1:
-        raise ToolkitError("lambda_percent must be in (0, 1]")
+        raise ToolkitError("lambda must be in (0, 1]")
     counts = Counter(t for t in doc.tokens if t not in stopwords)
     weighted = []
     for term, f in counts.items():
-        df = index.df.get(term, 0)
-        weight = f * math.log(index.n_docs / df) if df > 0 else float(f)
+        ranks, _ = index.postings.get(term, ((), ()))
+        weight = f * math.log(index.n_docs / len(ranks)) if ranks else float(f)
         weighted.append((term, weight))
     weighted.sort(key=lambda tw: (-tw[1], tw[0]))
     size = max(1, math.ceil(lambda_percent * len(doc)))

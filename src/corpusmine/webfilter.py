@@ -16,20 +16,6 @@ from .select import topk_count
 LOCATIONS = ("title", "headings", "metadata", "body")
 
 
-class TopicTerm:
-    def __init__(self, tokens, weight, topic_class):
-        self.tokens = tokens
-        self.weight = weight
-        self.topic_class = topic_class
-        if len(self.tokens) < 1:
-            raise FormatError("topic terms must be non-empty")
-
-
-class TopicDefinition:
-    def __init__(self, entries):
-        self.entries = entries
-
-
 class LocationWeights:
     """Per-location weights; defaults are explicit and configurable."""
 
@@ -67,13 +53,6 @@ class LocatedDocument:
                 yield line
 
 
-def default_term_weight(term_tokens):
-    """A term's default relevance weight is its length in tokens."""
-    if not term_tokens:
-        raise ToolkitError("term must be non-empty")
-    return float(len(term_tokens))
-
-
 def count_occurrences(term_tokens, tokens):
     """Occurrences of a contiguous token run; overlapping matches count."""
     k = len(term_tokens)
@@ -82,12 +61,13 @@ def count_occurrences(term_tokens, tokens):
 
 
 def topic_relevance(doc, topic, loc_weights=None):
-    """Weighted occurrence sum over all topic terms and location classes.  Each
-    location's token k-grams, for the term lengths k in use, are counted once at
-    every start position, so overlapping matches count as in count_occurrences."""
+    """Weighted occurrence sum over the location classes and topic's (tokens
+    tuple, weight) terms, each entry once.  Each location's token k-grams, for
+    the term lengths k in use, are counted once at every start position, so
+    overlapping matches count as in count_occurrences."""
     if loc_weights is None:
         loc_weights = LocationWeights()
-    lengths = {len(entry.tokens) for entry in topic.entries}
+    lengths = {len(tokens) for tokens, _ in topic}
     score = 0.0
     for loc in LOCATIONS:
         wl = loc_weights.get(loc)
@@ -98,18 +78,18 @@ def topic_relevance(doc, topic, loc_weights=None):
             toks = line.split()
             for k in lengths:
                 grams.update(zip(*(toks[j:] for j in range(k))))
-        for entry in topic.entries:
-            score += grams[tuple(entry.tokens)] * entry.weight * wl
+        for tokens, weight in topic:
+            score += grams[tokens] * weight * wl
     return score
 
 
 def filter_documents_topk(scored_docs, k):
-    """Best floor(k/100 * |docs|) document ids by score, ties by id."""
+    """The best floor(k/100 * |docs|) (doc_id, score) pairs by score, ties by id,
+    in rank order."""
     if not 0 < k <= 100:
         raise ToolkitError("K must be in (0, 100]")
     ranked = sorted(scored_docs, key=lambda ds: (-ds[1], ds[0]))
-    n = topk_count(k, len(ranked))
-    return [doc_id for doc_id, _ in ranked[:n]]
+    return ranked[:topk_count(k, len(ranked))]
 
 
 def ppl1(model, sentence, probs=None):
@@ -139,7 +119,7 @@ def combined_filter(docs, topic, k, n, in_lm, loc_weights=None):
     if not 0 < n <= 100:
         raise ToolkitError("N must be in (0, 100]")
     scored = [(d.id, topic_relevance(d, topic, loc_weights)) for d in docs]
-    kept_ids = set(filter_documents_topk(scored, k))
+    kept_ids = {doc_id for doc_id, _ in filter_documents_topk(scored, k)}
     sentences = [
         (d.id, line)
         for d in docs
@@ -158,9 +138,10 @@ def combined_filter(docs, topic, k, n, in_lm, loc_weights=None):
 
 
 def load_topic_file(path):
-    """TSV `term<TAB>weight<TAB>class`; a blank weight falls back to the
-    term's token count."""
-    entries = []
+    """(tokens, weight) per line of a TSV `term<TAB>weight<TAB>class`, in file
+    order.  A blank weight is the term's token count; the class is required
+    but not kept."""
+    topic = []
     for lineno, line in read_lines(path):
         if not line.strip() or line.startswith("#"):
             continue
@@ -172,9 +153,9 @@ def load_topic_file(path):
         if not tokens:
             raise FormatError("%s line %d: empty term" % (path, lineno))
         weight = (parse_field(finite, fields[1], "weight", path, lineno) if fields[1].strip()
-                  else default_term_weight(tokens))
-        entries.append(TopicTerm(tokens, weight, fields[2]))
-    return TopicDefinition(entries)
+                  else float(len(tokens)))
+        topic.append((tokens, weight))
+    return topic
 
 
 def parse_located_document(doc_id, lines, path):

@@ -396,15 +396,10 @@ def test_acceptance_7_retrieval_benchmark():
 def test_acceptance_8_topic_relevance():
     rng = random.Random(808)
     vocab = ["t%d" % i for i in range(25)]
-    terms = [
-        webfilter.TopicTerm(
-            tuple(rng.choice(vocab) for _ in range(rng.randint(1, 3))),
-            float(rng.randint(1, 6)),
-            "T",
-        )
+    topic = [
+        (tuple(rng.choice(vocab) for _ in range(rng.randint(1, 3))), float(rng.randint(1, 6)))
         for _ in range(8)
     ]
-    topic = webfilter.TopicDefinition(terms)
     loc_weights = webfilter.LocationWeights()
     docs = []
     for i in range(100):
@@ -426,19 +421,17 @@ def test_acceptance_8_topic_relevance():
         for loc in webfilter.LOCATIONS:
             for line in doc.lines(loc):
                 tokens = line.split()
-                for term in terms:
+                for term, weight in topic:
                     want += (
-                        webfilter.count_occurrences(term.tokens, tokens)
-                        * term.weight
+                        webfilter.count_occurrences(term, tokens)
+                        * weight
                         * loc_weights.get(loc)
                     )
         assert got == want  # exact double-sum equality
         scores.append(got)
 
     # ranking invariant under positive scaling of all weights
-    scaled_topic = webfilter.TopicDefinition(
-        [webfilter.TopicTerm(t.tokens, 7.0 * t.weight, t.topic_class) for t in terms]
-    )
+    scaled_topic = [(term, 7.0 * weight) for term, weight in topic]
     scaled_locs = webfilter.LocationWeights(30.0, 12.0, 6.0, 3.0)
     scaled = [webfilter.topic_relevance(d, scaled_topic, scaled_locs) for d in docs]
     base_rank = sorted(range(100), key=lambda i: (-scores[i], docs[i].id))

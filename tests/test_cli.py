@@ -710,6 +710,28 @@ def test_retrieve_cli_with_gold(work, capsys):
     assert "postings visited of" in capsys.readouterr().err
 
 
+def test_estimate_delta_reads_two_files_as_one_tsv(work, capsys, monkeypatch):
+    monkeypatch.chdir(work)
+    Path("pairs.tsv").write_text("a b c\ta b\nd e\td e f g\nh\th i\n", encoding="utf-8")
+    Path("src.txt").write_text("a b c\nd e\nh\n", encoding="utf-8")
+    Path("tgt.txt").write_text("a b\nd e f g\nh i\n", encoding="utf-8")
+    assert run_cli("estimate-delta", "--input", "pairs.tsv", "--output", "tsv.txt") == 0
+    assert run_cli("estimate-delta", "--source", "src.txt", "--target", "tgt.txt",
+                   "--output", "two.txt") == 0
+
+    def rows(path):
+        return [l for l in Path(path).read_text(encoding="utf-8").splitlines()
+                if not l.startswith("#")]
+
+    assert rows("two.txt") == rows("tsv.txt") == ["delta\t%r" % ((1 / 3 + 1.0 + 1.0) / 3)]
+    Path("tgt.txt").write_text("a b\nd e f g\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("estimate-delta", "--source", "src.txt", "--target", "tgt.txt",
+                   "--output", "bad.txt") == 1
+    assert "error: line-count mismatch" in capsys.readouterr().err
+    assert not Path("bad.txt").exists()
+
+
 @pytest.mark.parametrize("n_best", ["0", "-1"])
 def test_retrieve_cli_rejects_n_best_below_one(work, capsys, n_best):
     coll = work / "coll.tsv"
@@ -717,7 +739,7 @@ def test_retrieve_cli_rejects_n_best_below_one(work, capsys, n_best):
     out = work / "res.tsv"
     assert run_cli("retrieve", "--collection", str(coll), "--queries", str(coll),
                    "--lambda", "0.5", "--n-best", n_best, "--output", str(out)) == 1
-    assert "error: n_best must be >= 1" in capsys.readouterr().err
+    assert "error: --n-best must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1140,6 +1162,25 @@ def test_lm_options_are_checked_before_the_inputs_are_read(work, capsys, monkeyp
     assert message in err and "missing.txt" not in err
 
 
+@pytest.mark.parametrize("options, message", [
+    (["--lambda", "100", "--n-best", "1"], "error: --lambda must be in (0, 1]"),
+    (["--lambda", "0", "--n-best", "1"], "error: --lambda must be in (0, 1]"),
+    (["--lambda", "0.5", "--n-best", "0"], "error: --n-best must be >= 1"),
+    (["--lambda", "0.5", "--n-best", "1", "--delta", "-1"], "error: delta must be >= 0"),
+    (["--lambda", "0.5", "--n-best", "1", "--delta", "0.1", "--multiplier", "-1"],
+     "error: multiplier must be >= 0"),
+], ids=["lambda-percent", "lambda-0", "n-best-0", "delta", "multiplier"])
+def test_retrieve_options_are_checked_before_the_inputs_are_read(work, capsys, monkeypatch,
+                                                                 options, message):
+    # the collection and queries do not exist: the option is at fault first
+    monkeypatch.chdir(work)
+    assert run_cli("retrieve", "--collection", "missing.tsv", "--queries", "missing.tsv",
+                   *options, "--output", "r.tsv") == 1
+    err = capsys.readouterr().err
+    assert message in err and "missing.tsv" not in err
+    assert not Path("r.tsv").exists()
+
+
 def test_lm_options_are_ignored_where_no_lm_is_trained(work, capsys, monkeypatch):
     # acceptance 11 passes --order and --smoothing to every criterion
     monkeypatch.chdir(work)
@@ -1481,7 +1522,7 @@ def test_empty_general_is_an_error_under_every_criterion(work, capsys, bilingual
       "--order", "9"], "does not take --order"),
     (["combine", "--mode", "corpus", "--selection", "s.sel", "--corpus", "general.txt",
       "--smoothing", "mle"], "does not take --smoothing"),
-    (["retrieve", "--collection", "pairs.tsv", "--queries", "pairs.tsv", "--lambda", "50",
+    (["retrieve", "--collection", "pairs.tsv", "--queries", "pairs.tsv", "--lambda", "0.5",
       "--n-best", "1", "--multiplier", "9"], "--multiplier"),
     # a usage error before any input is read: the collection and model do not exist
     (["ppl-filter", "--collection", "missing.tsv", "--k", "100", "--n", "50", "--lm",

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusmine import corpus, lm, webfilter
-from corpusmine.errors import FormatError, MissingFactorError, read_lines, write_text
+from corpusmine import combine, corpus, lm, retrieve, select, webfilter
+from corpusmine.errors import (FormatError, MissingFactorError, ToolkitError, read_lines,
+                               write_text)
 
 
 def test_plain_round_trip(tmp_path):
@@ -411,3 +412,38 @@ def test_factor_streams_match_per_token_model(sentences):
         plain, bare = corpus.Sentence.from_plain(text), corpus.Sentence.from_factored(text)
         assert plain == bare and hash(plain) == hash(bare)
         assert len(corpus.dedup(corpus.Corpus((plain, bare)))) == 1
+
+
+_DATA = corpus.Corpus.from_lines(["a b", "b c a"])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: combine.interpolate_tables([], []), "need at least one table"),
+    (lambda: combine.combine_advanced_lm([], _DATA), "need at least one source set"),
+    (lambda: corpus.load_corpus("c.txt", format="xml"), "unknown corpus format 'xml'"),
+    (lambda: lm.MixtureModel([], []), "mixture needs at least one component"),
+    (lambda: lm.MixtureModel([lm.train(_DATA, order=1)], [0.5, 0.5]),
+     "weight count does not match component count"),
+    (lambda: lm.MixtureModel([lm.train(_DATA, order=1)] * 2, [-0.5, 1.5]),
+     "mixture weights must be non-negative"),
+    (lambda: lm.interpolate([], _DATA), "need at least one model to interpolate"),
+    (lambda: retrieve.length_filter_candidates(
+        0, retrieve.DocumentIndex([retrieve.Document("d", ("a",))]),
+        retrieve.LengthFilterParams(0.1)), "source length must be >= 1"),
+    (lambda: select.score_cosine([], _DATA), "both corpora must be non-empty"),
+    (lambda: select.score_fms(_DATA, []), "reference corpus must be non-empty"),
+    (lambda: select.score("bleu", _DATA, _DATA), "unknown criterion 'bleu'"),
+], ids=["no-table", "no-source-set", "corpus-format", "no-component", "weight-count",
+        "negative-weight", "no-model", "source-length", "empty-cosine", "empty-fms",
+        "criterion"])
+def test_library_guards_name_the_fault(call, message):
+    # each check that only a library caller can reach; a step checks its own
+    with pytest.raises(ToolkitError) as fault:
+        call()
+    assert str(fault.value) == message
+
+
+def test_records_are_not_equal_to_tuples():
+    assert corpus.Sentence(("a",)) != ("a",)
+    pair = corpus.SentencePair(corpus.Sentence(("a",)), corpus.Sentence(("b",)))
+    assert pair != (pair.source, pair.target)

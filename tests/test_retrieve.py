@@ -18,6 +18,11 @@ def _docs(texts):
     return [retrieve.Document("d%d" % i, tuple(t.split())) for i, t in enumerate(texts)]
 
 
+def _df(texts):
+    """Document frequency counted from the texts, not read from an index."""
+    return Counter(w for t in texts for w in set(t.split()))
+
+
 def test_document_invariants():
     with pytest.raises(ToolkitError):
         retrieve.Document("empty", ())
@@ -28,7 +33,8 @@ def test_document_invariants():
 def test_index_statistics():
     idx = retrieve.DocumentIndex(_docs(["a b a", "b c", "c c c"]))
     assert idx.n_docs == 3
-    assert idx.df["a"] == 1 and idx.df["b"] == 2 and idx.df["c"] == 2
+    # a term's document frequency is the length of its postings
+    assert {t: len(ranks) for t, (ranks, _) in idx.postings.items()} == {"a": 1, "b": 2, "c": 2}
     assert idx.sorted_lengths[idx.by_length.index("d0")] == 3
 
 
@@ -71,6 +77,7 @@ def test_score_document_oracle():
     texts = ["a b c", "a a x", "y z w q"]
     idx = retrieve.DocumentIndex(_docs(texts))
     q = [("a", 2.0), ("b", 1.0)]
+    df = _df(texts)
     scores, _ = retrieve._accumulate_scores(q, range(idx.n_docs), idx)
     for doc_id, text in zip(("d0", "d1", "d2"), texts):
         tf = Counter(text.split())
@@ -78,7 +85,7 @@ def test_score_document_oracle():
         want = 0.0
         for term, _ in q:
             if tf[term]:
-                want += math.sqrt(tf[term]) * (1.0 + math.log(idx.n_docs / (idx.df[term] + 1)))
+                want += math.sqrt(tf[term]) * (1.0 + math.log(idx.n_docs / (df[term] + 1)))
         want *= (present / len(q)) / math.sqrt(len(text.split()))
         assert scores.get(idx.by_length.index(doc_id), 0.0) == pytest.approx(want)
 
@@ -159,7 +166,7 @@ def test_index_keeps_no_document():
         if isinstance(obj, (dict, list, tuple)):
             stack += gc.get_referents(obj)
     assert not held & set(map(id, tokens))  # and no token tuple
-    assert idx.by_length == ["d2", "d0", "d1"] and idx.df["market"] == 2
+    assert idx.by_length == ["d2", "d0", "d1"] and idx.postings["market"][0] == [1, 2]
 
 
 def test_random_retrieval_self_consistency():
@@ -173,7 +180,7 @@ def test_random_retrieval_self_consistency():
         assert best == "d%d" % i  # an exact copy must win
 
 
-def _reference_score(query, tokens, index):
+def _reference_score(query, tokens, n_docs, df):
     """The per-document formula, written out in the order retrieve must keep."""
     if not query:
         return 0.0
@@ -184,7 +191,7 @@ def _reference_score(query, tokens, index):
     for term, _ in query:
         if tf[term] > 0:
             matched += 1
-            idf = 1.0 + math.log(index.n_docs / (index.df[term] + 1.0))
+            idf = 1.0 + math.log(n_docs / (df[term] + 1.0))
             total += math.sqrt(tf[term]) * idf * norm
     return (matched / len(query)) * total
 
@@ -203,9 +210,11 @@ def _check_against_brute_force(texts, source, stopwords, lambda_percent, n_best,
                               stopwords, stats)
     scores = dict(every)
     assert scores.keys() == candidates
+    df = _df(texts)
     for d in candidates:
-        assert scores[d] == _reference_score(query, tokens[d], idx)
-    brute = sorted((-_reference_score(query, tokens[d], idx), d) for d in candidates)[:n_best]
+        assert scores[d] == _reference_score(query, tokens[d], len(texts), df)
+    brute = sorted((-_reference_score(query, tokens[d], len(texts), df), d)
+                   for d in candidates)[:n_best]
     got = every[:n_best]
     assert [d for d, _ in got] == [d for _, d in brute]
     assert [s for _, s in got] == [-neg for neg, _ in brute]

@@ -30,11 +30,6 @@ def test_count_occurrences_overlapping():
     assert webfilter.count_occurrences(("a", "b"), "b a".split()) == 0
 
 
-def test_default_term_weight_is_token_count():
-    assert webfilter.default_term_weight(("insulin",)) == 1.0
-    assert webfilter.default_term_weight(("blood", "sugar", "level")) == 3.0
-
-
 def test_topic_relevance_hand_case():
     doc = _doc(
         "d1",
@@ -43,30 +38,19 @@ def test_topic_relevance_hand_case():
         metadata=["diabetes care"],
         body=["insulin helps", "no match here"],
     )
-    topic = webfilter.TopicDefinition(
-        [
-            webfilter.TopicTerm(("insulin",), 1.0, "MED"),
-            webfilter.TopicTerm(("diabetes",), 2.0, "MED"),
-        ]
-    )
+    topic = [(("insulin",), 1.0), (("diabetes",), 2.0)]
     # insulin: title 1x10 + headings 1x4 + body 1x1 = 15; diabetes: metadata 2x2 = 4
     assert webfilter.topic_relevance(doc, topic) == pytest.approx(19.0)
     # ranking is invariant under positive scaling of term weights
-    scaled = webfilter.TopicDefinition(
-        [webfilter.TopicTerm(t.tokens, 10 * t.weight, t.topic_class) for t in topic.entries]
-    )
+    scaled = [(tokens, 10 * weight) for tokens, weight in topic]
     assert webfilter.topic_relevance(doc, scaled) == pytest.approx(190.0)
 
 
 def test_topic_relevance_brute_force_oracle():
     rng = random.Random(19)
     vocab = ["t%d" % i for i in range(12)]
-    terms = [
-        webfilter.TopicTerm(tuple(rng.choice(vocab) for _ in range(rng.randint(1, 2))),
-                            rng.randint(1, 5) * 1.0, "X")
-        for _ in range(6)
-    ]
-    topic = webfilter.TopicDefinition(terms)
+    topic = [(tuple(rng.choice(vocab) for _ in range(rng.randint(1, 2))), rng.randint(1, 5) * 1.0)
+             for _ in range(6)]
     weights = webfilter.LocationWeights()
     for _ in range(50):
         doc = _doc(
@@ -81,10 +65,10 @@ def test_topic_relevance_brute_force_oracle():
         for loc in webfilter.LOCATIONS:
             for line in doc.lines(loc):
                 tokens = line.split()
-                for term in terms:
+                for term, weight in topic:
                     want += (
-                        webfilter.count_occurrences(term.tokens, tokens)
-                        * term.weight
+                        webfilter.count_occurrences(term, tokens)
+                        * weight
                         * weights.get(loc)
                     )
         assert webfilter.topic_relevance(doc, topic) == pytest.approx(want, abs=1e-12)
@@ -99,9 +83,9 @@ def _per_location_formula(doc, topic, weights):
         if wl == 0:
             continue
         line_tokens = [line.split() for line in doc.lines(loc)]
-        for entry in topic.entries:
-            n = sum(webfilter.count_occurrences(entry.tokens, toks) for toks in line_tokens)
-            score += n * entry.weight * wl
+        for term, weight in topic:
+            n = sum(webfilter.count_occurrences(term, toks) for toks in line_tokens)
+            score += n * weight * wl
     return score
 
 
@@ -127,24 +111,21 @@ def test_topic_relevance_equals_per_location_formula(sections, terms, loc_weight
     if not sections:
         sections = {"body": ["a"]}
     doc = webfilter.LocatedDocument("d", sections)
-    topic = webfilter.TopicDefinition(
-        [webfilter.TopicTerm(tokens, weight, "X") for tokens, weight in terms]
-    )
     weights = webfilter.LocationWeights(*loc_weights)
-    assert webfilter.topic_relevance(doc, topic, weights) == _per_location_formula(
-        doc, topic, weights
+    assert webfilter.topic_relevance(doc, terms, weights) == _per_location_formula(
+        doc, terms, weights
     )
 
 
 def test_topic_relevance_edge_cases_equal_formula():
     doc = _doc("d", title="a a a", headings=["a b a a"], metadata=["b"],
                body=["a a", "b a a a b"])
-    topic = webfilter.TopicDefinition([
-        webfilter.TopicTerm(("a", "a"), 0.1, "X"),       # overlapping matches
-        webfilter.TopicTerm(("a", "a"), 1 / 3, "X"),     # duplicate entry
-        webfilter.TopicTerm(("a",) * 6, 0.1, "X"),       # longer than every line
-        webfilter.TopicTerm(("b", "a"), 1 / 3, "X"),
-    ])
+    topic = [
+        (("a", "a"), 0.1),       # overlapping matches
+        (("a", "a"), 1 / 3),     # duplicate entry
+        (("a",) * 6, 0.1),       # longer than every line
+        (("b", "a"), 1 / 3),
+    ]
     weights = webfilter.LocationWeights(title=1 / 3, headings=0.0, metadata=0.1, body=0.1)
     got = webfilter.topic_relevance(doc, topic, weights)
     assert got == _per_location_formula(doc, topic, weights)
@@ -160,8 +141,10 @@ def test_location_weights_reject_nan():
 
 def test_filter_documents_topk():
     scored = [("a", 5.0), ("b", 1.0), ("c", 3.0), ("d", 3.0)]
-    assert webfilter.filter_documents_topk(scored, 50) == ["a", "c"]  # floor(2), tie by id
-    assert webfilter.filter_documents_topk(scored, 100) == ["a", "c", "d", "b"]
+    # floor(2) kept, ties by id, each with its score
+    assert webfilter.filter_documents_topk(scored, 50) == [("a", 5.0), ("c", 3.0)]
+    assert webfilter.filter_documents_topk(scored, 100) == [
+        ("a", 5.0), ("c", 3.0), ("d", 3.0), ("b", 1.0)]
     assert webfilter.filter_documents_topk(scored, 10) == []  # floor(0.4) -> none kept
     hundred = [("d%03d" % i, float(i)) for i in range(100)]
     assert len(webfilter.filter_documents_topk(hundred, 29)) == 29  # not int(28.999...)
@@ -194,7 +177,7 @@ def test_combined_filter_orders_by_ppl1():
     model = lm.train(
         corpus.Corpus.from_lines(["x y x y", "y x y x"]), order=2, smoothing="witten-bell"
     )
-    topic = webfilter.TopicDefinition([webfilter.TopicTerm(("x",), 1.0, "X")])
+    topic = [(("x",), 1.0)]
     docs = [
         _doc("rel", title="x", body=["x y x", "q q q q"]),
         _doc("off", body=["z z"]),
@@ -217,7 +200,7 @@ def test_combined_filter_k100_equals_pure_ppl_selection():
         _doc("a", body=["x y", "z q"]),
         _doc("b", body=["y x y", "p p p"]),
     ]
-    empty_topic = webfilter.TopicDefinition([])
+    empty_topic = []
     kept = webfilter.combined_filter(docs, empty_topic, k=100, n=50, in_lm=model)
     sentences = [s for d in docs for s in d.all_lines()]
     ranked = sorted(range(len(sentences)), key=lambda i: (webfilter.ppl1(model, sentences[i]), i))
@@ -231,7 +214,7 @@ def test_combined_filter_k100_equals_pure_ppl_selection():
 def test_combined_filter_is_equal_for_any_slice_size(monkeypatch, chunk):
     model = lm.train(corpus.Corpus.from_lines(["x y x y", "y x y x z"]), order=3)
     docs = [_doc("a", body=["x y", "z q", "y y x"]), _doc("b", body=["y x y", "p", "x"])]
-    topic = webfilter.TopicDefinition([])
+    topic = []
     monkeypatch.setattr(lm, "_SCORE_CHUNK", 6)
     whole = webfilter.combined_filter(docs, topic, k=100, n=50, in_lm=model)
     monkeypatch.setattr(lm, "_SCORE_CHUNK", chunk)
@@ -240,12 +223,14 @@ def test_combined_filter_is_equal_for_any_slice_size(monkeypatch, chunk):
 
 def test_topic_file_and_document_parsing(tmp_path):
     tf = tmp_path / "topic.tsv"
-    tf.write_text("insulin\t\tMED\nblood sugar\t5\tMED\n", encoding="utf-8")
-    topic = webfilter.load_topic_file(tf)
-    assert topic.entries[0].tokens == ("insulin",)
-    assert topic.entries[0].weight == 1.0  # blank weight defaults to token count
-    assert topic.entries[1].tokens == ("blood", "sugar")
-    assert topic.entries[1].weight == 5.0
+    tf.write_text("insulin\t\tMED\nblood sugar\t5\tMED\nblood sugar level\t \tLAB\n"
+                  "insulin\t\tMED\n", encoding="utf-8")
+    # a blank weight is the term's token count; a term listed twice stays two
+    # entries, in file order; the class column is read but not kept
+    assert webfilter.load_topic_file(tf) == [
+        (("insulin",), 1.0), (("blood", "sugar"), 5.0), (("blood", "sugar", "level"), 3.0),
+        (("insulin",), 1.0),
+    ]
 
     doc = webfilter.parse_located_document(
         "d1", enumerate(["#title", "my page", "#body", "line one", "line two"], 1), "pages/d1"
