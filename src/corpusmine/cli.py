@@ -150,8 +150,8 @@ def _cmd_preprocess(args):
     if args.max_len is not None:
         data = corpus.length_filter(data, args.max_len)
     if two_file:
-        corpus.save_corpus(data.source_corpus(), args.output_source)
-        corpus.save_corpus(data.target_corpus(), args.output_target)
+        corpus.save_corpus(data.source_corpus(), args.output_source, format=args.format)
+        corpus.save_corpus(data.target_corpus(), args.output_target, format=args.format)
     elif args.hyphen_alt:
         lexicon = corpus.load_lexicon(args.hyphen_alt)
         write_headed(args.output, {}, (corpus.hyphen_alt_markup(s, lexicon) for s in data))
@@ -254,6 +254,8 @@ def _cmd_select(args):
 
     if (args.k is None) == (args.theta is None):
         raise UsageError("exactly one of --k and --theta is required", "k", "theta")
+    if args.k is not None:
+        select.top_percent(args.k, ())
     yield
     scores, meta = select.read_scores(args.scores)
     direction = args.direction or meta.get("direction")
@@ -399,9 +401,10 @@ def _location_weights(args):
 
 
 def _cmd_topic_filter(args):
-    from . import webfilter
+    from . import select, webfilter
 
     weights = _location_weights(args)
+    select.top_percent(args.k, ())
     yield
     docs = webfilter.load_located_collection(args.collection)
     topic = webfilter.load_topic_file(args.topic)
@@ -416,11 +419,13 @@ def _cmd_topic_filter(args):
 
 
 def _cmd_ppl_filter(args):
-    from . import lm, webfilter
+    from . import lm, select, webfilter
 
     if args.topic is None and args.k < 100:
         raise UsageError("--topic is required when --k < 100", "topic", "k")
     weights = _location_weights(args)
+    select.top_percent(args.k, ())
+    select.top_percent(args.n, (), "N")
     yield
     docs = webfilter.load_located_collection(args.collection)
     topic = webfilter.load_topic_file(args.topic) if args.topic else []

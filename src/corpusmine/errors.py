@@ -1,10 +1,12 @@
 """Exception hierarchy shared by all corpusmine modules, and the helpers that
 every file reader and writer goes through."""
 
+import codecs
 import math
 import os
 import sys
-from itertools import chain, repeat
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
 
@@ -62,20 +64,41 @@ def backoff_weight(text):
     return x
 
 
+def _split_lines(text):
+    """text cut at each \\n, \\r\\n and lone \\r; the last piece follows the last break."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def read_lines(path):
-    """(line number, line) for each line of a UTF-8 file, read a block at a
-    time as they are iterated.  A line ends at \\n, \\r\\n or a lone \\r; not at
-    U+2028, U+0085, \\x0b, \\x0c or \\x1c-\\x1e, as in str.splitlines(), which
-    would shift every later line number."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            yield from enumerate(map(str.rstrip, f, repeat("\n")), 1)
-        except UnicodeDecodeError as exc:
-            try:  # exc counts from the start of the block being decoded, not of the file
-                Path(path).read_bytes().decode("utf-8")
-            except UnicodeDecodeError as whole:
-                exc = whole
-            raise FormatError("%s is not valid UTF-8: %s" % (path, exc)) from exc
+    """(line number, line) for each line of a UTF-8 file, read once, 64 KiB
+    at a time as they are iterated.  A line ends at \\n, \\r\\n or a lone \\r;
+    not at U+2028, U+0085, \\x0b, \\x0c or \\x1c-\\x1e, as in str.splitlines(),
+    which would shift every later line number."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    lineno, tail, cr = 1, [], ""  # tail: line lineno so far, in pieces; cr: a \r after it
+    with open(path, "rb") as f:
+        for block in chain(iter(partial(f.read1, 1 << 16), b""), [b""]):  # b"": the end
+            try:
+                text = cr + decode(block, not block)
+            except UnicodeDecodeError as exc:
+                # tail holds no line break, so the bad byte's line is lineno plus
+                # the breaks in cr and exc.object before it
+                before = cr + exc.object[:exc.start].decode("latin-1")
+                raise FormatError("%s line %d: not valid UTF-8: byte 0x%02x, %s" % (
+                    path, lineno + len(_split_lines(before)) - 1, exc.object[exc.start],
+                    exc.reason)) from None
+            cr = "\r" if block and text.endswith("\r") else ""  # it may be half a \r\n
+            lines = _split_lines(text[:len(text) - len(cr)])
+            rest = lines.pop()
+            if lines:  # a line as long as many blocks is joined once
+                lines[0] = "".join(tail) + lines[0]
+                tail = []
+            tail.append(rest)
+            yield from enumerate(lines, lineno)
+            lineno += len(lines)
+    last = "".join(tail)
+    if last:
+        yield lineno, last
 
 
 def write_text(path, text):

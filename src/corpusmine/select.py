@@ -353,36 +353,39 @@ def score(criterion, general, in_domain, models=None, order=4, seed=0,
 # --- ranking and selection ----------------------------------------------------
 
 
+def _sign(direction):
+    """-1.0 for higher-is-better scores, 1.0 for lower: sign * score is lower when better."""
+    return -1.0 if direction == HIGHER else 1.0
+
+
 def _ranked_indices(scores, direction):
-    sign = -1.0 if direction == HIGHER else 1.0
+    sign = _sign(direction)
     return sorted(range(len(scores)), key=lambda i: (sign * scores[i], i))
 
 
-def topk_count(k, n):
-    """floor(k/100 * n) in exact rational arithmetic, with k read as the
-    decimal it prints as: K=29 of 100 items keeps 29, not 28."""
+def top_percent(k, ranked, name="K"):
+    """The first floor(k/100 * len(ranked)) items of ranked, in exact rational
+    arithmetic with k read as the decimal it prints as: K=29 of 100 items keeps
+    29, not 28.  k must be in (0, 100]; the error calls it name."""
+    if not 0 < k <= 100:
+        raise ToolkitError("%s must be in (0, 100]" % name)
     from fractions import Fraction  # here, not at the top: score steps need neither it nor decimal
 
-    return Fraction(str(k)) * n // 100
+    return ranked[:Fraction(str(k)) * len(ranked) // 100]
 
 
 def select_top(scores, k, direction, criterion=""):
     """Keep the best floor(k/100 * |corpus|) sentences; ties break by index."""
-    if not 0 < k <= 100:
-        raise ToolkitError("K must be in (0, 100]")
-    n = topk_count(k, len(scores))
-    if n == 0:
+    kept = top_percent(k, _ranked_indices(scores, direction))
+    if not kept:
         raise ToolkitError("K=%g keeps zero sentences of %d" % (k, len(scores)))
-    ranked = _ranked_indices(scores, direction)
-    return SelectionResult(ranked[:n], criterion, direction)
+    return SelectionResult(kept, criterion, direction)
 
 
 def threshold_filter(scores, theta, direction, criterion=""):
     """Keep sentences scoring strictly better than theta."""
-    if direction == HIGHER:
-        keep = [i for i in _ranked_indices(scores, direction) if scores[i] > theta]
-    else:
-        keep = [i for i in _ranked_indices(scores, direction) if scores[i] < theta]
+    sign = _sign(direction)
+    keep = [i for i in _ranked_indices(scores, direction) if sign * scores[i] < sign * theta]
     return SelectionResult(keep, criterion, direction)
 
 

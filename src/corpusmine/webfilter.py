@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .corpus import read_documents
 from .errors import FormatError, ToolkitError, finite, parse_field, read_lines
-from .select import topk_count
+from .select import LOWER, _ranked_indices, top_percent
 
 LOCATIONS = ("title", "headings", "metadata", "body")
 
@@ -86,10 +86,7 @@ def topic_relevance(doc, topic, loc_weights=None):
 def filter_documents_topk(scored_docs, k):
     """The best floor(k/100 * |docs|) (doc_id, score) pairs by score, ties by id,
     in rank order."""
-    if not 0 < k <= 100:
-        raise ToolkitError("K must be in (0, 100]")
-    ranked = sorted(scored_docs, key=lambda ds: (-ds[1], ds[0]))
-    return ranked[:topk_count(k, len(ranked))]
+    return top_percent(k, sorted(scored_docs, key=lambda ds: (-ds[1], ds[0])))
 
 
 def ppl1(model, sentence, probs=None):
@@ -116,8 +113,8 @@ def combined_filter(docs, topic, k, n, in_lm, loc_weights=None):
     LM and keeps the top N%.  Returns (doc_id, sentence) pairs."""
     from . import lm
 
-    if not 0 < n <= 100:
-        raise ToolkitError("N must be in (0, 100]")
+    top_percent(k, ())  # a bad K or N fails before any page is scored
+    top_percent(n, (), "N")
     scored = [(d.id, topic_relevance(d, topic, loc_weights)) for d in docs]
     kept_ids = {doc_id for doc_id, _ in filter_documents_topk(scored, k)}
     sentences = [
@@ -129,9 +126,7 @@ def combined_filter(docs, topic, k, n, in_lm, loc_weights=None):
     ]
     ppls = [ppl1(in_lm, line, probs) for (_, line), (probs,)
             in zip(sentences, lm.sentence_probs([in_lm], (line for _, line in sentences)))]
-    ranked = sorted(range(len(sentences)), key=lambda i: (ppls[i], i))
-    keep = topk_count(n, len(sentences))
-    return [sentences[i] for i in ranked[:keep]]
+    return [sentences[i] for i in top_percent(n, _ranked_indices(ppls, LOWER), "N")]
 
 
 # --- file formats ---------------------------------------------------------------

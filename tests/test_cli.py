@@ -189,9 +189,10 @@ def test_row_outputs_reach_write_text_through_write_headed():
 
 def test_files_are_opened_only_by_the_line_reader_the_writer_and_the_digest():
     # every input is read through errors.read_lines and every output written
-    # through errors.write_text; the manifest digest reads an input's bytes
-    assert _callers("open", "read_bytes", "read_text") == {
-        "errors.read_lines", "errors.write_text", "cli._sha256"}
+    # through errors.write_text; the manifest digest reads an input's bytes;
+    # and no input is read a second time to report on it
+    assert _callers("open") == {"errors.read_lines", "errors.write_text", "cli._sha256"}
+    assert not _callers("read_bytes", "read_text")
 
 
 def test_direction_choices_are_the_select_directions(capsys):
@@ -284,6 +285,22 @@ def test_preprocess_factored_normalized_then_dedup(work, capsys):
         "room|room|NN @num@|12|CD\nroom|room|NN @num@|13|CD\n"
         "the|the|DT @num@|4|CD cats|cat|NNS|ANIMAL\ndozen|12|CD cats|cat|NNS|ANIMAL\n"
         "the|the|DT cats|cat|NNS\n")
+    capsys.readouterr()
+
+
+def test_preprocess_two_files_keep_the_factors(work, capsys):
+    # each side is written in the step's --format, as one-file mode writes it
+    src, tgt = work / "src.txt", work / "tgt.txt"
+    src.write_text("a|A|N b|B|V\n", encoding="utf-8")
+    tgt.write_text("c|C|N 7|7|CD\n", encoding="utf-8")
+    out_src, out_tgt, one = work / "out.src.txt", work / "out.tgt.txt", work / "one.txt"
+    assert run_cli("preprocess", "--source", str(src), "--target", str(tgt),
+                   "--output-source", str(out_src), "--output-target", str(out_tgt),
+                   "--format", "factored", "--normalize-numbers") == 0
+    assert run_cli("preprocess", "--input", str(src), "--output", str(one),
+                   "--format", "factored") == 0
+    assert out_src.read_text(encoding="utf-8") == one.read_text(encoding="utf-8") == "a|A|N b|B|V\n"
+    assert out_tgt.read_text(encoding="utf-8") == "c|C|N @num@|7|CD\n"
     capsys.readouterr()
 
 
@@ -1181,6 +1198,47 @@ def test_retrieve_options_are_checked_before_the_inputs_are_read(work, capsys, m
     assert not Path("r.tsv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["select", "--scores", "missing.tsv", "--k", "0"], "error: K must be in (0, 100]"),
+    (["select", "--scores", "missing.tsv", "--k", "101"], "error: K must be in (0, 100]"),
+    (["topic-filter", "--collection", "missing.tsv", "--topic", "missing.tsv", "--k", "0"],
+     "error: K must be in (0, 100]"),
+    (["ppl-filter", "--collection", "missing.tsv", "--topic", "missing.tsv", "--lm", "missing.lm",
+      "--k", "0", "--n", "50"], "error: K must be in (0, 100]"),
+    (["ppl-filter", "--collection", "missing.tsv", "--lm", "missing.lm", "--k", "100",
+      "--n", "0"], "error: N must be in (0, 100]"),
+    (["ppl-filter", "--collection", "missing.tsv", "--topic", "missing.tsv", "--lm", "missing.lm",
+      "--k", "50", "--n", "100.5"], "error: N must be in (0, 100]"),
+], ids=["select-k", "select-k-max", "topic-filter-k", "ppl-filter-k", "ppl-filter-n",
+        "ppl-filter-n-max"])
+def test_percent_options_are_checked_before_the_inputs_are_read(work, capsys, monkeypatch,
+                                                                argv, message):
+    # no input exists: the option is at fault first
+    monkeypatch.chdir(work)
+    assert run_cli(*argv, "--output", "o.tsv") == 1
+    err = capsys.readouterr().err
+    assert message in err and "missing" not in err
+    assert not Path("o.tsv").exists()
+
+
+def test_percent_checks_come_after_the_usage_checks(work, capsys, monkeypatch):
+    # a usage error keeps exit code 2 whatever the percent
+    monkeypatch.chdir(work)
+    assert run_cli("select", "--scores", "missing.tsv", "--k", "0", "--theta", "1",
+                   "--output", "o.tsv") == 2
+    assert run_cli("ppl-filter", "--collection", "missing.tsv", "--lm", "missing.lm",
+                   "--k", "0", "--n", "0", "--output", "o.tsv") == 2
+    assert run_cli("topic-filter", "--collection", "missing.tsv", "--topic", "missing.tsv",
+                   "--k", "0", "--location-weights", "1,2", "--output", "o.tsv") == 2
+    capsys.readouterr()
+    # but a missing direction is known only from the score file, read after the percent
+    Path("s.tsv").write_text("0\t1.5\n", encoding="utf-8")
+    assert run_cli("select", "--scores", "s.tsv", "--k", "0", "--output", "o.tsv") == 1
+    assert "error: K must be in (0, 100]" in capsys.readouterr().err
+    assert run_cli("select", "--scores", "s.tsv", "--k", "50", "--output", "o.tsv") == 2
+    assert "--direction is required" in capsys.readouterr().err
+
+
 def test_lm_options_are_ignored_where_no_lm_is_trained(work, capsys, monkeypatch):
     # acceptance 11 passes --order and --smoothing to every criterion
     monkeypatch.chdir(work)
@@ -1409,7 +1467,7 @@ def test_non_utf8_input_is_an_error(work, capsys, argv):
             else a for a in argv]
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
-    assert "error: %s is not valid UTF-8:" % bad in err
+    assert "error: %s line 1: not valid UTF-8: byte 0xff, " % bad in err
     assert "Traceback" not in err
 
 

@@ -1,8 +1,10 @@
 """Corpus model, I/O and preprocessing transforms."""
 
 import ast
+import os
 import random
 import re
+import threading
 from itertools import accumulate, chain
 from pathlib import Path
 
@@ -124,8 +126,59 @@ def test_lines_end_at_newline_only(tmp_path, separator):
 def test_non_utf8_byte_past_the_first_block_names_its_position_in_the_file(tmp_path):
     p = tmp_path / "f.txt"
     p.write_bytes(b"good line\n" * 2000 + b"a \xff b\n")
-    with pytest.raises(FormatError, match="f.txt is not valid UTF-8: .* in position 20002:"):
+    with pytest.raises(FormatError, match="f.txt line 2001: not valid UTF-8: byte 0xff, "):
         corpus.load_corpus(p)
+
+
+def _bad_line(path):
+    with pytest.raises(FormatError) as err:
+        list(read_lines(path))
+    return int(re.search(r" line (\d+): not valid UTF-8", str(err.value))[1])
+
+
+def _pipe(data):
+    """The read end of a pipe that a thread fills with data and then closes."""
+    read, write = os.pipe()
+
+    def fill():
+        try:
+            with open(write, "wb") as f:
+                f.write(data)
+        except BrokenPipeError:  # the reader stopped at the bad byte
+            pass
+
+    threading.Thread(target=fill, daemon=True).start()
+    return read
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_non_utf8_byte_names_the_same_line_in_a_file_and_a_pipe(tmp_path, eol):
+    # read_lines decodes 64 KiB blocks and holds back a \r that ends one; the
+    # line breaks here fall on each side of that edge and of the 8 KiB one, a
+    # character cut by the edge among them
+    path = tmp_path / "f.txt"
+    for edge in chain(range(8188, 8196), range(65532, 65540)):
+        for after in (b"", b"x", b"\xc3\xa9", eol):
+            head = b"".join(b"a" * (i % 7) + eol for i in range(edge // 8))
+            head += b"b" * (edge - len(head) - len(eol)) + eol
+            data = head + after + b"c \xff d" + eol + b"e" + eol
+            want = 1 + len(re.findall(rb"\r\n|\r|\n", data[:data.index(b"\xff")]))
+            path.write_bytes(data)
+            read = _pipe(data)
+            try:
+                assert _bad_line(path) == _bad_line("/dev/fd/%d" % read) == want
+            finally:
+                os.close(read)
+
+
+@pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_a_line_longer_than_a_block_is_read_whole(tmp_path, eol):
+    # read_lines reads 64 KiB at a time; these lines span several reads
+    long = "\u00e9" * 100_000 + "x"
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"a" + eol + long.encode("utf-8") + eol + b"b" + eol + long.encode("utf-8"))
+    assert list(read_lines(path)) == [(1, "a"), (2, long), (3, "b"), (4, long)]
 
 
 def test_write_text_that_fails_partway_leaves_the_old_file(tmp_path):

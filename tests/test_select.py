@@ -269,6 +269,64 @@ def test_lm_scores_are_equal_for_any_slice_size(monkeypatch, chunk):
     assert scores() == whole
 
 
+# Fixed statistics for the row tests: the in-domain corpus (cosine's query,
+# FMS's references, never permuted) and each LM criterion's models.
+_IN_DOMAIN = corpus.Corpus.from_lines(["a b c", "b c a b", "d a", "a b c d a b"])
+_SRC_IN = lm.train(_IN_DOMAIN, order=3, smoothing="witten-bell")
+_SRC_OUT = lm.train(corpus.Corpus.from_lines(["c d", "d c a", "z"]), order=3,
+                    smoothing="witten-bell", vocab=_SRC_IN.vocab)
+_TGT_IN = lm.train(corpus.Corpus.from_lines(["x y", "y x q"]), order=2, smoothing="witten-bell")
+_TGT_OUT = lm.train(corpus.Corpus.from_lines(["q q y"]), order=2, smoothing="witten-bell",
+                    vocab=_TGT_IN.vocab)
+_MODELS = {"cosine": None, "fms": None, "ce": [_SRC_IN], "ml": [_SRC_IN, _SRC_OUT],
+           "mml": [_SRC_IN, _SRC_OUT, _TGT_IN, _TGT_OUT]}
+
+# General items: (source, target) lines; all but mml score the source alone.
+# Now and then repeated, to span several of FMS's blocks of 16.
+_ITEMS = st.builds(list.__mul__, st.lists(st.tuples(*(
+    st.lists(st.sampled_from(words), min_size=1, max_size=6).map(" ".join)
+    for words in ("abcdz", "xyqw"))), min_size=1, max_size=12), st.sampled_from([1, 15]))
+_ROW_TESTS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+def _rows(criterion, items):
+    if criterion == "mml":
+        general = corpus.ParallelCorpus(tuple(
+            corpus.SentencePair(corpus.Sentence.from_plain(s), corpus.Sentence.from_plain(t))
+            for s, t in items))
+    else:
+        general = corpus.Corpus.from_lines([s for s, _ in items])
+    return select.score(criterion, general, _IN_DOMAIN, _MODELS[criterion])
+
+
+@_ROW_TESTS
+@given(st.sampled_from(sorted(select.CRITERION_DIRECTIONS)), _ITEMS, st.data())
+def test_permuting_the_general_items_permutes_the_rows(criterion, items, data):
+    order = data.draw(st.permutations(range(len(items))))
+    rows = _rows(criterion, items)
+    assert _rows(criterion, [items[i] for i in order]) == [rows[i] for i in order]
+
+
+@_ROW_TESTS
+@given(st.sampled_from(sorted(select.CRITERION_DIRECTIONS)), _ITEMS, st.data())
+def test_equal_general_items_get_equal_rows(criterion, items, data):
+    i = data.draw(st.integers(0, len(items) - 1))
+    twin = data.draw(st.integers(0, len(items)))
+    rows = _rows(criterion, items[:twin] + [items[i]] + items[twin:])
+    assert rows[twin] == rows[i if i < twin else i + 1]
+
+
+@_ROW_TESTS
+@given(st.sampled_from(["ce", "fms", "ml", "mml"]), _ITEMS.filter(lambda items: len(items) > 1),
+       st.data())
+def test_the_rows_of_any_split_joined_are_the_rows_of_the_whole(criterion, items, data):
+    # cosine's df and |D| are taken over the whole general corpus, so its rows
+    # depend on the split
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(items) - 1), min_size=1)))
+    parts = [items[a:b] for a, b in zip([0] + cuts, cuts + [len(items)])]
+    assert [row for part in parts for row in _rows(criterion, part)] == _rows(criterion, items)
+
+
 def test_sample_out_subset_is_seeded():
     general = corpus.Corpus.from_lines(["s%d" % i for i in range(50)])
     a = select.sample_out_subset(general, 10, seed=4)
@@ -296,9 +354,9 @@ def test_select_top_floor_and_ties():
 
 def test_topk_count_is_exact():
     # float arithmetic gives int(29 / 100.0 * 100) = 28 and int(0.3 / 100.0 * 1000) = 2
-    assert select.topk_count(29, 100) == 29
-    assert select.topk_count(0.3, 1000) == 3
-    assert select.topk_count(29.0, 100) == 29
+    assert len(select.top_percent(29, range(100))) == 29
+    assert len(select.top_percent(0.3, range(1000))) == 3
+    assert len(select.top_percent(29.0, range(100))) == 29
     assert len(select.select_top(list(range(100)), 29, select.HIGHER).indices) == 29
 
 
@@ -313,10 +371,22 @@ def test_select_top_prefix_nesting():
     assert sorted(previous) == list(range(97))  # K=100 keeps everything
 
 
+def test_top_percent_checks_the_range_and_names_the_option():
+    assert select.top_percent(50, ["b", "a", "c", "d"]) == ["b", "a"]  # kept in the given order
+    assert select.top_percent(100, ()) == ()
+    for k in (0, -1, 100.5, float("nan")):
+        with pytest.raises(ToolkitError, match=r"^N must be in \(0, 100\]$"):
+            select.top_percent(k, range(10), "N")
+
+
 def test_threshold_filter_is_strict():
     scores = [0.2, 0.5, 0.8]
     assert select.threshold_filter(scores, 0.5, select.HIGHER).indices == [2]
     assert select.threshold_filter(scores, 0.5, select.LOWER).indices == [0]
+    nan = float("nan")  # compares false either way: neither kept nor keeping
+    assert select.threshold_filter([nan, 0.8, -0.0], 0.0, select.HIGHER).indices == [1]
+    assert select.threshold_filter([nan, -0.8, 0.0], -0.0, select.LOWER).indices == [1]
+    assert select.threshold_filter(scores, nan, select.LOWER).indices == []
 
 
 def test_sharded_scoring_is_order_preserving():

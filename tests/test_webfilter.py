@@ -192,6 +192,16 @@ def test_combined_filter_orders_by_ppl1():
     assert len(all_kept) == 4
 
 
+@pytest.mark.parametrize("k, n, message", [(0, 50, "K"), (50, 101, "N")])
+def test_combined_filter_checks_k_and_n_before_scoring_a_page(monkeypatch, k, n, message):
+    def no_scoring(*args):
+        raise AssertionError("a page was scored")
+
+    monkeypatch.setattr(webfilter, "topic_relevance", no_scoring)
+    with pytest.raises(ToolkitError, match=r"^%s must be in \(0, 100\]$" % message):
+        webfilter.combined_filter([_doc("a", body=["x y"])], [], k=k, n=n, in_lm=None)
+
+
 def test_combined_filter_k100_equals_pure_ppl_selection():
     model = lm.train(
         corpus.Corpus.from_lines(["x y x y", "y x y x"]), order=2, smoothing="witten-bell"
