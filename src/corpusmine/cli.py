@@ -237,6 +237,10 @@ def _cmd_score(args):
     in_domain = None if models else _load_view(args.in_domain, fmt, view)
     if in_domain is not None and not len(in_domain):
         raise ToolkitError("%s holds no sentences to score against" % args.in_domain)
+    if crit in ("ml", "mml") and in_domain is not None and len(general) < len(in_domain):
+        raise ToolkitError("%s holds %d sentences, fewer than the %d of %s: %s trains its "
+                           "general-domain LM on that many of them" % (
+                               args.general, len(general), len(in_domain), args.in_domain, crit))
     scores = select.score(crit, general, in_domain, models, order=args.order, seed=args.seed,
                           smoothing=args.smoothing, cutoff=args.fms_cutoff)
     meta = {"criterion": crit, "direction": select.CRITERION_DIRECTIONS[crit]}

@@ -7,7 +7,7 @@ trained per selection source.
 
 from itertools import chain, repeat, zip_longest
 
-from .errors import (FormatError, ToolkitError, non_negative, parse_field, read_lines,
+from .errors import (FormatError, ToolkitError, non_negative, parse_field, records,
                      write_headed)
 
 
@@ -111,19 +111,13 @@ def read_table(path):
     checked as it is read: three ' ||| ' fields, finite non-negative scores,
     and the first row's arity."""
     rows = {}
-    for lineno, line in read_lines(path):
-        if not line.strip():
-            continue
-        fields = line.split(" ||| ")
-        if len(fields) != 3:
-            raise FormatError("%s line %d: expected 'src ||| tgt ||| scores'"
-                              % (path, lineno))
+    for lineno, (src, tgt, text) in records(path, " ||| ", 3, "'src ||| tgt ||| scores'"):
         scores = tuple(parse_field(non_negative, s, "score", path, lineno)
-                       for s in fields[2].split())
+                       for s in text.split())
         if rows and len(scores) != arity:
             raise FormatError("%s line %d: arity mismatch" % (path, lineno))
         arity = len(scores)
-        rows[(fields[0], fields[1])] = scores
+        rows[(src, tgt)] = scores
     if not rows:
         raise FormatError("%s: empty table" % path)
     return rows

@@ -11,7 +11,8 @@ from array import array
 from itertools import accumulate, chain, repeat
 from pathlib import Path
 
-from .errors import FormatError, MissingFactorError, ToolkitError, read_lines, write_headed
+from .errors import (FormatError, MissingFactorError, ToolkitError, read_lines, records,
+                     write_headed)
 
 FACTOR_SEP = "|"
 NUMBER_PLACEHOLDER = "@num@"
@@ -176,17 +177,10 @@ def load_lexicon(path):
     """The lexicon file's source word -> target phrase dict; the first listed
     translation wins."""
     entries = {}
-    for lineno, line in read_lines(path):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise FormatError("%s line %d: lexicon line needs source<TAB>target: %r"
-                              % (path, lineno, line))
-        src, tgt = fields[0], fields[1]
+    for lineno, (src, tgt) in records(path, "\t", 2, "source<TAB>target"):
         if not src.strip() or not tgt.strip():
             raise FormatError("%s line %d: lexicon source and target must be non-empty: %r"
-                              % (path, lineno, line))
+                              % (path, lineno, "%s\t%s" % (src, tgt)))
         if " " in src:
             raise FormatError("%s line %d: lexicon keys must be single tokens: %r"
                               % (path, lineno, src))
@@ -210,6 +204,8 @@ def read_documents(path):
         fields = line.split("\t", 1)
         if len(fields) != 2:
             raise FormatError("%s line %d: expected doc_id<TAB>text" % (path, lineno))
+        if not fields[0].strip():
+            raise FormatError("%s line %d: empty document id" % (path, lineno))
         if fields[0] in first_line:
             raise FormatError("%s line %d: duplicate document id %r (first on line %d)"
                               % (path, lineno, fields[0], first_line[fields[0]]))

@@ -101,6 +101,26 @@ def read_lines(path):
         yield lineno, last
 
 
+def records(path, sep, n, layout, meta=None):
+    """(line number, fields) for each line of path that holds more than
+    whitespace, split at sep into exactly n fields, or else a FormatError
+    `<path> line N: expected <layout>`.  With a meta dict, a line that starts
+    with # is no record, and each `# key: value` line goes into meta."""
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        if meta is not None and line.startswith("#"):
+            body = line.lstrip("# ")
+            if ":" in body:
+                key, value = body.split(":", 1)
+                meta[key.strip()] = value.strip()
+            continue
+        fields = line.split(sep)
+        if len(fields) != n:
+            raise FormatError("%s line %d: expected %s" % (path, lineno, layout))
+        yield lineno, fields
+
+
 def write_text(path, text):
     """Replace path with text, a string or an iterable of strings (UTF-8, \\n
     newlines), by way of `<path>.tmp`: a write that fails (or an iterable

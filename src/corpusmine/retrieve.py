@@ -12,7 +12,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 
 from .corpus import read_documents
-from .errors import FormatError, ToolkitError, read_lines, write_headed
+from .errors import FormatError, ToolkitError, read_lines, records, write_headed
 
 
 class Document:
@@ -188,13 +188,10 @@ def load_stopwords(path):
 
 def load_gold(path):
     gold = {}
-    for lineno, line in read_lines(path):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise FormatError("%s line %d: expected source_id<TAB>target_id" % (path, lineno))
-        gold.setdefault(fields[0], set()).add(fields[1])
+    for lineno, (src, tgt) in records(path, "\t", 2, "source_id<TAB>target_id"):
+        if not src.strip() or not tgt.strip():
+            raise FormatError("%s line %d: empty source or target id" % (path, lineno))
+        gold.setdefault(src, set()).add(tgt)
     return gold
 
 

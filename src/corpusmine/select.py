@@ -16,7 +16,7 @@ import random
 from collections import Counter
 
 from .corpus import Corpus, encode, words_of
-from .errors import FormatError, ToolkitError, finite, parse_field, read_lines, write_headed
+from .errors import FormatError, ToolkitError, finite, parse_field, records, write_headed
 
 HIGHER = "higher-is-better"
 LOWER = "lower-is-better"
@@ -128,8 +128,8 @@ def train_selection_models(general, in_domain, order=4, seed=0,
     corpus."""
     from . import lm
 
+    out_subset = sample_out_subset(general, len(in_domain), seed)  # fails before any training
     in_lm = lm.train(in_domain, order=order, smoothing=smoothing)
-    out_subset = sample_out_subset(general, len(in_domain), seed)
     out_lm = lm.train(out_subset, order=order, smoothing=smoothing, vocab=in_lm.vocab)
     return in_lm, out_lm
 
@@ -401,24 +401,6 @@ def write_scores(path, scores, meta=None):
     write_headed(path, meta or {}, index_rows(scores))
 
 
-def _read_annotated(path, parse_row):
-    """The ``# key: value`` header and the rows, parsed by
-    parse_row(line, path, lineno), of a score or selection file."""
-    meta = {}
-    rows = []
-    for lineno, line in read_lines(path):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("# ")
-            if ":" in body:
-                key, value = body.split(":", 1)
-                meta[key.strip()] = value.strip()
-            continue
-        rows.append(parse_row(line, path, lineno))
-    return meta, rows
-
-
 def _index(text):
     """A sentence index: a non-negative integer."""
     i = int(text)
@@ -427,18 +409,11 @@ def _index(text):
     return i
 
 
-def _score_row(line, path, lineno):
-    fields = line.split("\t")
-    if len(fields) != 2:
-        raise FormatError("%s line %d: expected index<TAB>score" % (path, lineno))
-    return (parse_field(_index, fields[0], "index", path, lineno),
-            parse_field(finite, fields[1], "score", path, lineno), lineno)
-
-
 def read_scores(path):
-    meta, rows = _read_annotated(path, _score_row)
-    scores = {}
-    for i, score, lineno in rows:
+    meta, scores = {}, {}
+    for lineno, (index, score) in records(path, "\t", 2, "index<TAB>score", meta):
+        i = parse_field(_index, index, "index", path, lineno)
+        score = parse_field(finite, score, "score", path, lineno)
         if i in scores:
             raise FormatError("%s line %d: repeated index %d" % (path, lineno, i))
         scores[i] = score
@@ -452,10 +427,8 @@ def write_selection(path, result, meta=None):
     write_headed(path, header, map(str, result.indices))
 
 
-def _selection_row(line, path, lineno):
-    return parse_field(_index, line, "index", path, lineno)
-
-
 def read_selection(path):
-    meta, indices = _read_annotated(path, _selection_row)
+    meta = {}  # a line holds no \n, so the whole line is its one field
+    indices = [parse_field(_index, line, "index", path, lineno)
+               for lineno, (line,) in records(path, "\n", 1, "index", meta)]
     return SelectionResult(indices, meta.get("criterion", ""), meta.get("direction", HIGHER))

@@ -10,7 +10,7 @@ from collections import Counter
 from pathlib import Path
 
 from .corpus import read_documents
-from .errors import FormatError, ToolkitError, finite, parse_field, read_lines
+from .errors import FormatError, ToolkitError, finite, parse_field, records
 from .select import LOWER, _ranked_indices, top_percent
 
 LOCATIONS = ("title", "headings", "metadata", "body")
@@ -136,18 +136,12 @@ def load_topic_file(path):
     """(tokens, weight) per line of a TSV `term<TAB>weight<TAB>class`, in file
     order.  A blank weight is the term's token count; the class is required
     but not kept."""
-    topic = []
-    for lineno, line in read_lines(path):
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise FormatError("%s line %d: expected term<TAB>weight<TAB>class"
-                              % (path, lineno))
-        tokens = tuple(fields[0].split())
+    topic = []  # a # line is a comment: its header dict is dropped
+    for lineno, (term, weight, _) in records(path, "\t", 3, "term<TAB>weight<TAB>class", {}):
+        tokens = tuple(term.split())
         if not tokens:
             raise FormatError("%s line %d: empty term" % (path, lineno))
-        weight = (parse_field(finite, fields[1], "weight", path, lineno) if fields[1].strip()
+        weight = (parse_field(finite, weight, "weight", path, lineno) if weight.strip()
                   else float(len(tokens)))
         topic.append((tokens, weight))
     return topic

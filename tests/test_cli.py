@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from corpusmine import cli, corpus, lm, metrics, retrieve, select
+from corpusmine.errors import ToolkitError
 
 
 def run_cli(*argv):
@@ -193,6 +194,14 @@ def test_files_are_opened_only_by_the_line_reader_the_writer_and_the_digest():
     # and no input is read a second time to report on it
     assert _callers("open") == {"errors.read_lines", "errors.write_text", "cli._sha256"}
     assert not _callers("read_bytes", "read_text")
+
+
+def test_line_record_files_are_read_only_through_errors_records():
+    # score, selection, topic, gold, lexicon and phrase-table lines are split
+    # and counted by errors.records; these readers have formats of their own
+    assert _callers("read_lines") == {"errors.records", "corpus.read_documents",
+                                      "corpus._parse_lines", "lm.read_model",
+                                      "retrieve.load_stopwords", "cli._parse"}
 
 
 def test_direction_choices_are_the_select_directions(capsys):
@@ -528,7 +537,7 @@ def test_preprocess_rejects_bad_tokens(work, capsys, fmt, line, message):
 
 @pytest.mark.parametrize("name, text, argv, message", [
     ("lex.tsv", "slow\tlento\na\n", ["preprocess", "--input", "indomain.txt",
-     "--hyphen-alt", "lex.tsv"], "lex.tsv line 2: lexicon line needs source<TAB>target: 'a'"),
+     "--hyphen-alt", "lex.tsv"], "lex.tsv line 2: expected source<TAB>target"),
     ("lex.tsv", "a b\tx\n", ["preprocess", "--input", "indomain.txt", "--hyphen-alt",
      "lex.tsv"], "lex.tsv line 1: lexicon keys must be single tokens: 'a b'"),
     ("blank.txt", "a b\n\nc\n", ["preprocess", "--input", "blank.txt"],
@@ -541,7 +550,7 @@ def test_preprocess_rejects_bad_tokens(work, capsys, fmt, line, message):
     ("lex.tsv", "\tA\n", ["preprocess", "--input", "indomain.txt", "--hyphen-alt",
      "lex.tsv"], "lex.tsv line 1: lexicon source and target must be non-empty: '\\tA'"),
     ("lex.tsv", "a\tA\tjunk\n", ["preprocess", "--input", "indomain.txt", "--hyphen-alt",
-     "lex.tsv"], "lex.tsv line 1: lexicon line needs source<TAB>target: 'a\\tA\\tjunk'"),
+     "lex.tsv"], "lex.tsv line 1: expected source<TAB>target"),
 ])
 def test_reader_errors_name_file_and_line(work, capsys, name, text, argv, message):
     (work / "pages").mkdir()
@@ -1431,12 +1440,28 @@ def test_perplexity_reports_malformed_model_fields(work, capsys, old, new, messa
     ({"t.txt": "a ||| b ||| 0.5 0.5\nc ||| d ||| 0.5 -0.25\n"},
      ["combine", "--mode", "tables", "--table", "t.txt", "--output", "w.txt"],
      1, "error: t.txt line 2: bad score '-0.25'"),
+    ({"web.tsv": "d1\tthe market fell\n\tthe market rose\n"},
+     ["retrieve", "--collection", "web.tsv", "--queries", "web.tsv", "--lambda", "0.5",
+      "--n-best", "1", "--output", "w.txt"], 1, "error: web.tsv line 2: empty document id"),
+    ({"web.tsv": "d1\tthe market fell\n \tthe market rose\n"},
+     ["retrieve", "--collection", "web.tsv", "--queries", "web.tsv", "--lambda", "0.5",
+      "--n-best", "1", "--output", "w.txt"], 1, "error: web.tsv line 2: empty document id"),
+    ({"web.tsv": "d1\tthe market\n", "gold.tsv": "d1\td1\nd1\t\n"},
+     ["retrieve", "--collection", "web.tsv", "--queries", "web.tsv", "--lambda", "0.5",
+      "--n-best", "1", "--gold", "gold.tsv", "--output", "w.txt"],
+     1, "error: gold.tsv line 2: empty source or target id"),
+    ({"web.tsv": "d1\tthe market\n", "gold.tsv": " \td1\n"},
+     ["retrieve", "--collection", "web.tsv", "--queries", "web.tsv", "--lambda", "0.5",
+      "--n-best", "1", "--gold", "gold.tsv", "--output", "w.txt"],
+     1, "error: gold.tsv line 1: empty source or target id"),
 ], ids=["model-without-ngram-lines", "perplexity-of-empty-input", "empty-collection",
         "gold-line-of-3-fields", "negative-location-weight", "ppl-filter-n-0", "blank-topic-term",
         "dedup-without-files", "bare-diagnose", "trailing-config", "negative-corpus-weight",
         "table-of-mixed-arity", "empty-table", "overflowing-corpus-weights",
         "overflowing-table-weights", "table-weight-count", "zero-table-weights",
-        "collection-line-without-tab", "max-len-0", "negative-table-score"])
+        "collection-line-without-tab", "max-len-0", "negative-table-score",
+        "empty-collection-id", "blank-collection-id", "empty-gold-target-id",
+        "blank-gold-source-id"])
 def test_input_faults_end_in_an_error_exit(work, capsys, monkeypatch, files, argv, code,
                                            message):
     monkeypatch.chdir(work)
@@ -1549,6 +1574,29 @@ def test_empty_general_is_an_error_under_every_criterion(work, capsys, bilingual
     assert run_cli(*argv, str(work / ("general" + ext)), "--output", str(work / "e.tsv")) == 1
     assert capsys.readouterr().err == "error: %s holds no sentences to score against\n" % empty
     assert not list(work.glob("e.tsv*"))
+
+
+@pytest.mark.parametrize("criterion", ["ml", "mml"])
+def test_a_general_corpus_smaller_than_the_in_domain_one_fails_before_training(
+        work, capsys, monkeypatch, bilingual, criterion):
+    # the general-domain LM trains on a general subset as large as the
+    # in-domain corpus; the fixture's 2-line in-domain file is passed as
+    # --general and its 5-line general file as --in-domain
+    def train(*args, **kwargs):
+        raise AssertionError("a model was trained")
+
+    monkeypatch.setattr(lm, "train", train)
+    ext = ".tsv" if criterion == "mml" else ".txt"
+    general, in_domain = work / ("indomain" + ext), work / ("general" + ext)
+    assert run_cli("score", "--criterion", criterion, "--general", str(general),
+                   "--in-domain", str(in_domain), "--output", str(work / "s.tsv")) == 1
+    assert capsys.readouterr().err == (
+        "error: %s holds 2 sentences, fewer than the 5 of %s: %s trains its general-domain "
+        "LM on that many of them\n" % (general, in_domain, criterion))
+    assert not list(work.glob("s.tsv*"))
+    with pytest.raises(ToolkitError, match="subset size exceeds corpus size"):
+        select.train_selection_models(corpus.load_corpus(work / "indomain.txt"),
+                                      corpus.load_corpus(work / "general.txt"))
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -181,6 +181,57 @@ def test_a_line_longer_than_a_block_is_read_whole(tmp_path, eol):
     assert list(read_lines(path)) == [(1, "a"), (2, long), (3, "b"), (4, long)]
 
 
+# name: (reader, two valid lines, a line of the wrong field count and the layout
+# its error names, a line that starts with #, what the reader makes of that line
+# alone); a selection line is one field whatever it holds
+RECORD_FORMATS = {
+    "scores": (select.read_scores, ["0\t0.5", "1\t0.25"], "2\t0.5\t1", "index<TAB>score",
+               "# direction: lower-is-better", ([], {"direction": "lower-is-better"})),
+    "selection": (lambda p: vars(select.read_selection(p)), ["2", "0"], None, None,
+                  "# criterion: ml", {"indices": [], "criterion": "ml",
+                                      "direction": select.HIGHER}),
+    "topic": (webfilter.load_topic_file, ["market\t3\tFIN", "rain fell\t\tWX"], "market\t3",
+              "term<TAB>weight<TAB>class", "#market\t3\tFIN", []),
+    "gold": (retrieve.load_gold, ["q1\td1", "q2\td3"], "q1\td1\td2", "source_id<TAB>target_id",
+             "#q\td1", {"#q": {"d1"}}),
+    "lexicon": (corpus.load_lexicon, ["market\tmarch\u00e9", "fell\ttomba"], "fell",
+                "source<TAB>target", "#m\tx", {"#m": "x"}),
+    "table": (combine.read_table, ["a ||| b ||| 0.5", "c ||| d ||| 0.25"], "a ||| b",
+              "'src ||| tgt ||| scores'", "#a ||| b ||| 0.125", {("#a", "b"): (0.125,)}),
+}
+
+
+@pytest.mark.parametrize("name", RECORD_FORMATS)
+def test_every_line_record_format_follows_one_rule(tmp_path, name):
+    # each reader goes through errors.records: blank lines are skipped, a wrong
+    # field count names its line and the layout, and a # line is a header
+    # (score and selection files), a comment (topic files) or a record
+    read, lines, wrong, layout, hashed, alone = RECORD_FORMATS[name]
+    path = tmp_path / name
+
+    def value(*rows):
+        path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+        return read(path)
+
+    assert value("", lines[0], " \t ", "", lines[1]) == value(*lines)
+    if wrong is not None:
+        with pytest.raises(FormatError) as err:
+            value(lines[0], "", wrong, lines[1])
+        assert str(err.value) == "%s line 3: expected %s" % (path, layout)
+    assert value(hashed) == alone
+
+
+def test_a_score_file_names_its_first_faulty_line(tmp_path):
+    path = tmp_path / "s.tsv"
+    path.write_text("0\t0.5\n1\t0.25\n1\t0.75\n2\t0.5\n3\tzz\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=r"s\.tsv line 3: repeated index 1$"):
+        select.read_scores(path)
+    # within one line, both fields are parsed before the index is looked up
+    path.write_text("0\t0.5\n0\tzz\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=r"s\.tsv line 2: bad score 'zz'$"):
+        select.read_scores(path)
+
+
 def test_write_text_that_fails_partway_leaves_the_old_file(tmp_path):
     path = tmp_path / "out.txt"
     path.write_bytes(b"old\n")
