@@ -241,8 +241,8 @@ def _cmd_score(args):
         raise ToolkitError("%s holds %d sentences, fewer than the %d of %s: %s trains its "
                            "general-domain LM on that many of them" % (
                                args.general, len(general), len(in_domain), args.in_domain, crit))
-    scores = select.score(crit, general, in_domain, models, order=args.order, seed=args.seed,
-                          smoothing=args.smoothing, cutoff=args.fms_cutoff)
+    scores = select.scorer(crit, general, in_domain, models, order=args.order, seed=args.seed,
+                           smoothing=args.smoothing, cutoff=args.fms_cutoff)(general)
     meta = {"criterion": crit, "direction": select.CRITERION_DIRECTIONS[crit]}
     if crit in select.LM_FILES:
         meta["normalization"] = "per-word cross-entropy, bits"
@@ -325,6 +325,9 @@ def _cmd_combine(args):
         selections = [select.read_selection(p) for p in args.selection]
         data = corpus.load_corpus(args.corpus, **fmt)
         wc = combine.combine_corpus_weighted(selections, data, weights or [1.0] * len(selections))
+        if args.replicate and any(round(e.weight) > len(data) for e in wc.entries):
+            raise ToolkitError("--weights with --replicate copies a sentence more often than "
+                               "the %d sentences of %s" % (len(data), args.corpus))
         combine.write_weighted_corpus(wc, args.output, replicate=args.replicate)
     elif args.mode == "naive-rank":
         ranked = [select.read_selection(p).indices for p in args.selection]

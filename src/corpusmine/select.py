@@ -40,12 +40,12 @@ class SelectionResult:
 # --- cosine tf-idf ------------------------------------------------------------
 
 
-def score_cosine(general, in_domain, threads=1):
-    """Cosine between each general sentence's tf-idf vector and the tf-idf
-    vector of the whole in-domain corpus taken as one pseudo-document.
+def cosine_rows(general, in_domain):
+    """The rows of cosine: a function from general sentences to each one's
+    tf-idf cosine against the in-domain corpus taken as one pseudo-document.
 
-    tf is the raw in-sentence count; idf = log(|D|/df) with |D| the number of
-    general sentences and df clamped to >= 1.
+    tf is the raw in-sentence count; idf = log(|D|/df), taken once over the
+    whole general corpus, with |D| its sentence count and df clamped to >= 1.
     """
     gen_sents = [words_of(s) for s in general]
     if not gen_sents or len(in_domain) == 0:
@@ -74,7 +74,12 @@ def score_cosine(general, in_domain, threads=1):
         denom = math.sqrt(norm) * query_norm
         return dot / denom if denom > 0 and dot != 0.0 else 0.0
 
-    return [one(words) for words in gen_sents]
+    return lambda items: [one(words_of(s)) for s in items]
+
+
+def score_cosine(general, in_domain, threads=1):
+    """The cosine of each general sentence: cosine_rows over the whole corpus."""
+    return cosine_rows(general, in_domain)(general)
 
 
 # --- perplexity-based criteria ------------------------------------------------
@@ -312,9 +317,9 @@ def score_fms(general, reference, cutoff=None, threads=1):
     return out
 
 
-# --- one score per sentence under any criterion ------------------------------
+# --- one row per general item under any criterion ----------------------------
 
-# The model-file options of the LM criteria, in the order score() takes the models.
+# The model-file options of the LM criteria, in the order scorer() takes the models.
 LM_FILES = {
     "ce": ("in_lm",),
     "ml": ("in_lm", "out_lm"),
@@ -322,9 +327,10 @@ LM_FILES = {
 }
 
 
-def score(criterion, general, in_domain, models=None, order=4, seed=0,
-          smoothing="modified-kneser-ney", cutoff=None):
-    """The criterion's score of each general sentence (mml: of each pair).
+def scorer(criterion, general, in_domain, models=None, order=4, seed=0,
+           smoothing="modified-kneser-ney", cutoff=None):
+    """The criterion's statistics, taken once, as its rows: a function from a
+    batch of general items (mml: pairs) to their scores, row i from item i alone.
 
     The LM criteria score with `models`, ordered as in LM_FILES, or else with
     models trained on in_domain: ml's pair by train_selection_models, and
@@ -332,9 +338,9 @@ def score(criterion, general, in_domain, models=None, order=4, seed=0,
     if criterion not in CRITERION_DIRECTIONS:
         raise ToolkitError("unknown criterion %r" % criterion)
     if criterion == "cosine":
-        return score_cosine(general, in_domain)
+        return cosine_rows(general, in_domain)
     if criterion == "fms":
-        return score_fms(general, in_domain, cutoff=cutoff)
+        return lambda items: score_fms(items, in_domain, cutoff)
     if models is None:
         from . import lm
         if criterion == "ce":
@@ -346,8 +352,8 @@ def score(criterion, general, in_domain, models=None, order=4, seed=0,
                                              order, seed, smoothing)
                       + train_selection_models(general.target_corpus(),
                                                in_domain.target_corpus(), order, seed, smoothing))
-    scorer = {"ce": score_cross_entropy, "ml": score_moore_lewis, "mml": score_bilingual_ml}
-    return scorer[criterion](general, *models)
+    rows = {"ce": score_cross_entropy, "ml": score_moore_lewis, "mml": score_bilingual_ml}
+    return lambda items: rows[criterion](items, *models)
 
 
 # --- ranking and selection ----------------------------------------------------

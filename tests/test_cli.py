@@ -1454,6 +1454,11 @@ def test_perplexity_reports_malformed_model_fields(work, capsys, old, new, messa
      ["retrieve", "--collection", "web.tsv", "--queries", "web.tsv", "--lambda", "0.5",
       "--n-best", "1", "--gold", "gold.tsv", "--output", "w.txt"],
      1, "error: gold.tsv line 1: empty source or target id"),
+    # a sentence copied more often than the corpus has sentences outweighs the whole corpus
+] + [({"sel.txt": "0\n"}, ["combine", "--mode", "corpus", "--selection", "sel.txt", "--corpus",
+                          "general.txt", "--weights", weight, "--replicate", "--output", "w.txt"],
+      1, "error: --weights with --replicate copies a sentence more often than the 5 sentences "
+         "of general.txt") for weight in ("1000000000000000", "9223372036854775808", "1e308")
 ], ids=["model-without-ngram-lines", "perplexity-of-empty-input", "empty-collection",
         "gold-line-of-3-fields", "negative-location-weight", "ppl-filter-n-0", "blank-topic-term",
         "dedup-without-files", "bare-diagnose", "trailing-config", "negative-corpus-weight",
@@ -1461,7 +1466,8 @@ def test_perplexity_reports_malformed_model_fields(work, capsys, old, new, messa
         "overflowing-table-weights", "table-weight-count", "zero-table-weights",
         "collection-line-without-tab", "max-len-0", "negative-table-score",
         "empty-collection-id", "blank-collection-id", "empty-gold-target-id",
-        "blank-gold-source-id"])
+        "blank-gold-source-id", "replicate-1e15-copies", "replicate-2-to-the-63-copies",
+        "replicate-1e308-copies"])
 def test_input_faults_end_in_an_error_exit(work, capsys, monkeypatch, files, argv, code,
                                            message):
     monkeypatch.chdir(work)

@@ -536,7 +536,7 @@ _DATA = corpus.Corpus.from_lines(["a b", "b c a"])
         retrieve.LengthFilterParams(0.1)), "source length must be >= 1"),
     (lambda: select.score_cosine([], _DATA), "both corpora must be non-empty"),
     (lambda: select.score_fms(_DATA, []), "reference corpus must be non-empty"),
-    (lambda: select.score("bleu", _DATA, _DATA), "unknown criterion 'bleu'"),
+    (lambda: select.scorer("bleu", _DATA, _DATA), "unknown criterion 'bleu'"),
 ], ids=["no-table", "no-source-set", "corpus-format", "no-component", "weight-count",
         "negative-weight", "no-model", "source-length", "empty-cosine", "empty-fms",
         "criterion"])

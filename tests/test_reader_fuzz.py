@@ -4,7 +4,11 @@ and exit 1 (or 2 for usage), never an exception."""
 
 import contextlib
 import io
+import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -70,6 +74,9 @@ CASES = [
     ("run.cfg", ["train-lm", "--config", "run.cfg", "--input", "in.txt", "--output", "o.lm"]),
 ]
 NUMBER = re.compile(rb"-?[0-9]+(\.[0-9]+)?")
+# numbers at the edges: zero, negative, past 2^53 and 2^63, the largest floats, not finite
+EDGE_NUMBERS = ["0", "-1", "1000000000000000", "9223372036854775808", "1e308", "-1e308", "nan",
+                "inf"]
 
 
 def _model_text():
@@ -86,12 +93,12 @@ FILES["model.lm"] = _model_text()
 @st.composite
 def mutations(draw, data):
     """data with one fault: a byte changed, a cut, a tab dropped or doubled,
-    bytes that are not UTF-8, or a number turned into nan or inf."""
+    bytes that are not UTF-8, or a number turned into an edge number."""
     at = draw(st.integers(0, len(data) - 1))
     tabs = [m.start() for m in re.finditer(rb"\t", data)]
     numbers = list(NUMBER.finditer(data))
     kinds = ["flip", "cut", "bytes"] + ["drop tab", "double tab"] * bool(tabs) + (
-        ["nan"] * bool(numbers))
+        ["number"] * bool(numbers))
     kind = draw(st.sampled_from(kinds))
     if kind == "flip":
         return data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
@@ -99,9 +106,9 @@ def mutations(draw, data):
         return data[:at]
     if kind == "bytes":
         return data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
-    if kind == "nan":
+    if kind == "number":
         m = draw(st.sampled_from(numbers))
-        word = draw(st.sampled_from([b"nan", b"inf", b"-inf", b"NaN"]))
+        word = draw(st.sampled_from([w.encode() for w in EDGE_NUMBERS] + [b"-inf", b"NaN"]))
         return data[:m.start()] + word + data[m.end():]
     t = draw(st.sampled_from(tabs))
     return data[:t] + (b"" if kind == "drop tab" else b"\t") + data[t:]
@@ -141,3 +148,78 @@ def test_mutated_inputs_end_in_error_or_success(case):
     code, err = _run(*case)
     assert code in (0, 1, 2)
     assert code == 0 or "error:" in err
+
+
+# (option, a step that reads it over FILES, with VALUE where the option's value goes)
+OPTION_CASES = [
+    ("select --k", ["select", "--scores", "scores.tsv", "--k=VALUE", "--output", "o.sel"]),
+    ("select --theta", ["select", "--scores", "scores.tsv", "--theta=VALUE", "--output", "o.sel"]),
+    ("topic-filter --k", ["topic-filter", "--collection", "web.tsv", "--topic", "topic.tsv",
+                          "--k=VALUE"]),
+    ("ppl-filter --n", ["ppl-filter", "--collection", "web.tsv", "--topic", "topic.tsv",
+                        "--k", "50", "--n=VALUE", "--lm", "model.lm"]),
+    ("retrieve --n-best", ["retrieve", "--collection", "coll.tsv", "--queries", "queries.tsv",
+                           "--lambda", "0.5", "--n-best=VALUE"]),
+    ("retrieve --lambda", ["retrieve", "--collection", "coll.tsv", "--queries", "queries.tsv",
+                           "--lambda=VALUE", "--n-best", "2"]),
+    ("retrieve --delta", ["retrieve", "--collection", "coll.tsv", "--queries", "queries.tsv",
+                          "--lambda", "0.5", "--n-best", "2", "--delta=VALUE"]),
+    ("retrieve --multiplier", ["retrieve", "--collection", "coll.tsv", "--queries",
+                               "queries.tsv", "--lambda", "0.5", "--n-best", "2",
+                               "--delta", "0.2", "--multiplier=VALUE"]),
+    ("combine --target-size", ["combine", "--mode", "naive-rank", "--selection", "selection.txt",
+                               "--selection", "other.txt", "--target-size=VALUE",
+                               "--output", "o.txt"]),
+    ("combine --weights", ["combine", "--mode", "corpus", "--selection", "selection.txt",
+                           "--corpus", "general.txt", "--weights=VALUE", "--output", "o.tsv"]),
+    ("combine --weights --replicate", ["combine", "--mode", "corpus", "--selection",
+                                       "selection.txt", "--corpus", "general.txt",
+                                       "--weights=VALUE", "--replicate", "--output", "o.txt"]),
+    ("combine --weights 1,VALUE", ["combine", "--mode", "tables", "--table", "table.txt",
+                                   "--table", "table2.txt", "--weights=1,VALUE",
+                                   "--output", "o.txt"]),
+    ("lm-interp --order", ["combine", "--mode", "lm-interp", "--set", "general.txt", "--set",
+                           "in.txt", "--dev", "in.txt", "--order=VALUE", "--output", "o.txt"]),
+    ("train-lm --order", ["train-lm", "--input", "general.txt", "--order=VALUE",
+                          "--output", "o.lm"]),
+    ("score --fms-cutoff", ["score", "--criterion", "fms", "--general", "general.txt",
+                            "--in-domain", "in.txt", "--fms-cutoff=VALUE", "--output", "o.tsv"]),
+    ("score --seed", ["score", "--criterion", "ml", "--general", "general.txt", "--in-domain",
+                      "in.txt", "--order", "2", "--seed=VALUE", "--output", "o.tsv"]),
+    ("preprocess --max-len", ["preprocess", "--input", "parallel.tsv", "--format",
+                              "tsv-parallel", "--max-len=VALUE", "--output", "o.txt"]),
+]
+
+# The child's budget for the whole sweep: memory, CPU seconds, and the size of any one file.
+_SWEEP = """
+import json, resource, signal, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+resource.setrlimit(resource.RLIMIT_FSIZE, (64 << 20, 64 << 20))
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit fails with EFBIG
+import test_reader_fuzz
+for name, argv in json.load(sys.stdin):
+    try:  # every file as FILES holds it
+        code, err = test_reader_fuzz._run("in.txt", argv, test_reader_fuzz.IN_DOMAIN.encode())
+    except Exception as exc:
+        code, err = None, repr(exc)
+    print(json.dumps([name, code, err]), flush=True)
+"""
+
+
+def test_edge_numbers_in_each_numeric_option_end_within_a_budget():
+    # each option takes each edge number; one child process runs them all
+    # under its own rlimits, and a case passes on exit 0, or on exit 1 or 2
+    # with an error line, within the budget
+    cases = [("%s=%s" % (name, value), [a.replace("VALUE", value) for a in argv])
+             for name, argv in OPTION_CASES for value in EDGE_NUMBERS]
+    path = [Path(cli.__file__).resolve().parents[1], Path(__file__).resolve().parent]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, path)), OPENBLAS_NUM_THREADS="1")
+    child = subprocess.run([sys.executable, "-c", _SWEEP], input=json.dumps(cases), env=env,
+                           capture_output=True, text=True, timeout=300)
+    results = {name: (code, err) for name, code, err in map(json.loads, child.stdout.splitlines())}
+    unfinished = [name for name, _ in cases if name not in results]
+    assert not unfinished, "%s: %s" % (unfinished[0], child.stderr[-2000:])
+    failed = {name: err for name, (code, err) in results.items()
+              if not (code == 0 or code in (1, 2) and "error:" in err) or "File too large" in err}
+    assert failed == {}

@@ -1,5 +1,6 @@
 """Data-selection criteria, ranking, thresholds and score-file I/O."""
 
+import importlib
 import math
 import os
 import random
@@ -270,8 +271,10 @@ def test_lm_scores_are_equal_for_any_slice_size(monkeypatch, chunk):
 
 
 # Fixed statistics for the row tests: the in-domain corpus (cosine's query,
-# FMS's references, never permuted) and each LM criterion's models.
-_IN_DOMAIN = corpus.Corpus.from_lines(["a b c", "b c a b", "d a", "a b c d a b"])
+# FMS's references, never permuted) and each LM criterion's models.  Each
+# token carries a lemma, for the rows under --view l.
+_IN_DOMAIN = corpus.Corpus(tuple(map(corpus.Sentence.from_factored, [
+    "a|a b|b c|a", "b|b c|z a|a b|b", "d|z a|a", "a|a b|b c|a d|z a|a b|a"])))
 _SRC_IN = lm.train(_IN_DOMAIN, order=3, smoothing="witten-bell")
 _SRC_OUT = lm.train(corpus.Corpus.from_lines(["c d", "d c a", "z"]), order=3,
                     smoothing="witten-bell", vocab=_SRC_IN.vocab)
@@ -280,51 +283,94 @@ _TGT_OUT = lm.train(corpus.Corpus.from_lines(["q q y"]), order=2, smoothing="wit
                     vocab=_TGT_IN.vocab)
 _MODELS = {"cosine": None, "fms": None, "ce": [_SRC_IN], "ml": [_SRC_IN, _SRC_OUT],
            "mml": [_SRC_IN, _SRC_OUT, _TGT_IN, _TGT_OUT]}
+# (criterion, view): every criterion on the surface, and all but mml, which
+# scores pairs and takes no view, on the lemmas
+_CASES = st.sampled_from([(c, None) for c in sorted(select.CRITERION_DIRECTIONS)]
+                         + [(c, "l") for c in sorted(select.CRITERION_DIRECTIONS) if c != "mml"])
 
-# General items: (source, target) lines; all but mml score the source alone.
-# Now and then repeated, to span several of FMS's blocks of 16.
-_ITEMS = st.builds(list.__mul__, st.lists(st.tuples(*(
-    st.lists(st.sampled_from(words), min_size=1, max_size=6).map(" ".join)
-    for words in ("abcdz", "xyqw"))), min_size=1, max_size=12), st.sampled_from([1, 15]))
+# General items: (factored source, plain target) lines; all but mml score the
+# source alone.  Now and then repeated, to span several of FMS's blocks of 16.
+_TOKEN = st.tuples(st.sampled_from("abcdz"), st.sampled_from("abz")).map("|".join)
+_ITEMS = st.builds(list.__mul__, st.lists(st.tuples(
+    st.lists(_TOKEN, min_size=1, max_size=6).map(" ".join),
+    st.lists(st.sampled_from("xyqw"), min_size=1, max_size=6).map(" ".join)),
+    min_size=1, max_size=12), st.sampled_from([1, 15]))
 _ROW_TESTS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
 
-def _rows(criterion, items):
+def _general(criterion, view, items):
+    sources = corpus.Corpus(tuple(corpus.Sentence.from_factored(s) for s, _ in items))
     if criterion == "mml":
-        general = corpus.ParallelCorpus(tuple(
-            corpus.SentencePair(corpus.Sentence.from_plain(s), corpus.Sentence.from_plain(t))
-            for s, t in items))
-    else:
-        general = corpus.Corpus.from_lines([s for s, _ in items])
-    return select.score(criterion, general, _IN_DOMAIN, _MODELS[criterion])
+        return corpus.ParallelCorpus(tuple(corpus.SentencePair(s, corpus.Sentence.from_plain(t))
+                                           for s, (_, t) in zip(sources, items)))
+    return corpus.factor_view(sources, view) if view else sources
+
+
+def _scorer(criterion, view, general):
+    """The criterion's rows over statistics taken once from general."""
+    in_domain = corpus.factor_view(_IN_DOMAIN, view) if view else _IN_DOMAIN
+    return select.scorer(criterion, general, in_domain, _MODELS[criterion])
+
+
+def _rows(case, items):
+    general = _general(*case, items)
+    return _scorer(*case, general)(general)
 
 
 @_ROW_TESTS
-@given(st.sampled_from(sorted(select.CRITERION_DIRECTIONS)), _ITEMS, st.data())
-def test_permuting_the_general_items_permutes_the_rows(criterion, items, data):
+@given(_CASES, _ITEMS, st.data())
+def test_permuting_the_general_items_permutes_the_rows(case, items, data):
     order = data.draw(st.permutations(range(len(items))))
-    rows = _rows(criterion, items)
-    assert _rows(criterion, [items[i] for i in order]) == [rows[i] for i in order]
+    rows = _rows(case, items)
+    assert _rows(case, [items[i] for i in order]) == [rows[i] for i in order]
 
 
 @_ROW_TESTS
-@given(st.sampled_from(sorted(select.CRITERION_DIRECTIONS)), _ITEMS, st.data())
-def test_equal_general_items_get_equal_rows(criterion, items, data):
+@given(_CASES, _ITEMS, st.data())
+def test_equal_general_items_get_equal_rows(case, items, data):
     i = data.draw(st.integers(0, len(items) - 1))
     twin = data.draw(st.integers(0, len(items)))
-    rows = _rows(criterion, items[:twin] + [items[i]] + items[twin:])
+    rows = _rows(case, items[:twin] + [items[i]] + items[twin:])
     assert rows[twin] == rows[i if i < twin else i + 1]
 
 
 @_ROW_TESTS
-@given(st.sampled_from(["ce", "fms", "ml", "mml"]), _ITEMS.filter(lambda items: len(items) > 1),
-       st.data())
-def test_the_rows_of_any_split_joined_are_the_rows_of_the_whole(criterion, items, data):
-    # cosine's df and |D| are taken over the whole general corpus, so its rows
-    # depend on the split
+@given(_CASES, _ITEMS.filter(lambda items: len(items) > 1), st.data())
+def test_the_rows_of_any_split_joined_are_the_rows_of_the_whole(case, items, data):
     cuts = sorted(data.draw(st.sets(st.integers(1, len(items) - 1), min_size=1)))
-    parts = [items[a:b] for a, b in zip([0] + cuts, cuts + [len(items)])]
-    assert [row for part in parts for row in _rows(criterion, part)] == _rows(criterion, items)
+    general = _general(*case, items)
+    rows = _scorer(*case, general)
+    parts = [list(general)[a:b] for a, b in zip([0] + cuts, cuts + [len(general)])]
+    assert [row for part in parts for row in rows(part)] == rows(general)
+
+
+@pytest.fixture(scope="module")
+def bench_checks():
+    """bench/checks.py, the benchmark's independent references."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "path", [str(Path(__file__).resolve().parents[1] / "bench")] + sys.path)
+        patch.setattr(sys, "dont_write_bytecode", True)
+        yield importlib.import_module("checks")
+
+
+@_ROW_TESTS
+@given(st.sampled_from([(c, v) for c in ("cosine", "fms", "ml") for v in (None, "l")]), _ITEMS)
+def test_the_rows_equal_the_bench_references(bench_checks, case, items):
+    general = _general(*case, items)
+    words = [s.surface for s in general]
+    refs = [s.surface for s in (corpus.factor_view(_IN_DOMAIN, case[1]) if case[1] else _IN_DOMAIN)]
+    if case[0] == "cosine":
+        want = bench_checks.cosine_scores([" ".join(w) for w in words],
+                                          [" ".join(r) for r in refs], range(len(words)))
+        want = [want[i] for i in range(len(words))]
+    elif case[0] == "fms":
+        want = [bench_checks.fms_mean(w, refs) for w in words]
+    else:
+        want = [bench_checks.ml_score(_SRC_IN, _SRC_OUT, w) for w in words]
+    got = _scorer(*case, general)(general)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):  # bench/checks.py's Checks.close
+        assert abs(g - w) <= 1e-12 * max(abs(w), 1.0), (g, w)
 
 
 def test_sample_out_subset_is_seeded():
